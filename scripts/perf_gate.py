@@ -39,6 +39,12 @@ batched path under ``--max-durable-overhead`` (default 2x) of the
 non-durable batched path -- the whole point of sealing one frame per
 flush is that journaling cannot double the cost of the fast path.
 
+The gate also checks one **count**, which holds on any host: on a
+sequential write stream that never reaches a counter overflow, the
+batch write path makes exactly one ``counters.encode`` kernel call per
+distinct dirty group per write run (the ratchet on the per-run counter
+serialization; timing noise cannot move it).
+
 Wall-clock numbers vary across hosts; the committed ``BENCH_perf.json``
 is a recorded baseline for comparison, not a byte-reproducible
 artifact like the ``repro bench`` payloads.
@@ -279,6 +285,50 @@ def run_group_commit_probe(spec: BenchSpec, chunk: int = 32) -> dict:
     }
 
 
+def run_encode_count_probe() -> dict:
+    """Count ``counters.encode`` kernel calls over a sequential stream.
+
+    Every block is written once, so no write can reach the overflow
+    path, and write runs of ``chunk`` blocks straddle group boundaries.
+    The batch path must then encode each run's dirty groups once each.
+    """
+    blocks, chunk = 4096, 100
+    config = preset(
+        "combined",
+        protected_bytes=blocks * BLOCK_BYTES,
+        keystream_mode="splitmix",
+    )
+    registry = MetricRegistry()
+    with use_registry(registry):
+        engine = SecureMemory(config, _app_key("encode-count", 1))
+        batch = BatchSecureMemory(engine)
+        pair = batch.kernels.pairs["counters.encode"]
+        encodes = 0
+
+        def counting(group):
+            nonlocal encodes
+            encodes += 1
+            return pair.fast(group)
+
+        batch.kernels.pairs[pair.name] = dataclasses.replace(
+            pair, fast=counting
+        )
+        dirty_groups = 0
+        for start in range(0, blocks, chunk):
+            run = range(start, min(start + chunk, blocks))
+            batch.write_many(
+                [(block * BLOCK_BYTES, bytes(BLOCK_BYTES)) for block in run]
+            )
+            dirty_groups += len({engine.scheme.group_of(b) for b in run})
+    return {
+        "blocks": blocks,
+        "flush_chunk": chunk,
+        "counter_encodes": encodes,
+        "dirty_groups": dirty_groups,
+        "pass": encodes == dirty_groups,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--apps", nargs="+", default=list(DEFAULT_APPS))
@@ -363,6 +413,15 @@ def main(argv=None) -> int:
         f"per-write txns -> {'PASS' if gc_passed else 'FAIL'}"
     )
 
+    encode_count = run_encode_count_probe()
+    encode_passed = encode_count["pass"]
+    print(
+        f"perf_gate: counter encodes {encode_count['counter_encodes']} for "
+        f"{encode_count['dirty_groups']} dirty groups over "
+        f"{encode_count['blocks']} sequential writes (must be equal) -> "
+        f"{'PASS' if encode_passed else 'FAIL'}"
+    )
+
     payload = {
         "schema": BENCH_SCHEMA,
         "bench": "perf",
@@ -381,13 +440,15 @@ def main(argv=None) -> int:
             "pass": passed,
             "aesni": aesni,
             "group_commit": group_commit,
+            "encode_count": encode_count,
         },
         "metrics": bench_payload["metrics"],
     }
     path = pathlib.Path(args.json_out)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"perf_gate: wrote {path}")
-    return 0 if passed and aesni_passed and gc_passed else 1
+    gates = (passed, aesni_passed, gc_passed, encode_passed)
+    return 0 if all(gates) else 1
 
 
 if __name__ == "__main__":

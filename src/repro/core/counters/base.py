@@ -13,6 +13,10 @@ memory-encryption engine interacts with it through three operations:
   group's counters, which is what actually lives in DRAM, flows through
   the metadata cache, and is hashed by the Bonsai Merkle tree.
 
+:meth:`CounterScheme.may_overflow` lets a caller ask, before a write,
+whether that write can reach the scheme's overflow path (and with it a
+group or global re-encryption).
+
 All schemes maintain the central security invariant: a block is never
 encrypted twice under the same (address, counter) nonce.  The stateful
 hypothesis tests in ``tests/core/test_counter_properties.py`` check this
@@ -92,6 +96,18 @@ class CounterScheme(abc.ABC):
     @abc.abstractmethod
     def _increment(self, block_index: int) -> WriteOutcome:
         """Scheme-specific counter bump; subclasses implement this."""
+
+    @abc.abstractmethod
+    def may_overflow(self, block_index: int) -> bool:
+        """True when the next :meth:`on_write` of this block can take the
+        overflow path.
+
+        It is the exact test :meth:`_increment` opens its overflow branch
+        with, so a False answer guarantees the write is a plain increment:
+        no ``reencrypted_group`` and no global re-encryption.  A True
+        answer may still resolve without re-encryption (widen,
+        re-encode).
+        """
 
     def on_write(self, block_index: int) -> WriteOutcome:
         """Advance a block's counter for a write and record statistics."""

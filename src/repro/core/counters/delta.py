@@ -149,6 +149,9 @@ class DeltaCounters(CounterScheme):
 
     # -- the write path ---------------------------------------------------------
 
+    def may_overflow(self, block_index: int) -> bool:
+        return self._deltas[block_index] + 1 >= self._delta_limit
+
     def _increment(self, block_index: int) -> WriteOutcome:
         group = block_index // self.blocks_per_group
         events: list[CounterEvent] = []

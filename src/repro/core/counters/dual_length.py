@@ -192,6 +192,12 @@ class DualLengthDeltaCounters(CounterScheme):
 
     # -- the write path -------------------------------------------------------------
 
+    def may_overflow(self, block_index: int) -> bool:
+        return self._deltas[block_index] + 1 >= self._capacity(
+            block_index // self.blocks_per_group,
+            self.delta_group_of(block_index),
+        )
+
     def _increment(self, block_index: int) -> WriteOutcome:
         group = block_index // self.blocks_per_group
         delta_group = self.delta_group_of(block_index)

@@ -43,6 +43,9 @@ class MonolithicCounters(CounterScheme):
         self._check_block(block_index)
         return self._counters[block_index]
 
+    def may_overflow(self, block_index: int) -> bool:
+        return self._counters[block_index] + 1 >= self._limit
+
     def _increment(self, block_index: int) -> WriteOutcome:
         value = self._counters[block_index] + 1
         if value < self._limit:

@@ -47,6 +47,9 @@ class SplitCounters(CounterScheme):
             block_index
         ]
 
+    def may_overflow(self, block_index: int) -> bool:
+        return self._minors[block_index] + 1 >= self._minor_limit
+
     def _increment(self, block_index: int) -> WriteOutcome:
         group = block_index // self.blocks_per_group
         minor = self._minors[block_index] + 1

@@ -1,8 +1,9 @@
 """Vectorized batch kernels for the engine's hot paths.
 
 Every scalar hot path in the library -- AES-CTR keystream generation,
-Carter-Wegman MAC evaluation, flip-and-check correction, and delta-group
-counter pack/unpack -- has a numpy-batched twin in this package that
+Carter-Wegman MAC evaluation, flip-and-check correction, the MAC-in-ECC
+lane's Hamming check bits and parity, and delta-group counter
+pack/unpack -- has a numpy-batched twin in this package that
 processes N blocks per call instead of one.  The pairing is explicit: each
 fast kernel registers against its scalar reference in a
 :class:`repro.fast.kernels.KernelPair`, and the kernel table can run in

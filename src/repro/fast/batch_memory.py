@@ -12,13 +12,16 @@ test suite asserts exactly that.
 How the write path keeps the scalar semantics while batching:
 
 * ``scheme.on_write`` runs per block, in order (counter state machines
-  are inherently sequential), but the expensive keystream + MAC work is
-  deferred into per-run batches;
-* before each ``on_write``, any group whose serialized storage lags the
-  scheme (written earlier in the run) is re-serialized into
-  ``counter_storage`` -- that is what the scalar engine's per-write
-  metadata commit would have left there, and it is what the overflow
-  re-encryption path reads its old counters from;
+  are inherently sequential), but the expensive keystream, MAC and
+  ECC-lane work is deferred into per-run batches;
+* each group touched by the run is serialized once, when the run
+  commits.  Until then its ``counter_storage`` lags the scheme.  The
+  only reader that can see the lag is the overflow re-encryption path,
+  which decodes old counters from storage, so lagging groups are
+  serialized early exactly when ``scheme.may_overflow`` says the next
+  ``on_write`` can reach it -- leaving in storage what the scalar
+  engine's per-write metadata commits would have left there.  A run
+  without such a write does one counter encode per dirty group;
 * overflow re-encryptions (group or global) are rare and intricate, so
   they fall back to the engine's own scalar handlers after the pending
   batch is flushed (metered as ``fast.fallback.scalar``);
@@ -27,12 +30,14 @@ How the write path keeps the scalar semantics while batching:
   no read can happen inside a write run).
 
 The read path verifies each touched group's tree leaf once, decodes its
-counters with the batch kernel, batch-verifies MACs over the stored
-ciphertexts and batch-decrypts the clean blocks; any anomaly (Hamming
-status not clean, MAC mismatch, lazily-initialized block, perturb hook
-installed) falls back to the scalar ``engine.read`` for that block, in
-queue order, so corrections, heal-writebacks, metrics and raised
-``IntegrityError``\\ s are exactly the scalar ones.
+counters with the batch kernel, batch-checks the stored MACs' Hamming
+bits (a block is clean exactly when its stored check bits equal the
+``ecc.lane`` encoding of its stored MAC), batch-verifies MACs over the
+stored ciphertexts and batch-decrypts the clean blocks; any anomaly
+(Hamming status not clean, MAC mismatch, lazily-initialized block,
+perturb hook installed) falls back to the scalar ``engine.read`` for
+that block, in queue order, so corrections, heal-writebacks, metrics
+and raised ``IntegrityError``\\ s are exactly the scalar ones.
 
 Engines with persistence attached get **group commit**: each flushed
 write run becomes *one* journal transaction -- ``begin_txn`` before the
@@ -63,8 +68,7 @@ from repro.core.engine.secure_memory import (
     ReadResult,
     SecureMemory,
 )
-from repro.ecc.hamming import DecodeStatus
-from repro.ecc.parity import parity_of_bytes
+from repro.fast.ecc_lane import CHECK_MASK, PARITY_SHIFT
 from repro.fast.kernels import KernelTable, build_kernel_table
 from repro.lint.contracts import BLOCK_BYTES
 from repro.persist.journal import DataImage
@@ -248,7 +252,7 @@ class BatchSecureMemory:
         for address, data in writes:
             block = engine._block_index(address)
             group = scheme.group_of(block)
-            if stale:
+            if stale and scheme.may_overflow(block):
                 # What the scalar per-write commit would have left in
                 # storage -- the overflow handlers read old counters here.
                 for lagging in stale:
@@ -314,15 +318,18 @@ class BatchSecureMemory:
             "mac.tags", ciphertexts, addresses, nonces, blocks=count
         )
         if engine.config.mac_in_ecc:
-            hamming = engine.codec.mac_hamming
-            for row, entry, tag in zip(ciphertexts, pending, tags):
+            lane = self.kernels.run(
+                "ecc.lane", tags, ciphertexts, blocks=count
+            )
+            for row, entry, tag_value, check in zip(
+                ciphertexts, pending, tags.tolist(), lane.tolist()
+            ):
                 ciphertext = row.tobytes()
-                tag_value = int(tag)
                 engine.ciphertexts[entry[0]] = ciphertext
                 field = EccField(
                     mac=tag_value,
-                    mac_check=hamming.encode(tag_value),
-                    ct_parity=parity_of_bytes(ciphertext),
+                    mac_check=check & CHECK_MASK,
+                    ct_parity=check >> PARITY_SHIFT,
                 )
                 engine.ecc_fields[entry[0]] = field
                 if in_txn:
@@ -331,9 +338,10 @@ class BatchSecureMemory:
                         DataImage(ciphertext=ciphertext, ecc=field.pack()),
                     )
         else:
-            for row, entry, tag in zip(ciphertexts, pending, tags):
+            for row, entry, tag_value in zip(
+                ciphertexts, pending, tags.tolist()
+            ):
                 ciphertext = row.tobytes()
-                tag_value = int(tag)
                 engine.ciphertexts[entry[0]] = ciphertext
                 engine.mac_store[entry[0]] = tag_value
                 if in_txn:
@@ -369,38 +377,41 @@ class BatchSecureMemory:
 
         # Classification pre-pass (no engine mutation): "tree" failures,
         # scalar fallbacks, and candidates for batched verify+decrypt.
+        # A "verify" entry carries (nonce, ciphertext, stored MAC, stored
+        # Hamming check bits); the check bits are 0 without MAC-in-ECC.
+        mac_in_ecc = engine.config.mac_in_ecc
         scalar_all = engine.read_perturb is not None
-        entries: list[tuple[str, int, bytes, int]] = []
+        scalar = ("scalar", 0, b"", 0, 0)
+        entries: list[tuple[str, int, bytes, int, int]] = []
         for address, block in zip(addresses, blocks):
             counters = group_counters[scheme.group_of(block)]
             if counters is None:
-                entries.append(("tree", 0, b"", 0))
+                entries.append(("tree", 0, b"", 0, 0))
                 continue
             if scalar_all or block not in engine.ciphertexts:
                 # Untouched blocks lazily initialize storage on read; let
                 # the scalar path do that so pre-pass stays mutation-free.
-                entries.append(("scalar", 0, b"", 0))
+                entries.append(scalar)
                 continue
             nonce = engine._nonce(counters[scheme.slot_of(block)])
             ciphertext = engine.ciphertexts[block]
-            if engine.config.mac_in_ecc:
+            if mac_in_ecc:
                 ecc = engine.ecc_fields.get(block)
                 if ecc is None:
-                    entries.append(("scalar", 0, b"", 0))
-                    continue
-                recovery = engine.codec.recover_mac(ecc)
-                if recovery.status is not DecodeStatus.CLEAN:
-                    entries.append(("scalar", 0, b"", 0))
-                    continue
-                entries.append(("verify", nonce, ciphertext, recovery.data))
+                    entries.append(scalar)
+                else:
+                    entries.append(
+                        ("verify", nonce, ciphertext, ecc.mac, ecc.mac_check)
+                    )
             else:
                 stored = engine.mac_store.get(block)
                 if stored is None:
-                    entries.append(("scalar", 0, b"", 0))
+                    entries.append(scalar)
                 else:
-                    entries.append(("verify", nonce, ciphertext, stored))
+                    entries.append(("verify", nonce, ciphertext, stored, 0))
 
-        # Batched MAC verification; mismatches fall back to scalar.
+        # Batched Hamming + MAC verification; anything not clean falls
+        # back to scalar.
         verify_at = [i for i, e in enumerate(entries) if e[0] == "verify"]
         decrypted: dict[int, bytes] = {}
         if verify_at:
@@ -410,18 +421,26 @@ class BatchSecureMemory:
             ).reshape(count, BLOCK_BYTES)
             v_addresses = [addresses[i] for i in verify_at]
             v_nonces = [entries[i][1] for i in verify_at]
+            stored_macs = np.array(
+                [entries[i][3] for i in verify_at], dtype=np.uint64
+            )
             tags = self.kernels.run(
                 "mac.tags", messages, v_addresses, v_nonces, blocks=count
             )
-            clean_rows = [
-                row
-                for row, (position, tag) in enumerate(zip(verify_at, tags))
-                if int(tag) == entries[position][3]
-            ]
-            clean_row_set = frozenset(clean_rows)
-            for row, position in enumerate(verify_at):
-                if row not in clean_row_set:
-                    entries[position] = ("scalar", 0, b"", 0)
+            clean = tags == stored_macs
+            if mac_in_ecc:
+                # SEC-DED decodes CLEAN exactly when the stored check
+                # bits are the encoding of the stored MAC.
+                lane = self.kernels.run(
+                    "ecc.lane", stored_macs, messages, blocks=count
+                )
+                stored_checks = np.array(
+                    [entries[i][4] for i in verify_at], dtype=np.uint8
+                )
+                clean &= (lane & CHECK_MASK) == stored_checks
+            for row in np.flatnonzero(~clean).tolist():
+                entries[verify_at[row]] = scalar
+            clean_rows = np.flatnonzero(clean).tolist()
             if clean_rows:
                 plains = self.kernels.run(
                     "ctr.encrypt",

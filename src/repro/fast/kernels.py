@@ -28,10 +28,14 @@ from repro.core.ecc_mac.correction import FlipAndCheckCorrector
 from repro.crypto.ctr import CtrModeCipher
 from repro.crypto.mac import CarterWegmanMac
 from repro.fast.ctr_batch import BatchCtrCipher
+from repro.ecc.hamming import HammingSecDed
+from repro.ecc.parity import parity_of_bytes
 from repro.fast.ecc_batch import BatchFlipAndCheck
+from repro.fast import ecc_lane
 from repro.fast.mac_batch import BatchCarterWegmanMac
 from repro.fast import counters_batch
 from repro.crypto.prf import splitmix64
+from repro.lint.contracts import MAC_BITS
 from repro.obs.metrics import get_registry
 
 MODES = ("fast", "reference", "paranoid")
@@ -191,6 +195,22 @@ def _reference_mac_tags(
     return tags
 
 
+_MAC_HAMMING = HammingSecDed(MAC_BITS)
+
+
+def _reference_ecc_lane(
+    tags: np.ndarray, ciphertexts: np.ndarray
+) -> np.ndarray:
+    return np.array(
+        [
+            _MAC_HAMMING.encode(int(tag))
+            | parity_of_bytes(bytes(row)) << ecc_lane.PARITY_SHIFT
+            for tag, row in zip(tags, ciphertexts)
+        ],
+        dtype=np.uint8,
+    )
+
+
 def build_kernel_table(
     cipher: CtrModeCipher,
     mac: CarterWegmanMac,
@@ -225,6 +245,11 @@ def build_kernel_table(
             name="ecc.flip_and_check",
             fast=batch_corrector.correct_accelerated,
             reference=corrector.correct_accelerated,
+        ),
+        KernelPair(
+            name="ecc.lane",
+            fast=ecc_lane.check_bytes,
+            reference=_reference_ecc_lane,
         ),
     ]
     scheme_name = getattr(scheme, "name", None)

@@ -18,6 +18,7 @@ Three claims are pinned here:
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -308,9 +309,11 @@ def test_sampled_paranoid_catches_corruption_through_the_engine():
     registry = MetricRegistry()
     with use_registry(registry):
         engine = SecureMemory(config, KEY)
-        # A flush issues kernels with period 4 (encode, encrypt, tags,
-        # encode); a coprime sampling stride guarantees the schedule
-        # rotates over every kernel instead of aliasing onto one.
+        # Each flush below writes one group and issues kernels with
+        # period 4 (encrypt, tags, ecc.lane, then the group's single
+        # encode at commit); a coprime sampling stride guarantees the
+        # schedule rotates over every kernel instead of aliasing onto
+        # one.
         batch = BatchSecureMemory(engine, mode="fast", paranoid_sample=3)
         table = batch.kernels
         real = table.pairs["ctr.encrypt"].fast
@@ -336,6 +339,32 @@ def test_sampled_paranoid_catches_corruption_through_the_engine():
     assert (
         registry.snapshot().totals()["fast.paranoid.divergence"] == 1
     )
+
+
+def test_flush_kernel_sequence_period_is_coprime_to_the_stride():
+    """The flush pattern above issues the kernel sequence the sampling
+    stride 3 was chosen against."""
+    config = preset(
+        "combined", protected_bytes=REGION, keystream_mode="fast"
+    )
+    engine = SecureMemory(config, KEY, registry=MetricRegistry())
+    batch = BatchSecureMemory(engine, mode="fast")
+    table = batch.kernels
+    names: list[str] = []
+    run = table.run
+
+    def recording(name, *args, **kwargs):
+        names.append(name)
+        return run(name, *args, **kwargs)
+
+    table.run = recording
+    for sequence in range(8):
+        batch.queue_write((sequence % 16) * 64, bytes([sequence]) * 64)
+        if sequence % 2 == 1:
+            batch.flush()
+    period = ["ctr.encrypt", "mac.tags", "ecc.lane", "counters.encode"]
+    assert names == period * 4
+    assert math.gcd(len(period), 3) == 1
 
 
 def test_paranoid_sample_validation():

@@ -15,9 +15,12 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.engine.config import preset
-from repro.core.engine.secure_memory import SecureMemory
+from repro.core.counters import CounterEvent, make_scheme
+from repro.core.engine.config import EngineConfig, preset
+from repro.core.engine.secure_memory import IntegrityError, SecureMemory
 from repro.fast import BatchSecureMemory, KernelDivergence
 from repro.fast.kernels import KernelPair, KernelTable
 from repro.obs.metrics import MetricRegistry, use_registry
@@ -358,3 +361,203 @@ def test_batched_durable_equals_scalar_durable_through_recovery(
         )
         assert report.root_verified
         assert _engine_state(stack.engine) == scalar_state
+
+
+# -- lazy counter serialization --------------------------------------------
+
+#: every scheme at widths small enough that overflow is routine
+TINY_SCHEMES = [
+    ("delta", {"delta_bits": 2}),
+    ("delta", {"delta_bits": 2, "enable_reencode": False}),
+    ("dual_length", {"base_delta_bits": 2, "extension_bits": 2}),
+    ("split", {"minor_bits": 2}),
+    ("monolithic", {"counter_bits": 3}),
+]
+
+#: events a write that cannot reach the overflow path never reports
+_OVERFLOW_EVENTS = {
+    CounterEvent.WIDEN,
+    CounterEvent.RE_ENCODE,
+    CounterEvent.RE_ENCRYPT,
+    CounterEvent.GLOBAL_RE_ENCRYPT,
+}
+
+
+@pytest.mark.parametrize("name,kwargs", TINY_SCHEMES)
+@settings(max_examples=40, deadline=None)
+@given(writes=st.lists(st.integers(0, 127), min_size=1, max_size=200))
+def test_may_overflow_precedes_every_reencryption(name, kwargs, writes):
+    """``may_overflow`` is True before every write that re-encrypts a
+    group or everything, and False only before plain increments -- the
+    batch write path relies on it to serialize lagging groups in time."""
+    scheme = make_scheme(name, 128, **kwargs)
+    for block in writes:
+        warned = scheme.may_overflow(block)
+        outcome = scheme.on_write(block)
+        reencrypts = (
+            outcome.reencrypted_group is not None
+            or outcome.has(CounterEvent.GLOBAL_RE_ENCRYPT)
+        )
+        if reencrypts:
+            assert warned
+        if not warned:
+            assert not _OVERFLOW_EVENTS & set(outcome.events)
+
+
+#: configs whose overflow handlers re-encrypt a group, or everything,
+#: mid-run: delta, dual-length (the endurance preset), split, and a
+#: monolithic counter wrap
+OVERFLOW_CONFIGS = [
+    ("combined", {"delta_bits": 2}),
+    ("endurance", {}),
+    ("split", {"minor_bits": 2}),
+    ("mac_in_ecc", {"counter_bits": 3}),
+]
+
+
+def _overflow_config(name, scheme_kwargs):
+    if name == "split":
+        return EngineConfig(
+            counter_scheme="split",
+            mac_in_ecc=True,
+            protected_bytes=REGION,
+            keystream_mode="splitmix",
+            scheme_kwargs=scheme_kwargs,
+        )
+    return _config(name, scheme_kwargs)
+
+
+def _lagging_group_run():
+    """Writes where groups dirtied earlier in the same run overflow.
+
+    Blocks 1 and 2 (group 0) and 64 (group 1) are written first, so
+    their groups' storage lags when block 0 -- hammered until its
+    counter overflows, repeatedly -- forces a re-encryption that must
+    decode blocks 1 and 2's old counters (and, for a global wrap, block
+    64's) from storage.
+    """
+    writes = [1, 64, 2, 1, 65]
+    writes += [0] * 40 + [64] * 9 + [0, 2] * 6
+    return [
+        (block * 64, bytes((block * 7 + sequence + i) & 0xFF
+                           for i in range(64)))
+        for sequence, block in enumerate(writes)
+    ]
+
+
+@pytest.mark.parametrize("name,scheme_kwargs", OVERFLOW_CONFIGS)
+def test_overflow_of_group_dirtied_earlier_in_the_same_run(
+    name, scheme_kwargs
+):
+    config = _overflow_config(name, scheme_kwargs)
+    prologue = [(block * 64, bytes([block]) * 64) for block in (1, 3, 66)]
+    run = _lagging_group_run()
+
+    def scalar():
+        registry = MetricRegistry()
+        with use_registry(registry):
+            engine = SecureMemory(config, KEY)
+            for address, data in prologue + run:
+                engine.write(address, data)
+            reads = [engine.read(address).data for address, _ in run]
+            return _engine_state(engine), reads, registry.snapshot().totals()
+
+    def batched():
+        registry = MetricRegistry()
+        with use_registry(registry):
+            engine = SecureMemory(config, KEY)
+            batch = BatchSecureMemory(engine, mode="fast")
+            batch.write_many(prologue)
+            batch.write_many(run)  # one write run, one commit
+            reads = [r.data for r in batch.read_many([a for a, _ in run])]
+            return _engine_state(engine), reads, registry.snapshot().totals()
+
+    scalar_state, scalar_reads, scalar_totals = scalar()
+    batch_state, batch_reads, batch_totals = batched()
+    assert batch_state == scalar_state
+    assert batch_reads == scalar_reads
+    assert batch_reads[-1] == run[-1][1]
+    assert batch_totals["fast.fallback.scalar"] >= 2  # re-encryptions ran
+    assert sum(
+        value
+        for metric, value in scalar_totals.items()
+        if metric.endswith((".reencrypt", ".global_reencrypt"))
+    ) >= 2
+
+
+# -- one counter encode per dirty group ------------------------------------
+
+
+def _counting_encodes(batch):
+    """Wrap the batch's ``counters.encode`` kernel; returns the call log."""
+    calls = []
+    pair = batch.kernels.pairs["counters.encode"]
+
+    def fast(group):
+        calls.append(group)
+        return pair.fast(group)
+
+    batch.kernels.pairs["counters.encode"] = KernelPair(
+        name=pair.name, fast=fast, reference=pair.reference
+    )
+    return calls
+
+
+@pytest.mark.parametrize("name", ["combined", "combined_dual", "endurance"])
+def test_one_counter_encode_per_dirty_group(name):
+    """A sequential run that never reaches the overflow path serializes
+    each dirty group exactly once per write run."""
+    config = _config(name, {})
+    engine = SecureMemory(config, KEY, registry=MetricRegistry())
+    batch = BatchSecureMemory(engine, mode="fast")
+    calls = _counting_encodes(batch)
+    # Runs of 100 straddle group boundaries; every block is written
+    # once, so no counter comes near its overflow width.
+    expected = 0
+    for start in range(0, 1000, 100):
+        blocks = range(start, start + 100)
+        batch.write_many([(block * 64, bytes(64)) for block in blocks])
+        groups = {engine.scheme.group_of(block) for block in blocks}
+        expected += len(groups)
+        assert sorted(calls[-len(groups):]) == sorted(groups)
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
+    "flips",
+    [(3,), (58,), (63,), (3, 60), (59, 62)],
+    ids=["mac-bit", "check-bit", "parity-bit", "mac+check", "two-check"],
+)
+def test_ecc_lane_read_faults_fall_back_bit_identically(flips):
+    """Flips in the stored ECC field: the batch's lane-based clean test
+    sends exactly the non-clean blocks to the scalar read, so heals,
+    outcomes and raised errors match the scalar engine's."""
+    config = _config("combined", {})
+    writes = [(block * 64, bytes([block]) * 64) for block in range(6)]
+
+    def run(batched):
+        registry = MetricRegistry()
+        with use_registry(registry):
+            engine = SecureMemory(config, KEY)
+            batch = BatchSecureMemory(engine, mode="fast")
+            for address, data in writes:
+                engine.write(address, data)
+            engine.flip_ecc_bits(2 * 64, flips)
+            addresses = [address for address, _ in writes]
+            try:
+                if batched:
+                    results = batch.read_many(addresses)
+                else:
+                    results = [engine.read(address) for address in addresses]
+                outcome = [(r.data, r.outcome) for r in results]
+            except IntegrityError as error:  # the raise itself must match
+                outcome = (type(error).__name__, str(error))
+            return outcome, _engine_state(engine), registry.snapshot().totals()
+
+    scalar_outcome, scalar_state, scalar_totals = run(batched=False)
+    batch_outcome, batch_state, batch_totals = run(batched=True)
+    assert batch_outcome == scalar_outcome
+    assert batch_state == scalar_state
+    for name, value in scalar_totals.items():
+        if name.startswith("engine."):
+            assert batch_totals.get(name) == value, name

@@ -2,10 +2,11 @@
 
 For every :class:`KernelPair` the batch kernel and its scalar reference
 are driven with random batch shapes, keys, counters and addresses --
-and, for the corrector, injected bit flips -- asserting bit-identical
-outputs.  The counter codecs are additionally driven through random
-write sequences at tiny field widths so the widen / reset / re-encode
-state-machine edges (Figures 5-6) all appear in the sampled states.
+and, for the corrector and the ECC lane, injected bit flips -- asserting
+bit-identical outputs.  The counter codecs are additionally driven
+through random write sequences at tiny field widths so the widen /
+reset / re-encode state-machine edges (Figures 5-6) all appear in the
+sampled states.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from repro.core.counters import make_scheme
 from repro.core.ecc_mac.correction import FlipAndCheckCorrector, _flip
 from repro.crypto.ctr import CtrModeCipher
 from repro.crypto.mac import CarterWegmanMac
+from repro.ecc.hamming import DecodeStatus, HammingSecDed
+from repro.ecc.parity import parity_of_bytes
 from repro.fast.counters_batch import (
     delta_decode,
     delta_encode,
@@ -27,8 +30,10 @@ from repro.fast.counters_batch import (
 )
 from repro.fast.ctr_batch import BatchCtrCipher
 from repro.fast.ecc_batch import BatchFlipAndCheck
+from repro.fast.ecc_lane import CHECK_MASK, PARITY_SHIFT, check_bytes
 from repro.fast.kernels import build_kernel_table
 from repro.fast.mac_batch import BatchCarterWegmanMac
+from repro.lint.contracts import HAMMING_BITS, MAC_BITS
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 KEYS = st.binary(min_size=48, max_size=48)
@@ -114,6 +119,74 @@ def test_flip_and_check_differential(key, plaintext, address, counter, flips):
     if len(flips) in (1, 2):
         assert fast.corrected
         assert fast.data == plaintext
+
+
+# -- ecc.lane --------------------------------------------------------------
+
+TAGS = st.integers(min_value=0, max_value=(1 << MAC_BITS) - 1)
+HAMMING = HammingSecDed(MAC_BITS)
+
+
+def _lane_reference(tag: int, row: bytes) -> int:
+    return HAMMING.encode(tag) | parity_of_bytes(row) << PARITY_SHIFT
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tags=st.lists(TAGS, min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_ecc_lane_differential(tags, data):
+    """Check bits over the whole tag vector and parity over random rows
+    equal the scalar encode / parity loop."""
+    rows = data.draw(
+        st.lists(
+            st.binary(min_size=64, max_size=64),
+            min_size=len(tags),
+            max_size=len(tags),
+        )
+    )
+    lane = check_bytes(np.array(tags, dtype=np.uint64), _as_matrix(rows))
+    assert lane.tolist() == [
+        _lane_reference(tag, row) for tag, row in zip(tags, rows)
+    ]
+
+
+@pytest.mark.parametrize("tag", [0, (1 << MAC_BITS) - 1])
+def test_ecc_lane_edge_tags(tag):
+    rows = [bytes(64), b"\xff" * 64, bytes([1]) + bytes(63)]
+    tags = np.array([tag] * len(rows), dtype=np.uint64)
+    lane = check_bytes(tags, _as_matrix(rows))
+    assert lane.tolist() == [_lane_reference(tag, row) for row in rows]
+    assert [value >> PARITY_SHIFT for value in lane.tolist()] == [0, 0, 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tag=TAGS,
+    flips=st.lists(
+        st.integers(0, MAC_BITS + HAMMING_BITS - 1),
+        min_size=1,
+        max_size=2,
+        unique=True,
+    ),
+)
+def test_ecc_lane_clean_verdict_matches_hamming_decode(tag, flips):
+    """The read path's clean test -- stored check bits equal the lane's
+    encoding of the stored MAC -- agrees with a full SEC-DED decode under
+    1- and 2-bit flips in the MAC and in the check bits."""
+    mac, check = tag, HAMMING.encode(tag)
+    for bit in flips:
+        if bit < MAC_BITS:
+            mac ^= 1 << bit
+        else:
+            check ^= 1 << (bit - MAC_BITS)
+    row = np.zeros((1, 64), dtype=np.uint8)
+    lane = check_bytes(np.array([mac], dtype=np.uint64), row)
+    fast_clean = int(lane[0]) & CHECK_MASK == check
+    status = HAMMING.decode(mac, check).status
+    assert fast_clean == (status is DecodeStatus.CLEAN)
+    assert not fast_clean  # every 1- or 2-bit flip is visible
 
 
 # -- counters.encode / counters.decode -------------------------------------
@@ -251,6 +324,7 @@ def test_every_kernel_pair_agrees_through_the_table(key48):
             "ctr.encrypt",
             "mac.tags",
             "ecc.flip_and_check",
+            "ecc.lane",
             "counters.decode",
             "counters.encode",
         }
@@ -258,7 +332,10 @@ def test_every_kernel_pair_agrees_through_the_table(key48):
         ciphertexts = table.run(
             "ctr.encrypt", data, [1, 2, 3], [0, 64, 128], blocks=3
         )
-        table.run("mac.tags", ciphertexts, [0, 64, 128], [1, 2, 3], blocks=3)
+        tags = table.run(
+            "mac.tags", ciphertexts, [0, 64, 128], [1, 2, 3], blocks=3
+        )
+        table.run("ecc.lane", tags, ciphertexts, blocks=3)
         stored = mac.tag(bytes(range(64)), 0, 9)
         table.run(
             "ecc.flip_and_check",
