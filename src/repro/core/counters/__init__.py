@@ -13,6 +13,10 @@ scheme               storage per 4 KB group        overflow handling
 ``dual_length``      56 + 64 x 6 + 72 bits         widen / reset /
                      (1 block)                     re-encode / re-encrypt
 ===================  ===========================  =======================
+
+Both delta schemes share one bit layout, :class:`DeltaLayout`
+(:mod:`repro.core.counters.layout`); ``dual_length`` is ``delta`` plus
+widening.
 """
 
 from repro.core.counters.base import (
@@ -23,6 +27,7 @@ from repro.core.counters.base import (
 from repro.core.counters.delta import DeltaCounters
 from repro.core.counters.dual_length import DualLengthDeltaCounters
 from repro.core.counters.events import CounterEvent, CounterStats, WriteOutcome
+from repro.core.counters.layout import DeltaLayout
 from repro.core.counters.monolithic import MonolithicCounters
 from repro.core.counters.split import SplitCounters
 
@@ -51,6 +56,7 @@ __all__ = [
     "SplitCounters",
     "DeltaCounters",
     "DualLengthDeltaCounters",
+    "DeltaLayout",
     "CounterEvent",
     "CounterStats",
     "WriteOutcome",

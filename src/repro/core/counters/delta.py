@@ -25,6 +25,12 @@ that identical fresh counter.
 Both optimizations are individually toggleable so the ablation benches can
 isolate their contributions.
 
+The group's bits are laid out by :class:`~repro.core.counters.layout.DeltaLayout`
+(reference, then one delta per block), which also serializes them.
+:class:`~repro.core.counters.dual_length.DualLengthDeltaCounters`
+extends this class with widening; the write path below already carries
+the widen step as a hook that this single-width scheme never takes.
+
 Implementation note: the hardware's reset detector ("checks if all the
 deltas are identical", Section 4.4) is a comparator tree; here the
 condition is tracked incrementally (per-group min / min-multiplicity /
@@ -38,8 +44,8 @@ from __future__ import annotations
 
 from repro.core.counters.base import CounterScheme
 from repro.core.counters.events import CounterEvent, WriteOutcome
+from repro.core.counters.layout import DeltaLayout
 from repro.lint.contracts import DELTA_BITS, GROUP_BLOCKS, REFERENCE_BITS
-from repro.util.bits import BitReader, BitWriter
 
 
 class DeltaCounters(CounterScheme):
@@ -63,8 +69,9 @@ class DeltaCounters(CounterScheme):
         enable_reencode: bool = True,
     ) -> None:
         super().__init__(total_blocks, blocks_per_group)
-        if delta_bits <= 0 or reference_bits <= 0:
-            raise ValueError("field widths must be positive")
+        self.layout = DeltaLayout(
+            reference_bits, delta_bits, blocks_per_group, extension_bits=0
+        )
         self.delta_bits = delta_bits
         self.reference_bits = reference_bits
         self.enable_reset = enable_reset
@@ -92,7 +99,12 @@ class DeltaCounters(CounterScheme):
     def deltas(self, group_index: int) -> list[int]:
         """Snapshot of a group's deltas (tests and reporting)."""
         self._check_group(group_index)
-        return [self._deltas[b] for b in self.blocks_in_group(group_index)]
+        return self._deltas[self._group_slice(group_index)]
+
+    def group_fields(self, group_index: int) -> tuple[int, list[int], int | None]:
+        """The group as :meth:`DeltaLayout.pack` takes it: reference,
+        deltas and the widened delta-group (always None here)."""
+        return self.reference(group_index), self.deltas(group_index), None
 
     # -- aggregate maintenance ---------------------------------------------------
 
@@ -107,21 +119,24 @@ class DeltaCounters(CounterScheme):
         self._min_count[group] = values.count(lowest)
         self._max[group] = max(values)
 
-    def _set_all(self, group: int, value: int) -> None:
-        self._deltas[self._group_slice(group)] = (
-            [value] * self.blocks_per_group
-        )
-        self._min[group] = value
+    def _zero_deltas(self, group: int) -> None:
+        self._deltas[self._group_slice(group)] = [0] * self.blocks_per_group
+        self._min[group] = 0
         self._min_count[group] = self.blocks_per_group
-        self._max[group] = value
+        self._max[group] = 0
 
     # -- the overflow-avoidance moves -----------------------------------------------
+
+    def _widen(self, block_index: int, tentative: int) -> bool:
+        """Give the block's delta more bits (Figure 6).  Single-width
+        deltas have no spare bits, so this never succeeds here."""
+        return False
 
     def _do_reset(self, group: int) -> None:
         """Fold converged deltas into the reference (Figure 5b).  Caller
         guarantees min == max != 0."""
         self._references[group] += self._min[group]
-        self._set_all(group, 0)
+        self._zero_deltas(group)
 
     def _try_reencode(self, group: int) -> bool:
         """Shift delta_min into the reference (Figure 5c)."""
@@ -136,15 +151,17 @@ class DeltaCounters(CounterScheme):
         return True
 
     def _reencrypt(self, group: int, overflow_value: int) -> int:
-        """Re-encrypt the group under its largest counter (Figure 5a).
+        """Re-encrypt the group under a fresh shared counter (Figure 5a).
 
         ``overflow_value`` is the would-be delta of the overflowing block
-        (2^bits when a full delta wraps); R + overflow_value strictly
-        exceeds every counter previously used by any block of the group,
-        so the shared fresh counter is nonce-safe for all of them.
+        (2^bits when a full single-width delta wraps).  The new reference
+        R + max(overflow_value, delta_max + 1) strictly exceeds every
+        counter previously used by any block of the group -- including a
+        widened delta-group's larger deltas -- so it is nonce-safe for
+        all of them.
         """
-        self._references[group] += overflow_value
-        self._set_all(group, 0)
+        self._references[group] += max(overflow_value, self._max[group] + 1)
+        self._zero_deltas(group)
         return self._references[group]
 
     # -- the write path ---------------------------------------------------------
@@ -158,21 +175,32 @@ class DeltaCounters(CounterScheme):
         current = self._deltas[block_index]
         tentative = current + 1
 
-        if tentative >= self._delta_limit:
-            # Overflow path: re-encode if possible, else re-encrypt.
-            if self.enable_reencode and self._try_reencode(group):
-                events.append(CounterEvent.RE_ENCODE)
-                current = self._deltas[block_index]
-                tentative = current + 1
+        # Below the base width nothing can overflow; only then ask the
+        # (possibly widened) capacity test.
+        if tentative >= self._delta_limit and self.may_overflow(block_index):
+            # Overflow path: widen if spare bits are free, else re-encode
+            # if possible, else re-encrypt.
+            if self._widen(block_index, tentative):
+                events.append(CounterEvent.WIDEN)
             else:
-                group_counter = self._reencrypt(group, tentative)
-                events.append(CounterEvent.RE_ENCRYPT)
-                return WriteOutcome(
-                    counter=group_counter,
-                    events=tuple(events),
-                    reencrypted_group=group,
-                    group_counter=group_counter,
-                )
+                if self.enable_reencode and self._try_reencode(group):
+                    events.append(CounterEvent.RE_ENCODE)
+                    current = self._deltas[block_index]
+                    tentative = current + 1
+                # A re-encode may have released the extension bits; claim
+                # them instead of re-encrypting when the delta still
+                # does not fit.
+                if self.may_overflow(block_index):
+                    if not self._widen(block_index, tentative):
+                        group_counter = self._reencrypt(group, tentative)
+                        events.append(CounterEvent.RE_ENCRYPT)
+                        return WriteOutcome(
+                            counter=group_counter,
+                            events=tuple(events),
+                            reencrypted_group=group,
+                            group_counter=group_counter,
+                        )
+                    events.append(CounterEvent.WIDEN)
 
         self._deltas[block_index] = tentative
         if tentative > self._max[group]:
@@ -196,33 +224,25 @@ class DeltaCounters(CounterScheme):
 
     @property
     def bits_per_group(self) -> int:
-        return self.reference_bits + self.delta_bits * self.blocks_per_group
+        return self.layout.bits_per_group
 
     def group_metadata(self, group_index: int) -> bytes:
-        self._check_group(group_index)
-        writer = BitWriter()
-        writer.write(self._references[group_index], self.reference_bits)
-        for block in self.blocks_in_group(group_index):
-            writer.write(self._deltas[block], self.delta_bits)
-        length = -(-writer.bit_length // 8)
-        padded = -(-length // 64) * 64
-        return writer.to_bytes(padded)
+        return self.layout.pack(*self.group_fields(group_index))
 
     def decode_metadata(self, data: bytes) -> list[int]:
-        reader = BitReader(data)
-        reference = reader.read(self.reference_bits)
-        return [
-            reference + reader.read(self.delta_bits)
-            for _ in range(self.blocks_per_group)
-        ]
+        reference, deltas, _ = self.layout.unpack(data)
+        return [reference + delta for delta in deltas]
 
     def restore_group_metadata(self, group_index: int, data: bytes) -> None:
         self._check_group(group_index)
-        reader = BitReader(data)
-        self._references[group_index] = reader.read(self.reference_bits)
-        for block in self.blocks_in_group(group_index):
-            self._deltas[block] = reader.read(self.delta_bits)
+        reference, deltas, widened = self.layout.unpack(data)
+        self._references[group_index] = reference
+        self._deltas[self._group_slice(group_index)] = deltas
         self._recompute_aggregates(group_index)
+        self._restore_widening(group_index, widened)
+
+    def _restore_widening(self, group: int, widened: int | None) -> None:
+        """Single-width layouts decode no widened delta-group."""
 
 
 __all__ = ["DeltaCounters"]

@@ -28,14 +28,12 @@ from repro.core.engine.timing import EncryptionTimingBackend
 from repro.core.engine.tree import BonsaiMerkleTree
 from repro.core.engine.units import (
     DecodeUnit,
-    DeltaBlockFormat,
     IncrementResetUnit,
     ReencryptionEngine,
 )
 
 __all__ = [
     "DecodeUnit",
-    "DeltaBlockFormat",
     "IncrementResetUnit",
     "ReencryptionEngine",
     "EngineConfig",

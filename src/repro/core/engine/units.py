@@ -14,12 +14,14 @@ of hardware around the counter storage:
   engine first attempts re-encoding and only then re-encrypts.
 
 The counter schemes in :mod:`repro.core.counters` implement the same
-logic in object form for simulation speed; this module provides the
-hardware-shaped view: stateless units operating on *serialized* metadata
-blocks, plus the overflow buffer / background engine structure, so the
-datapath of Figure 7 can be exercised and tested piece by piece.  The
-decode unit here is literally the bit-extract-and-add the paper
-synthesized.
+logic in object form for simulation speed; this module is the
+latency/occupancy wrapper around them: stateless units operating on
+*serialized* metadata blocks, plus the overflow buffer / background
+engine structure and its stall counting, so the datapath of Figure 7 can
+be exercised and tested piece by piece.  The bit geometry is the schemes'
+own :class:`~repro.core.counters.layout.DeltaLayout` (its single-width,
+one-block form); the decode unit is literally the bit-extract-and-add the
+paper synthesized, reading its offsets from that layout.
 """
 
 from __future__ import annotations
@@ -29,32 +31,30 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.counters.delta import DeltaCounters
+from repro.core.counters.layout import DeltaLayout
 from repro.lint.contracts import (
     DELTA_BITS,
     GROUP_BLOCKS,
     METADATA_BLOCK_BITS,
     REFERENCE_BITS,
 )
-from repro.util.bits import BitReader, BitWriter
+
+#: The Figure 2 block the units model unless given another geometry.
+PAPER_LAYOUT = DeltaLayout(
+    REFERENCE_BITS, DELTA_BITS, GROUP_BLOCKS, extension_bits=0
+)
 
 
-@dataclass(frozen=True)
-class DeltaBlockFormat:
-    """Field geometry of one delta-encoded counter metadata block."""
-
-    reference_bits: int = REFERENCE_BITS
-    delta_bits: int = DELTA_BITS
-    slots: int = GROUP_BLOCKS
-
-    @property
-    def total_bits(self) -> int:
-        return self.reference_bits + self.delta_bits * self.slots
-
-    def __post_init__(self) -> None:
-        if self.total_bits > METADATA_BLOCK_BITS:
-            raise ValueError(
-                f"{self.total_bits} bits exceed one 64-byte metadata block"
-            )
+def _block_layout(layout: DeltaLayout | None) -> DeltaLayout:
+    """The units model one single-width 64-byte metadata block."""
+    layout = layout or PAPER_LAYOUT
+    if layout.extension_bits:
+        raise ValueError("the Figure 7 units model single-width deltas")
+    if layout.bits_per_group > METADATA_BLOCK_BITS:
+        raise ValueError(
+            f"{layout.bits_per_group} bits exceed one 64-byte metadata block"
+        )
+    return layout
 
 
 class DecodeUnit:
@@ -64,27 +64,27 @@ class DecodeUnit:
     unit itself is pure combinational logic over the raw block.
     """
 
-    def __init__(self, fmt: DeltaBlockFormat | None = None,
+    def __init__(self, layout: DeltaLayout | None = None,
                  latency_cycles: int = 2) -> None:
-        self.fmt = fmt or DeltaBlockFormat()
+        self.layout = _block_layout(layout)
         self.latency_cycles = latency_cycles
 
     def decode(self, metadata_block: bytes, slot: int) -> int:
         """Counter for one slot: reference + delta[slot]."""
-        fmt = self.fmt
-        if not 0 <= slot < fmt.slots:
+        layout = self.layout
+        if not 0 <= slot < layout.slots:
             raise IndexError(f"slot {slot} out of range")
         word = int.from_bytes(metadata_block, "little")
-        reference = word & ((1 << fmt.reference_bits) - 1)
-        offset = fmt.reference_bits + slot * fmt.delta_bits
-        delta = (word >> offset) & ((1 << fmt.delta_bits) - 1)
+        reference = word & ((1 << layout.reference_bits) - 1)
+        offset = layout.deltas_shift + slot * layout.delta_bits
+        delta = (word >> offset) & ((1 << layout.delta_bits) - 1)
         return reference + delta
 
     def decode_all(self, metadata_block: bytes) -> list[int]:
         """All counters of the block (verification/scrub path)."""
         return [
             self.decode(metadata_block, slot)
-            for slot in range(self.fmt.slots)
+            for slot in range(self.layout.slots)
         ]
 
 
@@ -106,30 +106,16 @@ class IncrementResetUnit:
     re-encoding/re-encryption engine, matching the hardware split.
     """
 
-    def __init__(self, fmt: DeltaBlockFormat | None = None) -> None:
-        self.fmt = fmt or DeltaBlockFormat()
-
-    def _unpack(self, metadata_block: bytes) -> tuple[int, list[int]]:
-        reader = BitReader(metadata_block)
-        reference = reader.read(self.fmt.reference_bits)
-        deltas = [
-            reader.read(self.fmt.delta_bits) for _ in range(self.fmt.slots)
-        ]
-        return reference, deltas
-
-    def _pack(self, reference: int, deltas: list[int]) -> bytes:
-        writer = BitWriter()
-        writer.write(reference, self.fmt.reference_bits)
-        for delta in deltas:
-            writer.write(delta, self.fmt.delta_bits)
-        return writer.to_bytes(64)
+    def __init__(self, layout: DeltaLayout | None = None) -> None:
+        self.layout = _block_layout(layout)
 
     def increment(self, metadata_block: bytes, slot: int) -> IncrementResult:
         """Bump one delta; detect overflow first, reset after."""
-        if not 0 <= slot < self.fmt.slots:
+        layout = self.layout
+        if not 0 <= slot < layout.slots:
             raise IndexError(f"slot {slot} out of range")
-        reference, deltas = self._unpack(metadata_block)
-        limit = 1 << self.fmt.delta_bits
+        reference, deltas, _ = layout.unpack(metadata_block)
+        limit = 1 << layout.delta_bits
         if deltas[slot] + 1 >= limit:
             return IncrementResult(
                 metadata_block=metadata_block,
@@ -144,9 +130,9 @@ class IncrementResetUnit:
         )
         if reset:
             reference += deltas[slot]
-            deltas = [0] * self.fmt.slots
+            deltas = [0] * layout.slots
         return IncrementResult(
-            metadata_block=self._pack(reference, deltas),
+            metadata_block=layout.pack(reference, deltas),
             counter=counter,
             overflowed=False,
             reset=reset,
@@ -184,12 +170,11 @@ class ReencryptionEngine:
     counter.
     """
 
-    def __init__(self, fmt: DeltaBlockFormat | None = None,
+    def __init__(self, layout: DeltaLayout | None = None,
                  buffer_capacity: int = 16) -> None:
         if buffer_capacity <= 0:
             raise ValueError("buffer_capacity must be positive")
-        self.fmt = fmt or DeltaBlockFormat()
-        self._unit = IncrementResetUnit(self.fmt)
+        self.layout = _block_layout(layout)
         self._buffer: deque[OverflowRequest] = deque()
         self.buffer_capacity = buffer_capacity
         self.stats_reencodes = 0
@@ -213,31 +198,26 @@ class ReencryptionEngine:
         if not self._buffer:
             return None
         request = self._buffer.popleft()
-        reference, deltas = self._unit._unpack(request.metadata_block)
+        reference, deltas, _ = self.layout.unpack(request.metadata_block)
         delta_min = min(deltas)
+        group_counter = None
         if delta_min > 0:
             # Re-encode: shift delta_min into the reference (Figure 5c).
             reference += delta_min
             deltas = [d - delta_min for d in deltas]
             self.stats_reencodes += 1
-            return OverflowResolution(
-                group_address=request.group_address,
-                metadata_block=self._unit._pack(reference, deltas),
-                reencoded=True,
-                reencrypted=False,
-                group_counter=None,
-            )
-        # Re-encrypt under the largest counter (Figure 5a): the
-        # overflowing slot's next value, which is reference + 2^bits.
-        group_counter = reference + (1 << self.fmt.delta_bits)
-        self.stats_reencryptions += 1
+        else:
+            # Re-encrypt under the largest counter (Figure 5a): the
+            # overflowing slot's next value, which is reference + 2^bits.
+            reference += 1 << self.layout.delta_bits
+            deltas = [0] * self.layout.slots
+            group_counter = reference
+            self.stats_reencryptions += 1
         return OverflowResolution(
             group_address=request.group_address,
-            metadata_block=self._unit._pack(
-                group_counter, [0] * self.fmt.slots
-            ),
-            reencoded=False,
-            reencrypted=True,
+            metadata_block=self.layout.pack(reference, deltas),
+            reencoded=group_counter is None,
+            reencrypted=group_counter is not None,
             group_counter=group_counter,
         )
 
@@ -252,7 +232,7 @@ class ReencryptionEngine:
 
 
 def crosscheck_against_scheme(
-    writes: Iterable[int], fmt: DeltaBlockFormat | None = None
+    writes: Iterable[int], layout: DeltaLayout | None = None
 ) -> tuple[list[int], list[int]]:
     """Drive the three units with a write sequence and cross-check the
     final counters against :class:`DeltaCounters` (the simulation-speed
@@ -264,17 +244,17 @@ def crosscheck_against_scheme(
     matching the scheme's semantics; the asynchronous-buffer behaviour is
     tested separately.
     """
-    fmt = fmt or DeltaBlockFormat()
-    decode = DecodeUnit(fmt)
-    increment = IncrementResetUnit(fmt)
-    engine = ReencryptionEngine(fmt)
-    block = IncrementResetUnit(fmt)._pack(0, [0] * fmt.slots)
+    layout = _block_layout(layout)
+    decode = DecodeUnit(layout)
+    increment = IncrementResetUnit(layout)
+    engine = ReencryptionEngine(layout)
+    block = layout.pack(0, [0] * layout.slots)
 
     scheme = DeltaCounters(
-        fmt.slots,
-        blocks_per_group=fmt.slots,
-        delta_bits=fmt.delta_bits,
-        reference_bits=fmt.reference_bits,
+        layout.slots,
+        blocks_per_group=layout.slots,
+        delta_bits=layout.delta_bits,
+        reference_bits=layout.reference_bits,
         enable_reset=True,
         enable_reencode=True,
     )
@@ -304,12 +284,12 @@ def crosscheck_against_scheme(
         scheme.on_write(slot)
 
     unit_counters = decode.decode_all(block)
-    scheme_counters = [scheme.counter(b) for b in range(fmt.slots)]
+    scheme_counters = [scheme.counter(b) for b in range(layout.slots)]
     return unit_counters, scheme_counters
 
 
 __all__ = [
-    "DeltaBlockFormat",
+    "PAPER_LAYOUT",
     "DecodeUnit",
     "IncrementResetUnit",
     "IncrementResult",

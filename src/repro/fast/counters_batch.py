@@ -1,198 +1,106 @@
-"""Vectorized delta-group metadata pack/unpack (Figures 2/6 bit layouts).
+"""Array view of the delta-counter layout (Figures 2/6).
 
-The scalar schemes serialize counter groups through ``BitWriter`` /
-``BitReader`` -- LSB-first fields in a little-endian byte stream, which is
-exactly numpy's ``bitorder="little"`` convention.  These kernels pack and
-unpack whole groups with two ``packbits``/``unpackbits`` calls instead of
-65+ Python-level field operations, for both the single-width delta layout
-(56-bit reference + 64 fixed-width deltas) and the dual-length layout
-(reference + 64 base fields + 16 extension fields + widened-group index +
-valid flag).
+:class:`~repro.core.counters.layout.DeltaLayout` is the one description
+of a group's bits and carries the scalar codec (``BitWriter`` /
+``BitReader``: LSB-first fields in a little-endian byte stream, which is
+exactly numpy's ``bitorder="little"`` convention).  :func:`pack` and
+:func:`unpack` are the same codec over arrays: every field of the group
+-- reference, deltas and, with an extension, the extension fields,
+widened index and valid flag -- becomes one vector of field values, and
+one gather / ``packbits`` (or ``unpackbits`` / ``add.reduceat``) moves
+all of its bits at once.
 
-Encoders replicate ``BitWriter``'s range validation so out-of-range
-fields raise the same ``ValueError`` the scalar serializer would.
+Each field gets one array-level range check, so out-of-range inputs
+raise the ``ValueError`` the scalar codec would.  Field values travel as
+int64, which holds the contracted 56-bit reference.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from repro.lint.contracts import WIDEN_INDEX_BITS, WIDEN_VALID_BITS
+from repro.core.counters.layout import DeltaLayout
+from repro.lint.contracts import DELTA_GROUPS, WIDEN_INDEX_BITS, WIDEN_VALID_BITS
 
 
-def _check_fits(value: int, width: int, field: str) -> None:
-    if not 0 <= value < (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits ({field})")
+@lru_cache(maxsize=None)
+def _plan(layout: DeltaLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per stream bit: its field and bit position; plus field starts."""
+    widths = [layout.reference_bits] + [layout.delta_bits] * layout.slots
+    if layout.extension_bits:
+        widths += [layout.extension_bits] * layout.deltas_per_delta_group
+        widths += [WIDEN_INDEX_BITS, WIDEN_VALID_BITS]
+    field = np.repeat(np.arange(len(widths)), widths)
+    starts = np.cumsum([0] + widths[:-1])
+    bit = (np.arange(layout.bits_per_group) - starts[field]).astype(np.int64)
+    for shared in (field, bit, starts):  # cached: every caller sees these
+        shared.flags.writeable = False
+    return field, bit, starts
 
 
-def _padded_bytes(total_bits: int) -> int:
-    length = -(-total_bits // 8)
-    return -(-length // 64) * 64
+def _check_range(values: np.ndarray, width: int, name: str) -> None:
+    if values.size and (values.min() < 0 or values.max() >= 1 << width):
+        raise ValueError(f"{name} does not fit in {width} bits")
 
 
-def _bits_of_scalar(value: int, width: int) -> np.ndarray:
-    word = np.uint64(value)
-    return (
-        (word >> np.arange(width, dtype=np.uint64)) & np.uint64(1)
-    ).astype(np.uint8)
-
-def _bits_of_fields(values: np.ndarray, width: int) -> np.ndarray:
-    """(N,) uint64 -> (N*width,) LSB-first bit planes, row-major."""
-    bits = (
-        values[:, None] >> np.arange(width, dtype=np.uint64)
-    ) & np.uint64(1)
-    return bits.astype(np.uint8).ravel()
-
-
-def _value_of_bits(bits: np.ndarray) -> int:
-    width = bits.shape[0]
-    powers = np.uint64(1) << np.arange(width, dtype=np.uint64)
-    return int((bits.astype(np.uint64) * powers).sum())
-
-
-def _values_of_fields(bits: np.ndarray, count: int, width: int) -> np.ndarray:
-    """(count*width,) bit stream -> (count,) uint64 field values."""
-    planes = bits[: count * width].reshape(count, width).astype(np.uint64)
-    powers = np.uint64(1) << np.arange(width, dtype=np.uint64)
-    return (planes * powers).sum(axis=1)
-
-
-# -- single-width delta layout (DeltaCounters) -----------------------------
-
-
-def delta_encode(
+def pack(
+    layout: DeltaLayout,
     reference: int,
     deltas: Sequence[int],
-    reference_bits: int,
-    delta_bits: int,
+    widened: int | None = None,
 ) -> bytes:
-    """Serialize one group exactly as ``DeltaCounters.group_metadata``."""
-    _check_fits(reference, reference_bits, "reference")
-    for delta in deltas:
-        _check_fits(delta, delta_bits, "delta")
-    total_bits = reference_bits + len(deltas) * delta_bits
-    bits = np.zeros(_padded_bytes(total_bits) * 8, dtype=np.uint8)
-    bits[:reference_bits] = _bits_of_scalar(reference, reference_bits)
-    bits[reference_bits:total_bits] = _bits_of_fields(
-        np.array(deltas, dtype=np.uint64), delta_bits
-    )
-    return np.packbits(bits, bitorder="little").tobytes()
-
-
-def delta_decode(
-    data: bytes,
-    reference_bits: int,
-    delta_bits: int,
-    blocks_per_group: int,
-) -> list[int]:
-    """Decode counters exactly as ``DeltaCounters.decode_metadata``."""
-    bits = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8), bitorder="little"
-    )
-    reference = _value_of_bits(bits[:reference_bits])
-    deltas = _values_of_fields(
-        bits[reference_bits:], blocks_per_group, delta_bits
-    )
-    return [reference + int(d) for d in deltas]
-
-
-# -- dual-length layout (DualLengthDeltaCounters) --------------------------
-
-
-def dual_length_encode(
-    reference: int,
-    deltas: Sequence[int],
-    widened: int | None,
-    reference_bits: int,
-    base_delta_bits: int,
-    extension_bits: int,
-    deltas_per_delta_group: int,
-) -> bytes:
-    """Serialize exactly as ``DualLengthDeltaCounters.group_metadata``."""
-    _check_fits(reference, reference_bits, "reference")
-    base_mask = (1 << base_delta_bits) - 1
-    values = np.array(deltas, dtype=np.uint64)
-    n = len(deltas)
-    if widened is None:
-        extension = np.zeros(deltas_per_delta_group, dtype=np.uint64)
-        index, valid = 0, 0
-    else:
-        _check_fits(widened, WIDEN_INDEX_BITS, "widened index")
-        start = widened * deltas_per_delta_group
-        extension = values[start : start + deltas_per_delta_group] >> np.uint64(
-            base_delta_bits
+    """Serialize one group exactly as ``layout.pack``."""
+    if not 0 <= reference < 1 << layout.reference_bits:
+        raise ValueError(
+            f"reference does not fit in {layout.reference_bits} bits"
         )
-        for value in extension:
-            _check_fits(int(value), extension_bits, "extension")
-        index, valid = widened, 1
-    total_bits = (
-        reference_bits
-        + base_delta_bits * n
-        + extension_bits * deltas_per_delta_group
-        + WIDEN_INDEX_BITS
-        + WIDEN_VALID_BITS
-    )
-    bits = np.zeros(_padded_bytes(total_bits) * 8, dtype=np.uint8)
-    cursor = 0
-    bits[:reference_bits] = _bits_of_scalar(reference, reference_bits)
-    cursor = reference_bits
-    bits[cursor : cursor + base_delta_bits * n] = _bits_of_fields(
-        values & np.uint64(base_mask), base_delta_bits
-    )
-    cursor += base_delta_bits * n
-    bits[
-        cursor : cursor + extension_bits * deltas_per_delta_group
-    ] = _bits_of_fields(extension, extension_bits)
-    cursor += extension_bits * deltas_per_delta_group
-    bits[cursor : cursor + WIDEN_INDEX_BITS] = _bits_of_scalar(
-        index, WIDEN_INDEX_BITS
-    )
-    cursor += WIDEN_INDEX_BITS
-    bits[cursor : cursor + WIDEN_VALID_BITS] = _bits_of_scalar(
-        valid, WIDEN_VALID_BITS
-    )
-    return np.packbits(bits, bitorder="little").tobytes()
+    low = np.array(deltas, dtype=np.int64)
+    if low.shape != (layout.slots,):
+        raise ValueError(f"expected {layout.slots} deltas, got {len(low)}")
+    fields = [np.array([reference], dtype=np.int64), low]
+    if layout.extension_bits:
+        per = layout.deltas_per_delta_group
+        extension = np.zeros(per, dtype=np.int64)
+        index = valid = 0
+        if widened is not None:
+            if not 0 <= widened < DELTA_GROUPS:
+                raise ValueError(f"widened delta-group {widened} out of range")
+            span = slice(widened * per, (widened + 1) * per)
+            extension = low[span] >> layout.delta_bits
+            low[span] &= (1 << layout.delta_bits) - 1
+            index, valid = widened, 1
+        _check_range(extension, layout.extension_bits, "extension")
+        fields += [extension, np.array([index, valid], dtype=np.int64)]
+    _check_range(low, layout.delta_bits, "delta")
+    field, bit, _ = _plan(layout)
+    bits = (np.concatenate(fields)[field] >> bit) & 1
+    packed = np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
+    return packed.ljust(layout.padded_bytes, b"\0")
 
 
-def dual_length_decode(
-    data: bytes,
-    reference_bits: int,
-    base_delta_bits: int,
-    extension_bits: int,
-    blocks_per_group: int,
-    deltas_per_delta_group: int,
-) -> list[int]:
-    """Decode exactly as ``DualLengthDeltaCounters.decode_metadata``."""
-    bits = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8), bitorder="little"
-    )
-    cursor = 0
-    reference = _value_of_bits(bits[:reference_bits])
-    cursor = reference_bits
-    deltas = _values_of_fields(
-        bits[cursor:], blocks_per_group, base_delta_bits
-    )
-    cursor += base_delta_bits * blocks_per_group
-    extension = _values_of_fields(
-        bits[cursor:], deltas_per_delta_group, extension_bits
-    )
-    cursor += extension_bits * deltas_per_delta_group
-    widened = _value_of_bits(bits[cursor : cursor + WIDEN_INDEX_BITS])
-    cursor += WIDEN_INDEX_BITS
-    valid = _value_of_bits(bits[cursor : cursor + WIDEN_VALID_BITS])
-    if valid:
-        start = widened * deltas_per_delta_group
-        deltas[start : start + deltas_per_delta_group] |= (
-            extension << np.uint64(base_delta_bits)
+def unpack(
+    layout: DeltaLayout, data: bytes
+) -> tuple[int, list[int], int | None]:
+    """Decode one group exactly as ``layout.unpack``."""
+    if len(data) * 8 < layout.bits_per_group:
+        raise ValueError("read past end of bit stream")
+    field, bit, starts = _plan(layout)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    weighted = bits[: layout.bits_per_group].astype(np.int64) << bit
+    values = np.add.reduceat(weighted, starts)
+    deltas = values[1 : 1 + layout.slots]
+    widened = None
+    if layout.extension_bits and values[-1]:
+        per = layout.deltas_per_delta_group
+        widened = int(values[-2])
+        extension = values[1 + layout.slots : 1 + layout.slots + per]
+        deltas[widened * per : (widened + 1) * per] |= (
+            extension << layout.delta_bits
         )
-    return [reference + int(d) for d in deltas]
+    return int(values[0]), deltas.tolist(), widened
 
 
-__all__ = [
-    "delta_encode",
-    "delta_decode",
-    "dual_length_encode",
-    "dual_length_decode",
-]
+__all__ = ["pack", "unpack"]

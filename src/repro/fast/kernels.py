@@ -24,6 +24,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.core.counters.delta import DeltaCounters
 from repro.core.ecc_mac.correction import FlipAndCheckCorrector
 from repro.crypto.ctr import CtrModeCipher
 from repro.crypto.mac import CarterWegmanMac
@@ -252,62 +253,20 @@ def build_kernel_table(
             reference=_reference_ecc_lane,
         ),
     ]
-    scheme_name = getattr(scheme, "name", None)
-    if scheme_name == "delta":
-        pairs.append(
-            KernelPair(
-                name="counters.decode",
-                fast=lambda data: counters_batch.delta_decode(
-                    data,
-                    scheme.reference_bits,
-                    scheme.delta_bits,
-                    scheme.blocks_per_group,
-                ),
-                reference=scheme.decode_metadata,
-            )
-        )
-        pairs.append(
-            KernelPair(
-                name="counters.encode",
-                fast=lambda group: counters_batch.delta_encode(
-                    scheme.reference(group),
-                    scheme.deltas(group),
-                    scheme.reference_bits,
-                    scheme.delta_bits,
-                ),
-                reference=scheme.group_metadata,
-            )
-        )
-    elif scheme_name == "dual_length":
-        pairs.append(
-            KernelPair(
-                name="counters.decode",
-                fast=lambda data: counters_batch.dual_length_decode(
-                    data,
-                    scheme.reference_bits,
-                    scheme.base_delta_bits,
-                    scheme.extension_bits,
-                    scheme.blocks_per_group,
-                    scheme.deltas_per_delta_group,
-                ),
-                reference=scheme.decode_metadata,
-            )
-        )
-        pairs.append(
-            KernelPair(
-                name="counters.encode",
-                fast=lambda group: counters_batch.dual_length_encode(
-                    scheme.reference(group),
-                    scheme.deltas(group),
-                    scheme.widened_delta_group(group),
-                    scheme.reference_bits,
-                    scheme.base_delta_bits,
-                    scheme.extension_bits,
-                    scheme.deltas_per_delta_group,
-                ),
-                reference=scheme.group_metadata,
-            )
-        )
+    if isinstance(scheme, DeltaCounters):
+        layout = scheme.layout
+
+        def encode(group: int) -> bytes:
+            return counters_batch.pack(layout, *scheme.group_fields(group))
+
+        def decode(data: bytes) -> list[int]:
+            reference, deltas, _ = counters_batch.unpack(layout, data)
+            return [reference + delta for delta in deltas]
+
+        pairs += [
+            KernelPair("counters.decode", decode, scheme.decode_metadata),
+            KernelPair("counters.encode", encode, scheme.group_metadata),
+        ]
     return KernelTable(
         pairs,
         mode=mode,

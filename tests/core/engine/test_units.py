@@ -1,14 +1,15 @@
 """The Figure 7 hardware units: decode, increment/reset, overflow engine."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine.units import (
+    PAPER_LAYOUT,
     DecodeUnit,
-    DeltaBlockFormat,
     IncrementResetUnit,
     OverflowRequest,
     ReencryptionEngine,
@@ -17,23 +18,27 @@ from repro.core.engine.units import (
 from repro.util.bits import BitWriter
 
 
-def make_block(reference, deltas, fmt=None):
-    fmt = fmt or DeltaBlockFormat()
+def make_block(reference, deltas, layout=None):
+    layout = layout or PAPER_LAYOUT
     writer = BitWriter()
-    writer.write(reference, fmt.reference_bits)
+    writer.write(reference, layout.reference_bits)
     for delta in deltas:
-        writer.write(delta, fmt.delta_bits)
+        writer.write(delta, layout.delta_bits)
     return writer.to_bytes(64)
 
 
 class TestFormat:
     def test_paper_geometry_fits(self):
-        fmt = DeltaBlockFormat()
-        assert fmt.total_bits == 504
+        assert PAPER_LAYOUT.bits_per_group == 504
 
     def test_oversized_rejected(self):
         with pytest.raises(ValueError):
-            DeltaBlockFormat(delta_bits=8)  # 56 + 512 > 512
+            DecodeUnit(replace(PAPER_LAYOUT, delta_bits=8))  # 56 + 512 > 512
+
+    def test_extended_layout_rejected(self):
+        # Per-slot extract-and-add cannot see a widened delta's extension.
+        with pytest.raises(ValueError):
+            DecodeUnit(replace(PAPER_LAYOUT, delta_bits=6, extension_bits=4))
 
 
 class TestDecodeUnit:
@@ -124,17 +129,17 @@ class TestCrosscheck:
     """The hardware-shaped datapath must agree with the object model."""
 
     def test_sequential_laps(self):
-        fmt = DeltaBlockFormat(delta_bits=4, slots=16)
+        layout = replace(PAPER_LAYOUT, delta_bits=4, slots=16)
         writes = [slot for _ in range(100) for slot in range(16)]
         unit_counters, scheme_counters = crosscheck_against_scheme(
-            writes, fmt
+            writes, layout
         )
         assert unit_counters == scheme_counters
 
     def test_hot_block(self):
-        fmt = DeltaBlockFormat(delta_bits=4, slots=16)
+        layout = replace(PAPER_LAYOUT, delta_bits=4, slots=16)
         unit_counters, scheme_counters = crosscheck_against_scheme(
-            [3] * 200, fmt
+            [3] * 200, layout
         )
         assert unit_counters == scheme_counters
 
@@ -145,9 +150,9 @@ class TestCrosscheck:
     )
     @settings(max_examples=25, deadline=None)
     def test_random_interleavings(self, writes):
-        fmt = DeltaBlockFormat(delta_bits=4, slots=16)
+        layout = replace(PAPER_LAYOUT, delta_bits=4, slots=16)
         unit_counters, scheme_counters = crosscheck_against_scheme(
-            writes, fmt
+            writes, layout
         )
         assert unit_counters == scheme_counters
 

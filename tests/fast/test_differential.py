@@ -13,27 +13,29 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.counters import make_scheme
+from repro.core.counters.layout import DeltaLayout
 from repro.core.ecc_mac.correction import FlipAndCheckCorrector, _flip
 from repro.crypto.ctr import CtrModeCipher
 from repro.crypto.mac import CarterWegmanMac
 from repro.ecc.hamming import DecodeStatus, HammingSecDed
 from repro.ecc.parity import parity_of_bytes
-from repro.fast.counters_batch import (
-    delta_decode,
-    delta_encode,
-    dual_length_decode,
-    dual_length_encode,
-)
+from repro.fast import counters_batch
 from repro.fast.ctr_batch import BatchCtrCipher
 from repro.fast.ecc_batch import BatchFlipAndCheck
 from repro.fast.ecc_lane import CHECK_MASK, PARITY_SHIFT, check_bytes
 from repro.fast.kernels import build_kernel_table
 from repro.fast.mac_batch import BatchCarterWegmanMac
-from repro.lint.contracts import HAMMING_BITS, MAC_BITS
+from repro.lint.contracts import (
+    DELTA_GROUPS,
+    GROUP_BLOCKS,
+    HAMMING_BITS,
+    MAC_BITS,
+    REFERENCE_BITS,
+)
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 KEYS = st.binary(min_size=48, max_size=48)
@@ -194,6 +196,11 @@ def test_ecc_lane_clean_verdict_matches_hamming_decode(tag, flips):
 WRITE_SEQS = st.lists(st.integers(0, 127), min_size=1, max_size=120)
 
 
+def _batch_decode(layout, data):
+    reference, deltas, _ = counters_batch.unpack(layout, data)
+    return [reference + delta for delta in deltas]
+
+
 @settings(max_examples=40, deadline=None)
 @given(delta_bits=st.integers(2, 7), writes=WRITE_SEQS)
 def test_delta_codec_differential(delta_bits, writes):
@@ -202,18 +209,14 @@ def test_delta_codec_differential(delta_bits, writes):
         scheme.on_write(block)
         for group in (0, 1):
             reference = scheme.group_metadata(group)
-            fast = delta_encode(
+            fast = counters_batch.pack(
+                scheme.layout,
                 scheme.reference(group),
                 scheme.deltas(group),
-                scheme.reference_bits,
-                scheme.delta_bits,
             )
             assert fast == reference
-            assert delta_decode(
-                reference,
-                scheme.reference_bits,
-                scheme.delta_bits,
-                scheme.blocks_per_group,
+            assert _batch_decode(
+                scheme.layout, reference
             ) == scheme.decode_metadata(reference)
 
 
@@ -234,23 +237,15 @@ def test_dual_length_codec_differential(base_bits, extension_bits, writes):
         scheme.on_write(block)
         for group in (0, 1):
             reference = scheme.group_metadata(group)
-            fast = dual_length_encode(
+            fast = counters_batch.pack(
+                scheme.layout,
                 scheme.reference(group),
                 scheme.deltas(group),
                 scheme.widened_delta_group(group),
-                scheme.reference_bits,
-                scheme.base_delta_bits,
-                scheme.extension_bits,
-                scheme.deltas_per_delta_group,
             )
             assert fast == reference
-            assert dual_length_decode(
-                reference,
-                scheme.reference_bits,
-                scheme.base_delta_bits,
-                scheme.extension_bits,
-                scheme.blocks_per_group,
-                scheme.deltas_per_delta_group,
+            assert _batch_decode(
+                scheme.layout, reference
             ) == scheme.decode_metadata(reference)
 
 
@@ -260,22 +255,14 @@ def test_dual_length_codec_widen_reset_reencode_edges():
 
     def check(scheme):
         reference = scheme.group_metadata(0)
-        assert reference == dual_length_encode(
+        assert reference == counters_batch.pack(
+            scheme.layout,
             scheme.reference(0),
             scheme.deltas(0),
             scheme.widened_delta_group(0),
-            scheme.reference_bits,
-            scheme.base_delta_bits,
-            scheme.extension_bits,
-            scheme.deltas_per_delta_group,
         )
-        assert scheme.decode_metadata(reference) == dual_length_decode(
-            reference,
-            scheme.reference_bits,
-            scheme.base_delta_bits,
-            scheme.extension_bits,
-            scheme.blocks_per_group,
-            scheme.deltas_per_delta_group,
+        assert scheme.decode_metadata(reference) == _batch_decode(
+            scheme.layout, reference
         )
 
     def drive(scheme, blocks):
@@ -299,6 +286,38 @@ def test_dual_length_codec_widen_reset_reencode_edges():
     events = drive(lockstep, list(range(64)) * 2 + [0] * 6 + [63] * 12)
     events |= drive(skewed, [0] * 6 + list(range(64)) * 2 + [63] * 12)
     assert {"reset", "widen", "re_encode", "re_encrypt"} <= events
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    delta_bits=st.integers(2, 7),
+    extension_bits=st.integers(0, 4),
+    field=st.sampled_from(["reference", "delta", "extension"]),
+    slot=st.integers(0, 63),
+)
+def test_codec_range_checks_agree(delta_bits, extension_bits, field, slot):
+    """One field just past its width: both views refuse the group."""
+    assume(field != "extension" or extension_bits)
+    layout = DeltaLayout(
+        REFERENCE_BITS, delta_bits, GROUP_BLOCKS, extension_bits
+    )
+    per = layout.deltas_per_delta_group
+    reference, deltas, widened = 0, [0] * layout.slots, None
+    if field == "reference":
+        reference = 1 << layout.reference_bits
+    elif field == "delta":
+        # Outside the widened delta-group, if any, a delta has only
+        # ``delta_bits``.
+        deltas[slot] = 1 << delta_bits
+        if extension_bits:
+            widened = (slot // per + 1) % DELTA_GROUPS
+    else:
+        widened = slot // per
+        deltas[slot] = 1 << (delta_bits + extension_bits)
+    with pytest.raises(ValueError):
+        layout.pack(reference, deltas, widened)
+    with pytest.raises(ValueError):
+        counters_batch.pack(layout, reference, deltas, widened)
 
 
 # -- every registered KernelPair, via the table ----------------------------

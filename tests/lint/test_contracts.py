@@ -56,14 +56,45 @@ class TestRuntimeAgreement:
         assert mac.MAC_BITS == contracts.MAC_BITS
         assert mac.MAC_MASK == contracts.MAC_MASK
 
-    def test_delta_block_format_defaults_are_contracted(self):
-        from repro.core.engine.units import DeltaBlockFormat
+    def test_delta_layout_defaults_are_contracted(self):
+        from repro.core.counters import DeltaCounters
+        from repro.core.engine.units import PAPER_LAYOUT
 
-        fmt = DeltaBlockFormat()
-        assert fmt.reference_bits == contracts.REFERENCE_BITS
-        assert fmt.delta_bits == contracts.DELTA_BITS
-        assert fmt.slots == contracts.GROUP_BLOCKS
-        assert fmt.total_bits <= contracts.METADATA_BLOCK_BITS
+        layout = PAPER_LAYOUT
+        assert DeltaCounters(contracts.GROUP_BLOCKS).layout == layout
+        assert layout.reference_bits == contracts.REFERENCE_BITS
+        assert layout.delta_bits == contracts.DELTA_BITS
+        assert layout.slots == contracts.GROUP_BLOCKS
+        assert layout.bits_per_group <= contracts.METADATA_BLOCK_BITS
+
+    def test_dual_length_layout_matches_figure6_contract(self):
+        from repro.core.counters import DualLengthDeltaCounters
+
+        layout = DualLengthDeltaCounters(contracts.GROUP_BLOCKS).layout
+        fields = {
+            field.name: (field.shift, field.width)
+            for field in contracts.DUAL_LENGTH_LAYOUT.fields
+        }
+        assert fields.pop("reference") == (0, layout.reference_bits)
+        assert fields.pop("base_deltas") == (
+            layout.deltas_shift,
+            layout.slots * layout.delta_bits,
+        )
+        assert fields.pop("extensions") == (
+            layout.extensions_shift,
+            layout.deltas_per_delta_group * layout.extension_bits,
+        )
+        assert fields.pop("widened_index") == (
+            layout.index_shift,
+            contracts.WIDEN_INDEX_BITS,
+        )
+        assert fields.pop("widened_valid") == (
+            layout.valid_shift,
+            contracts.WIDEN_VALID_BITS,
+        )
+        unused_shift, _ = fields.pop("unused")
+        assert unused_shift == layout.bits_per_group
+        assert not fields
 
     def test_engine_config_rejects_unaligned_region(self):
         from repro.core.engine.config import EngineConfig
