@@ -41,8 +41,9 @@ flush is that journaling cannot double the cost of the fast path.
 
 The gate also checks one **count**, which holds on any host: on a
 sequential write stream that never reaches a counter overflow, the
-batch write path makes exactly one ``counters.encode`` kernel call per
-distinct dirty group per write run (the ratchet on the per-run counter
+batch write path encodes each distinct dirty group of a write run
+exactly once -- counted in rows, the groups each multi-group
+``counters.encode`` call encodes (the ratchet on the per-run counter
 serialization; timing noise cannot move it).
 
 Wall-clock numbers vary across hosts; the committed ``BENCH_perf.json``
@@ -286,7 +287,7 @@ def run_group_commit_probe(spec: BenchSpec, chunk: int = 32) -> dict:
 
 
 def run_encode_count_probe() -> dict:
-    """Count ``counters.encode`` kernel calls over a sequential stream.
+    """Count the rows ``counters.encode`` encodes over a sequential stream.
 
     Every block is written once, so no write can reach the overflow
     path, and write runs of ``chunk`` blocks straddle group boundaries.
@@ -303,29 +304,32 @@ def run_encode_count_probe() -> dict:
         engine = SecureMemory(config, _app_key("encode-count", 1))
         batch = BatchSecureMemory(engine)
         pair = batch.kernels.pairs["counters.encode"]
-        encodes = 0
+        encoded: list[int] = []
 
-        def counting(group):
-            nonlocal encodes
-            encodes += 1
-            return pair.fast(group)
+        def counting(groups):
+            encoded.extend(groups)
+            return pair.fast(groups)
 
         batch.kernels.pairs[pair.name] = dataclasses.replace(
             pair, fast=counting
         )
         dirty_groups = 0
+        exact = True
         for start in range(0, blocks, chunk):
             run = range(start, min(start + chunk, blocks))
+            before = len(encoded)
             batch.write_many(
                 [(block * BLOCK_BYTES, bytes(BLOCK_BYTES)) for block in run]
             )
-            dirty_groups += len({engine.scheme.group_of(b) for b in run})
+            groups = {engine.scheme.group_of(b) for b in run}
+            dirty_groups += len(groups)
+            exact &= sorted(encoded[before:]) == sorted(groups)
     return {
         "blocks": blocks,
         "flush_chunk": chunk,
-        "counter_encodes": encodes,
+        "counter_encodes": len(encoded),
         "dirty_groups": dirty_groups,
-        "pass": encodes == dirty_groups,
+        "pass": exact and len(encoded) == dirty_groups,
     }
 
 
@@ -416,7 +420,7 @@ def main(argv=None) -> int:
     encode_count = run_encode_count_probe()
     encode_passed = encode_count["pass"]
     print(
-        f"perf_gate: counter encodes {encode_count['counter_encodes']} for "
+        f"perf_gate: counter encode rows {encode_count['counter_encodes']} for "
         f"{encode_count['dirty_groups']} dirty groups over "
         f"{encode_count['blocks']} sequential writes (must be equal) -> "
         f"{'PASS' if encode_passed else 'FAIL'}"

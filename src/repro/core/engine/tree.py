@@ -23,20 +23,32 @@ SplitMix64 mixer: not a cryptographic MAC, but the reproduction needs
 tamper/replay checks only require collision-resistance against the
 specific manipulations modelled.
 
+Updates and verifies run one level-by-level walk over any number of
+leaves (:meth:`BonsaiMerkleTree.update_leaves` /
+:meth:`~BonsaiMerkleTree.verify_leaves`): each level's touched nodes are
+grouped by parent, so an ancestor shared by many leaves is loaded,
+patched or compared, and hashed once -- in one ``hash_nodes`` call per
+level, which a batch kernel can serve.  The per-leaf
+``update_leaf``/``verify_leaf`` are its one-leaf case.
+
 Off-chip node storage is exposed as a plain dict so tests and the fault
 harness can corrupt arbitrary nodes and verify detection.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.crypto.prf import splitmix64
 
 NODE_BYTES = 64
 HASH_BYTES = 8
 _MASK64 = (1 << 64) - 1
+
+#: ``hash_nodes(datas, level, indices)``: one level's node hashes
+HashNodes = Callable[[Sequence[bytes], int, Sequence[int]], list[int]]
 
 
 def node_hash(key: int, data: bytes, level: int, index: int) -> int:
@@ -46,6 +58,14 @@ def node_hash(key: int, data: bytes, level: int, index: int) -> int:
         word = int.from_bytes(data[offset : offset + 8], "little")
         acc = splitmix64(acc ^ word)
     return acc & _MASK64
+
+
+def node_hashes(
+    key: int, datas: Sequence[bytes], level: int, indices: Sequence[int]
+) -> list[int]:
+    """:func:`node_hash` of each (node, index) at one level: the scalar
+    ``hash_nodes`` of the tree walk."""
+    return [node_hash(key, data, level, i) for data, i in zip(datas, indices)]
 
 
 @dataclass(frozen=True)
@@ -113,6 +133,7 @@ class BonsaiMerkleTree:
         self.geometry = TreeGeometry.for_leaves(num_leaves, arity, onchip_bytes)
         self._key = key
         self._arity = arity
+        self._scalar_hashes: HashNodes = functools.partial(node_hashes, key)
         #: off-chip node storage: (level, index) -> 64-byte node.  Level 1
         #: is the first interior level (level 0 is the leaves, which the
         #: engine stores itself).  Tests may corrupt entries directly.
@@ -160,19 +181,37 @@ class BonsaiMerkleTree:
         data.extend(b"\x00" * (NODE_BYTES - len(data)))
         return bytes(data)
 
-    # -- queries --------------------------------------------------------------
+    @property
+    def key(self) -> int:
+        """The hash key (a batch ``hash_nodes`` kernel binds it)."""
+        return self._key
 
-    def _child_hash_in_node(self, node: bytes, slot: int) -> int:
-        return int.from_bytes(
-            node[slot * HASH_BYTES : (slot + 1) * HASH_BYTES], "little"
-        )
+    # -- the leaf-to-root walk (``hash_nodes`` defaults to the scalar loop) --
 
-    def _set_child_hash(self, node: bytes, slot: int, value: int) -> bytes:
-        mutable = bytearray(node)
-        mutable[slot * HASH_BYTES : (slot + 1) * HASH_BYTES] = value.to_bytes(
-            HASH_BYTES, "little"
-        )
-        return bytes(mutable)
+    def _node(self, level: int, index: int) -> bytes:
+        if level == self._top_level:
+            return self.onchip[index]  # trusted SRAM
+        return self.offchip[(level, index)]
+
+    def _slot(self, child: int) -> int:
+        """Byte offset of a child's hash within its parent node."""
+        return (child % self._arity) * HASH_BYTES
+
+    def _slot_hash(self, node: bytes, child: int) -> int:
+        slot = self._slot(child)
+        return int.from_bytes(node[slot : slot + HASH_BYTES], "little")
+
+    def _checked(
+        self, indices: Sequence[int], leaves: Sequence[bytes]
+    ) -> tuple[list[int], list[bytes]]:
+        indices, leaves = list(indices), list(leaves)
+        if len(indices) != len(leaves):
+            raise ValueError("one leaf per index")
+        for index, leaf in zip(indices, leaves):
+            if not 0 <= index < self.geometry.num_leaves:
+                raise IndexError("leaf index out of range")
+            self._check_leaf(leaf)
+        return indices, leaves
 
     def verify_leaf(self, index: int, leaf: bytes) -> bool:
         """Walk leaf -> root, recomputing hashes from off-chip nodes.
@@ -180,55 +219,90 @@ class BonsaiMerkleTree:
         Returns False on any mismatch: a corrupted leaf, a corrupted
         interior node, or a consistent-but-stale (replayed) subtree.
         """
-        sizes = self.geometry.level_sizes
-        if not 0 <= index < sizes[0]:
-            raise IndexError("leaf index out of range")
-        self._check_leaf(leaf)
-        current_hash = node_hash(self._key, leaf, 0, index)
-        if self._top_level == 0:
-            # Degenerate: leaf hashes are held on-chip directly.
-            return self.onchip[index] == current_hash
-        child_index = index
-        for level in range(1, self._top_level + 1):
-            parent_index = child_index // self._arity
-            slot = child_index % self._arity
-            if level == self._top_level:
-                node = self.onchip[parent_index]  # trusted SRAM
-            else:
-                node = self.offchip[(level, parent_index)]
-            if self._child_hash_in_node(node, slot) != current_hash:
-                return False
-            if level == self._top_level:
-                return True
-            current_hash = node_hash(self._key, node, level, parent_index)
-            child_index = parent_index
-        raise AssertionError("unreachable")
+        return self.verify_leaves([index], [leaf])[0]
 
     def update_leaf(self, index: int, leaf: bytes) -> None:
         """Install new leaf content and rehash its path to the root."""
-        sizes = self.geometry.level_sizes
-        if not 0 <= index < sizes[0]:
-            raise IndexError("leaf index out of range")
-        self._check_leaf(leaf)
-        current_hash = node_hash(self._key, leaf, 0, index)
+        self.update_leaves([index], [leaf])
+
+    def verify_leaves(
+        self,
+        indices: Sequence[int],
+        leaves: Sequence[bytes],
+        hash_nodes: HashNodes | None = None,
+    ) -> list[bool]:
+        """:meth:`verify_leaf` for each (index, leaf), in one walk.
+
+        A verdict is the AND of the comparisons along that leaf's path;
+        every touched ancestor is read and hashed once.
+        """
+        indices, leaves = self._checked(indices, leaves)
+        hash_nodes = hash_nodes or self._scalar_hashes
+        hashes = hash_nodes(leaves, 0, indices)
         if self._top_level == 0:
-            self.onchip[index] = current_hash
-            return
-        child_index = index
+            # Degenerate: leaf hashes are held on-chip directly.
+            return [self.onchip[i] == h for i, h in zip(indices, hashes)]
+        verdicts = [True] * len(indices)
+        path = indices  # each entry's node at the level below
         for level in range(1, self._top_level + 1):
-            parent_index = child_index // self._arity
-            slot = child_index % self._arity
-            if level == self._top_level:
-                self.onchip[parent_index] = self._set_child_hash(
-                    self.onchip[parent_index], slot, current_hash
+            parents = [child // self._arity for child in path]
+            nodes = {p: self._node(level, p) for p in dict.fromkeys(parents)}
+            verdicts = [
+                ok and self._slot_hash(nodes[parent], child) == value
+                for ok, parent, child, value in zip(
+                    verdicts, parents, path, hashes
                 )
-                return
-            node = self._set_child_hash(
-                self.offchip[(level, parent_index)], slot, current_hash
+            ]
+            if level == self._top_level:
+                return verdicts
+            touched = list(nodes)
+            hashed = dict(
+                zip(touched, hash_nodes(list(nodes.values()), level, touched))
             )
-            self.offchip[(level, parent_index)] = node
-            current_hash = node_hash(self._key, node, level, parent_index)
-            child_index = parent_index
+            hashes = [hashed[parent] for parent in parents]
+            path = parents
+        raise AssertionError("unreachable")
+
+    def update_leaves(
+        self,
+        indices: Sequence[int],
+        leaves: Sequence[bytes],
+        hash_nodes: HashNodes | None = None,
+    ) -> None:
+        """:meth:`update_leaf` for each (index, leaf) in order, in one walk.
+
+        The end state -- ``offchip``, ``onchip`` and the root -- equals
+        the sequential updates': a repeated index keeps its last leaf,
+        and every touched ancestor is patched and rehashed once.
+        """
+        indices, leaves = self._checked(indices, leaves)
+        hash_nodes = hash_nodes or self._scalar_hashes
+        latest = dict(zip(indices, leaves))  # last write wins
+        touched = list(latest)
+        hashes = hash_nodes(list(latest.values()), 0, touched)
+        if self._top_level == 0:
+            self.onchip.update(zip(touched, hashes))
+            return
+        for level in range(1, self._top_level + 1):
+            nodes: dict[int, bytearray] = {}
+            for child, value in zip(touched, hashes):
+                parent = child // self._arity
+                node = nodes.get(parent)
+                if node is None:
+                    node = nodes[parent] = bytearray(self._node(level, parent))
+                slot = self._slot(child)
+                node[slot : slot + HASH_BYTES] = value.to_bytes(
+                    HASH_BYTES, "little"
+                )
+            touched = list(nodes)
+            datas = [bytes(node) for node in nodes.values()]
+            if level == self._top_level:
+                self.onchip.update(zip(touched, datas))
+                return
+            self.offchip.update(
+                ((level, index), data) for index, data in zip(touched, datas)
+            )
+            hashes = hash_nodes(datas, level, touched)
 
     @staticmethod
     def _check_leaf(leaf: bytes) -> None:
@@ -267,4 +341,11 @@ class BonsaiMerkleTree:
         return out
 
 
-__all__ = ["BonsaiMerkleTree", "TreeGeometry", "node_hash", "NODE_BYTES"]
+__all__ = [
+    "BonsaiMerkleTree",
+    "HashNodes",
+    "NODE_BYTES",
+    "TreeGeometry",
+    "node_hash",
+    "node_hashes",
+]

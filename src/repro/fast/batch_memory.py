@@ -14,24 +14,28 @@ How the write path keeps the scalar semantics while batching:
 * ``scheme.on_write`` runs per block, in order (counter state machines
   are inherently sequential), but the expensive keystream, MAC and
   ECC-lane work is deferred into per-run batches;
-* each group touched by the run is serialized once, when the run
-  commits.  Until then its ``counter_storage`` lags the scheme.  The
-  only reader that can see the lag is the overflow re-encryption path,
-  which decodes old counters from storage, so lagging groups are
-  serialized early exactly when ``scheme.may_overflow`` says the next
+* the groups touched by the run are serialized when the run commits,
+  all of them in one multi-group ``counters.encode`` call.  Until then
+  their ``counter_storage`` lags the scheme.  The only reader that can
+  see the lag is the overflow re-encryption path, which decodes old
+  counters from storage, so lagging groups are serialized early (one
+  call over them) exactly when ``scheme.may_overflow`` says the next
   ``on_write`` can reach it -- leaving in storage what the scalar
   engine's per-write metadata commits would have left there.  A run
-  without such a write does one counter encode per dirty group;
+  without such a write encodes each dirty group once;
 * overflow re-encryptions (group or global) are rare and intricate, so
   they fall back to the engine's own scalar handlers after the pending
   batch is flushed (metered as ``fast.fallback.scalar``);
-* Merkle-tree leaf updates are deferred to one commit per touched group
-  at the end of the run (intermediate leaf states are unobservable --
-  no read can happen inside a write run).
+* Merkle-tree leaf updates are deferred to the commit, which installs
+  every dirty group's leaf in one ``update_leaves`` walk: each touched
+  ancestor is patched and hashed once, one ``tree.hash`` kernel call
+  per level (intermediate leaf states are unobservable -- no read can
+  happen inside a write run).
 
-The read path verifies each touched group's tree leaf once, decodes its
-counters with the batch kernel, batch-checks the stored MACs' Hamming
-bits (a block is clean exactly when its stored check bits equal the
+The read path verifies the touched groups' tree leaves in one
+``verify_leaves`` walk (distinct groups, first-touch order), decodes
+the counters of those that verified in one ``counters.decode`` call,
+batch-checks the stored MACs' Hamming bits (a block is clean exactly when its stored check bits equal the
 ``ecc.lane`` encoding of its stored MAC), batch-verifies MACs over the
 stored ciphertexts and batch-decrypts the clean blocks; any anomaly
 (Hamming status not clean, MAC mismatch, lazily-initialized block,
@@ -97,6 +101,7 @@ class BatchSecureMemory:
             engine.mac,
             engine.corrector,
             engine.scheme,
+            engine.tree.key,
             mode=mode,
             paranoid_sample=paranoid_sample,
         )
@@ -181,20 +186,46 @@ class BatchSecureMemory:
 
     # -- write path --------------------------------------------------------
 
-    def _serialize_group(self, group: int) -> bytes:
-        if self._has_counter_kernels:
-            metadata = self.kernels.run("counters.encode", group)
-            assert isinstance(metadata, bytes)
-            return metadata
-        return self.engine.scheme.group_metadata(group)
+    def _hash_nodes(
+        self, datas: Sequence[bytes], level: int, indices: Sequence[int]
+    ) -> list[int]:
+        hashes = self.kernels.run(
+            "tree.hash", datas, level, indices, blocks=len(datas)
+        )
+        assert isinstance(hashes, list)
+        return hashes
 
-    def _commit_group(self, group: int) -> None:
+    def _serialize_groups(self, groups: list[int]) -> list[bytes]:
+        if self._has_counter_kernels:
+            metadata = self.kernels.run(
+                "counters.encode", groups, blocks=len(groups)
+            )
+            assert isinstance(metadata, list)
+            return metadata
+        return [self.engine.scheme.group_metadata(g) for g in groups]
+
+    def _decode_groups(self, metadata: list[bytes]) -> list[list[int]]:
+        if self._has_counter_kernels:
+            counters = self.kernels.run(
+                "counters.decode", metadata, blocks=len(metadata)
+            )
+            assert isinstance(counters, np.ndarray)
+            return counters.tolist()
+        return [self.engine.scheme.decode_metadata(m) for m in metadata]
+
+    def _commit_groups(self, groups: list[int]) -> None:
+        """Install the run's dirty groups: one counter encode, the
+        storage writes, one tree walk, then the journal's metadata."""
         engine = self.engine
-        metadata = self._serialize_group(group)
-        engine.counter_storage[group] = metadata
-        engine.tree.update_leaf(group, engine._pad_leaf(metadata))
+        metadata = self._serialize_groups(groups)
+        engine.counter_storage.update(zip(groups, metadata))
+        engine.tree.update_leaves(
+            groups, [engine._pad_leaf(data) for data in metadata],
+            self._hash_nodes,
+        )
         if engine.persist is not None and engine.persist.in_txn:
-            engine.persist.record_meta(group, metadata)
+            for group, data in zip(groups, metadata):
+                engine.persist.record_meta(group, data)
 
     def _flush_writes(self, writes: list[tuple[int, bytes]]) -> None:
         """One write run; with persistence attached, one group-commit txn.
@@ -255,10 +286,10 @@ class BatchSecureMemory:
             if stale and scheme.may_overflow(block):
                 # What the scalar per-write commit would have left in
                 # storage -- the overflow handlers read old counters here.
-                for lagging in stale:
-                    engine.counter_storage[lagging] = self._serialize_group(
-                        lagging
-                    )
+                lagging = list(stale)
+                engine.counter_storage.update(
+                    zip(lagging, self._serialize_groups(lagging))
+                )
                 stale.clear()
             outcome = scheme.on_write(block)
             engine.counters.writes += 1
@@ -294,8 +325,8 @@ class BatchSecureMemory:
             dirty[group] = None
         self._flush_pending(pending)
         self._m_groups.inc(len(dirty))
-        for group in dirty:
-            self._commit_group(group)
+        if dirty:
+            self._commit_groups(list(dirty))
         return global_reencrypt
 
     def _flush_pending(
@@ -358,22 +389,22 @@ class BatchSecureMemory:
         self._m_reads.inc(len(addresses))
         blocks = [engine._block_index(address) for address in addresses]
 
-        # Per-group pre-pass: verify the tree leaf once, decode counters.
-        group_counters: dict[int, list[int] | None] = {}
-        for block in blocks:
-            group = scheme.group_of(block)
-            if group in group_counters:
-                continue
-            metadata = engine._stored_metadata(group)
-            if not engine.tree.verify_leaf(group, engine._pad_leaf(metadata)):
-                group_counters[group] = None  # raises at its queue position
-            elif self._has_counter_kernels:
-                group_counters[group] = self.kernels.run(
-                    "counters.decode", metadata
-                )
-            else:
-                group_counters[group] = scheme.decode_metadata(metadata)
-        self._m_groups.inc(len(group_counters))
+        # Per-group pre-pass, in first-touch order: one tree walk over
+        # the distinct groups, then one decode of those that verified.
+        # A group that fails keeps None and raises at its queue position.
+        groups = list(dict.fromkeys(scheme.group_of(block) for block in blocks))
+        stored = [engine._stored_metadata(group) for group in groups]
+        verdicts = engine.tree.verify_leaves(
+            groups, [engine._pad_leaf(data) for data in stored],
+            self._hash_nodes,
+        )
+        group_counters: dict[int, list[int] | None] = dict.fromkeys(groups)
+        verified = [i for i, ok in enumerate(verdicts) if ok]
+        if verified:
+            decoded = self._decode_groups([stored[i] for i in verified])
+            for i, counters in zip(verified, decoded):
+                group_counters[groups[i]] = counters
+        self._m_groups.inc(len(groups))
 
         # Classification pre-pass (no engine mutation): "tree" failures,
         # scalar fallbacks, and candidates for batched verify+decrypt.

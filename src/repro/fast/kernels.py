@@ -12,13 +12,14 @@ mode:
   divergences).
 
 The table for a given engine is built by :func:`build_kernel_table`,
-which binds each pair to that engine's cipher, MAC, corrector and
-counter-scheme geometry.  Calls are metered under ``fast.kernel.*`` /
-``fast.paranoid.*`` in the active metrics registry.
+which binds each pair to that engine's cipher, MAC, corrector,
+counter-scheme geometry and tree key.  Calls are metered under
+``fast.kernel.*`` / ``fast.paranoid.*`` in the active metrics registry.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from repro.core.counters.delta import DeltaCounters
 from repro.core.ecc_mac.correction import FlipAndCheckCorrector
+from repro.core.engine.tree import node_hashes
 from repro.crypto.ctr import CtrModeCipher
 from repro.crypto.mac import CarterWegmanMac
 from repro.fast.ctr_batch import BatchCtrCipher
@@ -35,12 +37,19 @@ from repro.fast.ecc_batch import BatchFlipAndCheck
 from repro.fast import ecc_lane
 from repro.fast.mac_batch import BatchCarterWegmanMac
 from repro.fast import counters_batch
+from repro.fast.prf_batch import splitmix64_inplace
 from repro.crypto.prf import splitmix64
 from repro.lint.contracts import MAC_BITS
 from repro.obs.metrics import get_registry
 
 MODES = ("fast", "reference", "paranoid")
 _SEED_MASK = (1 << 64) - 1
+
+#: ``tree.hash`` batches below this many rows (or of unequal-length
+#: nodes) take the scalar loop: a numpy hash call carries ~60-90 us of
+#: fixed cost and one scalar ``node_hash`` ~8 us, so they break even at
+#: about 8 rows (DESIGN §10)
+TREE_HASH_CROSSOVER = 8
 
 
 class KernelDivergence(AssertionError):
@@ -212,11 +221,43 @@ def _reference_ecc_lane(
     )
 
 
+def _fast_tree_hash(
+    key: int,
+) -> Callable[[Sequence[bytes], int, Sequence[int]], list[int]]:
+    def hashes(
+        datas: Sequence[bytes], level: int, indices: Sequence[int]
+    ) -> list[int]:
+        if len(datas) < TREE_HASH_CROSSOVER or len(set(map(len, datas))) > 1:
+            return node_hashes(key, datas, level, indices)
+        return tree_hash_rows(key, datas, level, indices)
+
+    return hashes
+
+
+def tree_hash_rows(
+    key: int, datas: Sequence[bytes], level: int, indices: Sequence[int]
+) -> list[int]:
+    """``node_hash`` over equal-length nodes as one SplitMix64 chain per
+    row of an ``(n, words)`` uint64 matrix, at any row count."""
+    words = np.frombuffer(b"".join(datas), dtype="<u8").reshape(
+        len(datas), -1
+    )
+    acc = np.array(indices, dtype=np.uint64)
+    acc ^= np.uint64((key ^ (level << 48)) & _SEED_MASK)
+    scratch = np.empty_like(acc)
+    splitmix64_inplace(acc, scratch)
+    for column in words.T:
+        acc ^= column
+        splitmix64_inplace(acc, scratch)
+    return acc.tolist()
+
+
 def build_kernel_table(
     cipher: CtrModeCipher,
     mac: CarterWegmanMac,
     corrector: FlipAndCheckCorrector,
     scheme: Any,
+    tree_key: int,
     mode: str = "fast",
     paranoid_sample: int = 0,
     sample_seed: int = SAMPLE_SEED,
@@ -252,20 +293,37 @@ def build_kernel_table(
             fast=ecc_lane.check_bytes,
             reference=_reference_ecc_lane,
         ),
+        KernelPair(
+            name="tree.hash",
+            fast=_fast_tree_hash(tree_key),
+            reference=functools.partial(node_hashes, tree_key),
+        ),
     ]
     if isinstance(scheme, DeltaCounters):
         layout = scheme.layout
 
-        def encode(group: int) -> bytes:
-            return counters_batch.pack(layout, *scheme.group_fields(group))
+        def encode(groups: Sequence[int]) -> list[bytes]:
+            return counters_batch.pack(
+                layout, [scheme.group_fields(group) for group in groups]
+            )
 
-        def decode(data: bytes) -> list[int]:
-            reference, deltas, _ = counters_batch.unpack(layout, data)
-            return [reference + delta for delta in deltas]
+        def encode_reference(groups: Sequence[int]) -> list[bytes]:
+            return [scheme.group_metadata(group) for group in groups]
+
+        def decode(datas: Sequence[bytes]) -> np.ndarray:
+            references, deltas, _ = counters_batch.unpack(layout, datas)
+            deltas += references[:, None]
+            return deltas
+
+        def decode_reference(datas: Sequence[bytes]) -> np.ndarray:
+            rows = [scheme.decode_metadata(data) for data in datas]
+            return np.array(rows, dtype=np.int64).reshape(
+                len(rows), layout.slots
+            )
 
         pairs += [
-            KernelPair("counters.decode", decode, scheme.decode_metadata),
-            KernelPair("counters.encode", encode, scheme.group_metadata),
+            KernelPair("counters.decode", decode, decode_reference),
+            KernelPair("counters.encode", encode, encode_reference),
         ]
     return KernelTable(
         pairs,
@@ -281,5 +339,7 @@ __all__ = [
     "KernelTable",
     "MODES",
     "SAMPLE_SEED",
+    "TREE_HASH_CROSSOVER",
     "build_kernel_table",
+    "tree_hash_rows",
 ]

@@ -14,16 +14,31 @@ from repro.crypto.prf import SplitMix64
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def splitmix64_batch(values: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer over a uint64 array (matches ``splitmix64``)."""
-    v = values.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        v += _GOLDEN
-        v = (v ^ (v >> np.uint64(30))) * _MIX1
-        v = (v ^ (v >> np.uint64(27))) * _MIX2
-    return v ^ (v >> np.uint64(31))
+    mixed = values.astype(np.uint64, copy=True)
+    splitmix64_inplace(mixed, np.empty_like(mixed))
+    return mixed
+
+
+def splitmix64_inplace(values: np.ndarray, scratch: np.ndarray) -> None:
+    """``splitmix64`` on a uint64 array in place (``scratch``: same shape).
+
+    Allocates nothing, so long per-row chains (the tree hash) can run
+    it once per round.
+    """
+    values += _GOLDEN
+    np.right_shift(values, _S30, out=scratch)
+    values ^= scratch
+    values *= _MIX1
+    np.right_shift(values, _S27, out=scratch)
+    values ^= scratch
+    values *= _MIX2
+    np.right_shift(values, _S31, out=scratch)
+    values ^= scratch
 
 
 class BatchSplitMix64:
@@ -41,4 +56,4 @@ class BatchSplitMix64:
         return splitmix64_batch(mixed)
 
 
-__all__ = ["splitmix64_batch", "BatchSplitMix64"]
+__all__ = ["splitmix64_batch", "splitmix64_inplace", "BatchSplitMix64"]

@@ -340,12 +340,18 @@ class Shard:
 
         Shedding happens *here*, at admission: a full queue refuses
         with :class:`Overloaded` before the request costs anything
-        (no quota charge, no engine work).  Without a running queue
-        (in-process tests, no serve() loop) dispatch is direct.
+        (no quota charge, no engine work).  A deadline already expired
+        on arrival (``deadline_ms <= 0``) is refused as
+        :class:`DeadlineExceeded` before the shed check, so its refusal
+        does not depend on how full the queue is.  Without a running
+        queue (in-process tests, no serve() loop) dispatch is direct.
         """
         queue = self._queue
         if queue is None:
             return self._served(request)
+        expired = self._expired(request, 0.0)
+        if expired is not None:
+            return expired
         if queue.qsize() >= self.options.max_queue_depth:
             self._m_shed.inc()
             self._m_rejected["overloaded"].inc()

@@ -84,14 +84,20 @@ def test_scalar_pack_matches_pinned_bytes(case):
 
 def test_batch_pack_matches_pinned_bytes(case):
     scheme, reference, deltas, widened, golden = case
-    assert counters_batch.pack(scheme.layout, reference, deltas, widened) == golden
+    fields = (reference, deltas, widened)
+    assert counters_batch.pack(scheme.layout, [fields]) == [golden]
 
 
 def test_unpack_returns_the_inputs(case):
     scheme, reference, deltas, widened, golden = case
     expected = (reference, deltas, widened)
     assert scheme.layout.unpack(golden) == expected
-    assert counters_batch.unpack(scheme.layout, golden) == expected
+    references, full, widened_rows = counters_batch.unpack(
+        scheme.layout, [golden]
+    )
+    assert references.tolist() == [reference]
+    assert full.tolist() == [deltas]
+    assert widened_rows.tolist() == [-1 if widened is None else widened]
 
 
 def test_scheme_serializes_pinned_bytes(case):

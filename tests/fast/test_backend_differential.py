@@ -310,10 +310,11 @@ def test_sampled_paranoid_catches_corruption_through_the_engine():
     with use_registry(registry):
         engine = SecureMemory(config, KEY)
         # Each flush below writes one group and issues kernels with
-        # period 4 (encrypt, tags, ecc.lane, then the group's single
-        # encode at commit); a coprime sampling stride guarantees the
-        # schedule rotates over every kernel instead of aliasing onto
-        # one.
+        # period 5 (encrypt, tags, ecc.lane, then the commit's one
+        # counter encode and one tree.hash per hashed tree level -- a
+        # single level, as this region's tree sits all on-chip); a
+        # coprime sampling stride guarantees the schedule rotates over
+        # every kernel instead of aliasing onto one.
         batch = BatchSecureMemory(engine, mode="fast", paranoid_sample=3)
         table = batch.kernels
         real = table.pairs["ctr.encrypt"].fast
@@ -343,7 +344,9 @@ def test_sampled_paranoid_catches_corruption_through_the_engine():
 
 def test_flush_kernel_sequence_period_is_coprime_to_the_stride():
     """The flush pattern above issues the kernel sequence the sampling
-    stride 3 was chosen against."""
+    stride 3 was chosen against: the run's kernels, one counter encode
+    over the dirty groups, and one tree.hash per hashed tree level (the
+    leaves only, since this region's tree fits on-chip)."""
     config = preset(
         "combined", protected_bytes=REGION, keystream_mode="fast"
     )
@@ -362,7 +365,10 @@ def test_flush_kernel_sequence_period_is_coprime_to_the_stride():
         batch.queue_write((sequence % 16) * 64, bytes([sequence]) * 64)
         if sequence % 2 == 1:
             batch.flush()
-    period = ["ctr.encrypt", "mac.tags", "ecc.lane", "counters.encode"]
+    assert engine.tree.geometry.interior_levels == 0
+    period = [
+        "ctr.encrypt", "mac.tags", "ecc.lane", "counters.encode", "tree.hash"
+    ]
     assert names == period * 4
     assert math.gcd(len(period), 3) == 1
 

@@ -489,13 +489,14 @@ def test_overflow_of_group_dirtied_earlier_in_the_same_run(
 
 
 def _counting_encodes(batch):
-    """Wrap the batch's ``counters.encode`` kernel; returns the call log."""
+    """Wrap the batch's ``counters.encode`` kernel; returns the groups
+    each call encoded, one list per call."""
     calls = []
     pair = batch.kernels.pairs["counters.encode"]
 
-    def fast(group):
-        calls.append(group)
-        return pair.fast(group)
+    def fast(groups):
+        calls.append(list(groups))
+        return pair.fast(groups)
 
     batch.kernels.pairs["counters.encode"] = KernelPair(
         name=pair.name, fast=fast, reference=pair.reference
@@ -505,8 +506,9 @@ def _counting_encodes(batch):
 
 @pytest.mark.parametrize("name", ["combined", "combined_dual", "endurance"])
 def test_one_counter_encode_per_dirty_group(name):
-    """A sequential run that never reaches the overflow path serializes
-    each dirty group exactly once per write run."""
+    """A sequential run that never reaches the overflow path encodes
+    each dirty group exactly once per write run (counted in encoded
+    rows: a run's groups go through one multi-group encode)."""
     config = _config(name, {})
     engine = SecureMemory(config, KEY, registry=MetricRegistry())
     batch = BatchSecureMemory(engine, mode="fast")
@@ -515,12 +517,82 @@ def test_one_counter_encode_per_dirty_group(name):
     # once, so no counter comes near its overflow width.
     expected = 0
     for start in range(0, 1000, 100):
+        before = len(calls)
         blocks = range(start, start + 100)
         batch.write_many([(block * 64, bytes(64)) for block in blocks])
         groups = {engine.scheme.group_of(block) for block in blocks}
         expected += len(groups)
-        assert sorted(calls[-len(groups):]) == sorted(groups)
-    assert len(calls) == expected
+        assert len(calls) == before + 1
+        assert sorted(calls[-1]) == sorted(groups)
+    assert sum(len(rows) for rows in calls) == expected
+
+
+#: 4 MiB of combined-preset groups: tree levels (1024, 128, 16), so one
+#: off-chip interior level is hashed on every commit
+DEEP_REGION = 4 * 1024 * 1024
+
+
+def _deep_config():
+    return preset(
+        "combined", protected_bytes=DEEP_REGION, keystream_mode="splitmix"
+    )
+
+
+def test_shared_tree_ancestors_hashed_once_per_flush():
+    """A flush whose dirty groups share parents hashes each touched
+    node once per level: the leaves, then each distinct interior
+    ancestor below the on-chip top."""
+    engine = SecureMemory(_deep_config(), KEY, registry=MetricRegistry())
+    assert engine.tree.geometry.level_sizes == (1024, 128, 16)
+    batch = BatchSecureMemory(engine, mode="fast")
+    hashed: list[tuple[int, list[int]]] = []
+    pair = batch.kernels.pairs["tree.hash"]
+
+    def fast(datas, level, indices):
+        hashed.append((level, list(indices)))
+        return pair.fast(datas, level, indices)
+
+    batch.kernels.pairs["tree.hash"] = KernelPair(
+        name=pair.name, fast=fast, reference=pair.reference
+    )
+    groups = [0, 1, 7, 8, 9, 63, 64, 700, 701]  # parents 0, 1, 7, 8, 87
+    blocks_per_group = engine.scheme.blocks_per_group
+    batch.write_many(
+        [(g * blocks_per_group * 64, bytes([g % 256]) * 64) for g in groups]
+    )
+    assert hashed == [(0, groups), (1, [0, 1, 7, 8, 87])]
+    hashed.clear()
+    batch.read_many([g * blocks_per_group * 64 for g in groups])
+    assert hashed == [(0, groups), (1, [0, 1, 7, 8, 87])]
+
+
+def test_batch_state_equivalence_with_offchip_tree_levels():
+    """Reads and writes spread over a region whose tree has off-chip
+    interior nodes: the batched walks leave the scalar engine's state,
+    reads and metrics."""
+    config = _deep_config()
+    rng = random.Random(0x7EE)
+    blocks = DEEP_REGION // 64
+    written: list[int] = []
+    ops = []
+    for sequence in range(600):
+        if written and rng.random() < 0.4:
+            ops.append(("read", rng.choice(written)))
+            continue
+        block = rng.randrange(blocks)
+        ops.append(("write", block, bytes([sequence % 256]) * 64))
+        written.append(block)
+    scalar_state, scalar_reads, scalar_totals = _run_scalar(config, ops)
+    batch_state, batch_reads, batch_scoped, _ = _run_batch(
+        config, ops, mode="paranoid", chunk=64
+    )
+    assert batch_state == scalar_state
+    assert batch_reads == scalar_reads
+    assert batch_scoped == {
+        name: value
+        for name, value in scalar_totals.items()
+        if name.startswith(("engine.", "counters."))
+    }
 
 
 @pytest.mark.parametrize(

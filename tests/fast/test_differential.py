@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.counters import make_scheme
 from repro.core.counters.layout import DeltaLayout
+from repro.core.engine.tree import node_hash
 from repro.core.ecc_mac.correction import FlipAndCheckCorrector, _flip
 from repro.crypto.ctr import CtrModeCipher
 from repro.crypto.mac import CarterWegmanMac
@@ -27,7 +28,11 @@ from repro.fast import counters_batch
 from repro.fast.ctr_batch import BatchCtrCipher
 from repro.fast.ecc_batch import BatchFlipAndCheck
 from repro.fast.ecc_lane import CHECK_MASK, PARITY_SHIFT, check_bytes
-from repro.fast.kernels import build_kernel_table
+from repro.fast.kernels import (
+    TREE_HASH_CROSSOVER,
+    build_kernel_table,
+    tree_hash_rows,
+)
 from repro.fast.mac_batch import BatchCarterWegmanMac
 from repro.lint.contracts import (
     DELTA_GROUPS,
@@ -196,9 +201,20 @@ def test_ecc_lane_clean_verdict_matches_hamming_decode(tag, flips):
 WRITE_SEQS = st.lists(st.integers(0, 127), min_size=1, max_size=120)
 
 
-def _batch_decode(layout, data):
-    reference, deltas, _ = counters_batch.unpack(layout, data)
-    return [reference + delta for delta in deltas]
+def _check_codec(scheme, groups):
+    """Both codec views agree on these groups, packed as one batch."""
+    fields = [scheme.group_fields(group) for group in groups]
+    reference = [scheme.group_metadata(group) for group in groups]
+    assert counters_batch.pack(scheme.layout, fields) == reference
+    references, deltas, widened = counters_batch.unpack(
+        scheme.layout, reference
+    )
+    assert (deltas + references[:, None]).tolist() == [
+        scheme.decode_metadata(data) for data in reference
+    ]
+    assert widened.tolist() == [
+        -1 if entry[2] is None else entry[2] for entry in fields
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,17 +223,7 @@ def test_delta_codec_differential(delta_bits, writes):
     scheme = make_scheme("delta", 128, delta_bits=delta_bits)
     for block in writes:
         scheme.on_write(block)
-        for group in (0, 1):
-            reference = scheme.group_metadata(group)
-            fast = counters_batch.pack(
-                scheme.layout,
-                scheme.reference(group),
-                scheme.deltas(group),
-            )
-            assert fast == reference
-            assert _batch_decode(
-                scheme.layout, reference
-            ) == scheme.decode_metadata(reference)
+        _check_codec(scheme, [0, 1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,18 +241,7 @@ def test_dual_length_codec_differential(base_bits, extension_bits, writes):
     )
     for block in writes:
         scheme.on_write(block)
-        for group in (0, 1):
-            reference = scheme.group_metadata(group)
-            fast = counters_batch.pack(
-                scheme.layout,
-                scheme.reference(group),
-                scheme.deltas(group),
-                scheme.widened_delta_group(group),
-            )
-            assert fast == reference
-            assert _batch_decode(
-                scheme.layout, reference
-            ) == scheme.decode_metadata(reference)
+        _check_codec(scheme, [0, 1])
 
 
 def test_dual_length_codec_widen_reset_reencode_edges():
@@ -254,16 +249,7 @@ def test_dual_length_codec_widen_reset_reencode_edges():
     edges and check codec equality in every intermediate state."""
 
     def check(scheme):
-        reference = scheme.group_metadata(0)
-        assert reference == counters_batch.pack(
-            scheme.layout,
-            scheme.reference(0),
-            scheme.deltas(0),
-            scheme.widened_delta_group(0),
-        )
-        assert scheme.decode_metadata(reference) == _batch_decode(
-            scheme.layout, reference
-        )
+        _check_codec(scheme, [0])
 
     def drive(scheme, blocks):
         events = set()
@@ -317,7 +303,70 @@ def test_codec_range_checks_agree(delta_bits, extension_bits, field, slot):
     with pytest.raises(ValueError):
         layout.pack(reference, deltas, widened)
     with pytest.raises(ValueError):
-        counters_batch.pack(layout, reference, deltas, widened)
+        counters_batch.pack(layout, [(reference, deltas, widened)])
+
+
+# -- tree.hash -------------------------------------------------------------
+
+TREE_KEY = 0x5EED_0F_7EE
+
+
+def _tree_hash_table(mode="fast"):
+    mac = CarterWegmanMac(bytes(48), mode="fast")
+    return build_kernel_table(
+        CtrModeCipher(bytes(16), mode="fast"),
+        mac,
+        FlipAndCheckCorrector(mac),
+        None,
+        TREE_KEY,
+        mode=mode,
+    )
+
+
+TREE_HASH = _tree_hash_table().pairs["tree.hash"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    key=U64,
+    level=st.integers(0, 12),
+    words=st.sampled_from([8, 16]),
+    data=st.data(),
+)
+@pytest.mark.parametrize("rows", range(1, 2 * TREE_HASH_CROSSOVER + 1))
+def test_tree_hash_differential(rows, key, level, words, data):
+    """The numpy chain equals ``node_hash`` at every row count, below
+    the crossover too; so does the pair's fast side, which answers
+    small batches with the scalar loop."""
+    datas = data.draw(
+        st.lists(
+            st.binary(min_size=8 * words, max_size=8 * words),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    indices = data.draw(
+        st.lists(st.integers(0, (1 << 48) - 1), min_size=rows, max_size=rows)
+    )
+
+    def reference(key):
+        return [
+            node_hash(key, node, level, index)
+            for node, index in zip(datas, indices)
+        ]
+
+    assert tree_hash_rows(key, datas, level, indices) == reference(key)
+    assert TREE_HASH.fast(datas, level, indices) == reference(TREE_KEY)
+    assert TREE_HASH.reference(datas, level, indices) == reference(TREE_KEY)
+
+
+def test_tree_hash_unequal_rows_take_the_scalar_loop():
+    datas = [bytes(64)] * TREE_HASH_CROSSOVER + [bytes(128)]
+    indices = list(range(len(datas)))
+    assert _tree_hash_table("paranoid").run("tree.hash", datas, 0, indices) == [
+        node_hash(TREE_KEY, node, 0, index)
+        for node, index in zip(datas, indices)
+    ]
 
 
 # -- every registered KernelPair, via the table ----------------------------
@@ -337,13 +386,14 @@ def test_every_kernel_pair_agrees_through_the_table(key48):
         for block in (0, 5, 5, 5, 70, 71, 5):
             scheme.on_write(block)
         table = build_kernel_table(
-            cipher, mac, corrector, scheme, mode="paranoid"
+            cipher, mac, corrector, scheme, TREE_KEY, mode="paranoid"
         )
         assert set(table.pairs) == {
             "ctr.encrypt",
             "mac.tags",
             "ecc.flip_and_check",
             "ecc.lane",
+            "tree.hash",
             "counters.decode",
             "counters.encode",
         }
@@ -363,5 +413,9 @@ def test_every_kernel_pair_agrees_through_the_table(key48):
             9,
             stored,
         )
-        metadata = table.run("counters.encode", 0)
+        metadata = table.run("counters.encode", [0, 1, 0])
         table.run("counters.decode", metadata)
+        for rows in (1, TREE_HASH_CROSSOVER, 2 * TREE_HASH_CROSSOVER):
+            table.run(
+                "tree.hash", [bytes([rows]) * 64] * rows, 2, range(rows)
+            )

@@ -115,6 +115,29 @@ class TestDeadlines:
         )
         assert response["ok"]
 
+    def test_expired_deadline_refused_as_such_on_a_full_queue(self, tmp_path):
+        """An expired-on-arrival request is refused as deadline_exceeded
+        even when the queue is full; one without a deadline is shed."""
+        shard = make_shard(tmp_path, max_queue_depth=1)
+
+        async def scenario():
+            shard._queue = asyncio.Queue()
+            loop = asyncio.get_running_loop()
+            shard._queue.put_nowait(
+                ({"op": "ping"}, loop.create_future(), 0.0)
+            )
+            expired = await shard.submit({"op": "ping", "deadline_ms": 0})
+            plain = await shard.submit({"op": "ping"})
+            return expired, plain
+
+        expired, plain = asyncio.run(scenario())
+        assert expired["error"]["code"] == "deadline_exceeded"
+        assert plain["error"]["code"] == "overloaded"
+        totals = shard.registry.snapshot().totals()
+        assert totals["service.deadline.expired"] == 1
+        assert totals["service.overload.shed"] == 1
+        assert totals.get("service.request.ping", 0) == 0
+
     def test_no_deadline_means_no_deadline(self, tmp_path):
         shard = make_shard(tmp_path)
         response = self.run_with_dispatcher(shard, {"op": "ping"})
