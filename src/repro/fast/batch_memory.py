@@ -18,14 +18,21 @@ How the write path keeps the scalar semantics while batching:
   all of them in one multi-group ``counters.encode`` call.  Until then
   their ``counter_storage`` lags the scheme.  The only reader that can
   see the lag is the overflow re-encryption path, which decodes old
-  counters from storage, so lagging groups are serialized early (one
-  call over them) exactly when ``scheme.may_overflow`` says the next
-  ``on_write`` can reach it -- leaving in storage what the scalar
-  engine's per-write metadata commits would have left there.  A run
-  without such a write encodes each dirty group once;
-* overflow re-encryptions (group or global) are rare and intricate, so
-  they fall back to the engine's own scalar handlers after the pending
-  batch is flushed (metered as ``fast.fallback.scalar``);
+  counters from storage, so when ``scheme.may_overflow`` says the next
+  ``on_write`` can reach it, the written block's own group is
+  serialized early if it lags (a monolithic wrap reads every group, so
+  schemes with an ``epoch`` serialize all lagging groups, in one call)
+  -- leaving in storage what the scalar engine's per-write metadata
+  commits would have left there.  A run without such a write encodes
+  each dirty group once;
+* an overflow re-encryption (a group, or a monolithic wrap of every
+  stored block) flushes the pending batch, then checks every block
+  under its old counter with the read path's clean test and, if all
+  are clean, decrypts them in one ``ctr.encrypt`` and re-encrypts, tags
+  and stores them as one pending batch; a group with any block that is
+  not clean goes, before anything is mutated, to the engine's own
+  scalar handler (metered as ``fast.fallback.scalar``), so
+  corrections and raises stay scalar;
 * Merkle-tree leaf updates are deferred to the commit, which installs
   every dirty group's leaf in one ``update_leaves`` walk: each touched
   ancestor is patched and hashed once, one ``tree.hash`` kernel call
@@ -46,8 +53,8 @@ and raised ``IntegrityError``\\ s are exactly the scalar ones.
 Engines with persistence attached get **group commit**: each flushed
 write run becomes *one* journal transaction -- ``begin_txn`` before the
 first ``on_write``, every stored block image and every touched group's
-metadata mirrored into it (including anything the scalar re-encryption
-fallbacks store, which journal inside the same open transaction), and a
+metadata mirrored into it (including what a re-encryption stores, batched
+or scalar, which journals inside the same open transaction), and a
 single ``commit_txn(..., writes=N)`` whose seal acknowledges the whole
 batch.  The write-ahead invariants are unchanged -- the record is the
 same physical-redo shape the scalar path seals per write, just N writes
@@ -230,9 +237,9 @@ class BatchSecureMemory:
     def _flush_writes(self, writes: list[tuple[int, bytes]]) -> None:
         """One write run; with persistence attached, one group-commit txn.
 
-        The whole run -- including any scalar-fallback re-encryptions,
-        whose ``_store_block``/``_commit_metadata`` calls mirror into
-        the open transaction automatically -- seals as a single
+        The whole run -- including any re-encryptions, whose stores and
+        metadata commits (batched or scalar) mirror into the open
+        transaction -- seals as a single
         :class:`~repro.persist.journal.TxnRecord`.  Any failure before
         the seal aborts the transaction: nothing reached the store, so
         the batch rolls back atomically.
@@ -273,6 +280,7 @@ class BatchSecureMemory:
         engine = self.engine
         scheme = engine.scheme
         global_reencrypt = False
+        wraps = hasattr(scheme, "epoch")
         self._m_writes.inc(len(writes))
         #: writes encrypted/stored lazily: (block, address, nonce, data)
         pending: list[tuple[int, int, int, bytes]] = []
@@ -285,12 +293,21 @@ class BatchSecureMemory:
             group = scheme.group_of(block)
             if stale and scheme.may_overflow(block):
                 # What the scalar per-write commit would have left in
-                # storage -- the overflow handlers read old counters here.
-                lagging = list(stale)
-                engine.counter_storage.update(
-                    zip(lagging, self._serialize_groups(lagging))
-                )
-                stale.clear()
+                # storage where the overflow handlers read old counters:
+                # a group re-encryption reads only its own group, a
+                # monolithic wrap every group.
+                if wraps:
+                    lagging = list(stale)
+                elif group in stale:
+                    lagging = [group]
+                else:
+                    lagging = []
+                if lagging:
+                    engine.counter_storage.update(
+                        zip(lagging, self._serialize_groups(lagging))
+                    )
+                    for lagged in lagging:
+                        del stale[lagged]
             outcome = scheme.on_write(block)
             engine.counters.writes += 1
             if outcome.has(CounterEvent.GLOBAL_RE_ENCRYPT):
@@ -298,10 +315,10 @@ class BatchSecureMemory:
                 self._flush_pending(pending)
                 pending = []
                 engine._trace_reencrypt("engine.global_reencrypt", address)
-                engine._global_reencrypt(skip_block=block)
-                self._m_fallback.inc()
-                # The global handler commits storage + tree for every
-                # group from current scheme state.
+                with engine._probe_reencrypt:
+                    self._global_reencrypt(skip_block=block)
+                # Storage and tree now hold every group's current state.
+                stale.clear()
                 dirty.clear()
             elif outcome.reencrypted_group is not None:
                 self._flush_pending(pending)
@@ -311,13 +328,13 @@ class BatchSecureMemory:
                     address,
                     group=outcome.reencrypted_group,
                 )
-                engine._reencrypt_group(
-                    outcome.reencrypted_group,
-                    outcome.group_counter,
-                    skip_block=block,
-                )
+                with engine._probe_reencrypt:
+                    self._reencrypt_group(
+                        outcome.reencrypted_group,
+                        outcome.group_counter,
+                        skip_block=block,
+                    )
                 engine.counters.group_reencryptions += 1
-                self._m_fallback.inc()
             pending.append(
                 (block, address, engine._nonce(outcome.counter), data)
             )
@@ -380,6 +397,148 @@ class BatchSecureMemory:
                         entry[0],
                         DataImage(ciphertext=ciphertext, mac=tag_value),
                     )
+
+    # -- overflow re-encryption -------------------------------------------
+
+    def _reencrypt_group(
+        self, group: int, group_counter: int, skip_block: int
+    ) -> None:
+        """``engine._reencrypt_group`` as one batch when the group is
+        clean: old counters decoded from the group's stored metadata,
+        every block moved to the shared fresh counter."""
+        engine = self.engine
+        scheme = engine.scheme
+        blocks = [
+            block for block in scheme.blocks_in_group(group)
+            if block != skip_block
+        ]
+        (old,) = self._decode_groups([engine._stored_metadata(group)])
+        old_nonces = [
+            engine._nonce(old[scheme.slot_of(block)]) for block in blocks
+        ]
+        new_nonces = [engine._nonce(group_counter)] * len(blocks)
+        if not self._reencrypt(blocks, old_nonces, new_nonces):
+            self._m_fallback.inc()
+            engine._reencrypt_group(group, group_counter, skip_block)
+
+    def _global_reencrypt(self, skip_block: int) -> None:
+        """``engine._global_reencrypt`` as one batch when every stored
+        block is clean: the previous epoch's counters to counter 0 of
+        the new one, then one commit of every group."""
+        engine = self.engine
+        scheme = engine.scheme
+        old_epoch = getattr(scheme, "epoch", 1) - 1
+        blocks = [
+            block for block in sorted(engine.ciphertexts)
+            if block != skip_block
+        ]
+        groups = list(dict.fromkeys(scheme.group_of(block) for block in blocks))
+        metadata = [engine._stored_metadata(group) for group in groups]
+        decoded = dict(zip(groups, self._decode_groups(metadata)))
+        old_nonces = [
+            engine._nonce(
+                decoded[scheme.group_of(block)][scheme.slot_of(block)],
+                epoch=old_epoch,
+            )
+            for block in blocks
+        ]
+        new_nonces = [engine._nonce(0)] * len(blocks)
+        if not self._reencrypt(blocks, old_nonces, new_nonces):
+            self._m_fallback.inc()
+            engine._global_reencrypt(skip_block)
+            return
+        self._commit_groups(list(range(scheme.num_groups)))
+
+    def _reencrypt(
+        self,
+        blocks: list[int],
+        old_nonces: list[int],
+        new_nonces: list[int],
+    ) -> bool:
+        """Move ``blocks`` from their old to their new nonces as one
+        batch; False, with nothing changed, unless every block is clean.
+
+        A stored block is clean under the read path's rule (the
+        re-encryption path reads storage directly, so ``read_perturb``
+        does not apply).  A block never written holds what
+        ``engine._stored_ciphertext`` would create, zeros under counter
+        0, so it is clean exactly when its old nonce is that counter's.
+        Non-clean groups go back to the scalar handler, whose
+        corrections and raises are then exactly the scalar engine's.
+        """
+        engine = self.engine
+        mac_in_ecc = engine.config.mac_in_ecc
+        zero_nonce = engine._nonce(0)
+        #: rows with a stored ciphertext, and their stored MAC state
+        rows: list[int] = []
+        macs: list[int] = []
+        checks: list[int] = []
+        for row, block in enumerate(blocks):
+            if block not in engine.ciphertexts:
+                if old_nonces[row] != zero_nonce:
+                    return False
+                continue
+            if mac_in_ecc:
+                ecc = engine.ecc_fields.get(block)
+                if ecc is None:
+                    return False
+                macs.append(ecc.mac)
+                checks.append(ecc.mac_check)
+            else:
+                stored = engine.mac_store.get(block)
+                if stored is None:
+                    return False
+                macs.append(stored)
+                checks.append(0)
+            rows.append(row)
+        plains = [bytes(BLOCK_BYTES)] * len(blocks)
+        if rows:
+            count = len(rows)
+            messages = np.frombuffer(
+                b"".join(engine.ciphertexts[blocks[row]] for row in rows),
+                dtype=np.uint8,
+            ).reshape(count, BLOCK_BYTES)
+            addresses = [blocks[row] * BLOCK_BYTES for row in rows]
+            nonces = [old_nonces[row] for row in rows]
+            clean = self._clean(messages, addresses, nonces, macs, checks)
+            if not clean.all():
+                return False
+            decrypted = self.kernels.run(
+                "ctr.encrypt", messages, nonces, addresses, blocks=count
+            )
+            for row, plain in zip(rows, decrypted):
+                plains[row] = plain.tobytes()
+        self._flush_pending([
+            (block, block * BLOCK_BYTES, nonce, plain)
+            for block, nonce, plain in zip(blocks, new_nonces, plains)
+        ])
+        return True
+
+    def _clean(
+        self,
+        messages: np.ndarray,
+        addresses: list[int],
+        nonces: list[int],
+        macs: list[int],
+        checks: list[int],
+    ) -> np.ndarray:
+        """The read path's clean test over one batch, mutation-free: the
+        stored MAC is the tag of the ciphertext under ``nonces`` and,
+        with MAC-in-ECC, the stored check bits are the ``ecc.lane``
+        encoding of the stored MAC (exactly when SEC-DED decodes CLEAN).
+        """
+        count = len(addresses)
+        stored_macs = np.array(macs, dtype=np.uint64)
+        tags = self.kernels.run(
+            "mac.tags", messages, addresses, nonces, blocks=count
+        )
+        clean = tags == stored_macs
+        if self.engine.config.mac_in_ecc:
+            lane = self.kernels.run(
+                "ecc.lane", stored_macs, messages, blocks=count
+            )
+            clean &= (lane & CHECK_MASK) == np.array(checks, dtype=np.uint8)
+        return clean
 
     # -- read path ---------------------------------------------------------
 
@@ -452,23 +611,13 @@ class BatchSecureMemory:
             ).reshape(count, BLOCK_BYTES)
             v_addresses = [addresses[i] for i in verify_at]
             v_nonces = [entries[i][1] for i in verify_at]
-            stored_macs = np.array(
-                [entries[i][3] for i in verify_at], dtype=np.uint64
+            clean = self._clean(
+                messages,
+                v_addresses,
+                v_nonces,
+                [entries[i][3] for i in verify_at],
+                [entries[i][4] for i in verify_at],
             )
-            tags = self.kernels.run(
-                "mac.tags", messages, v_addresses, v_nonces, blocks=count
-            )
-            clean = tags == stored_macs
-            if mac_in_ecc:
-                # SEC-DED decodes CLEAN exactly when the stored check
-                # bits are the encoding of the stored MAC.
-                lane = self.kernels.run(
-                    "ecc.lane", stored_macs, messages, blocks=count
-                )
-                stored_checks = np.array(
-                    [entries[i][4] for i in verify_at], dtype=np.uint8
-                )
-                clean &= (lane & CHECK_MASK) == stored_checks
             for row in np.flatnonzero(~clean).tolist():
                 entries[verify_at[row]] = scalar
             clean_rows = np.flatnonzero(clean).tolist()

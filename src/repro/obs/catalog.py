@@ -204,7 +204,8 @@ def _fast_specs() -> list[MetricSpec]:
         MetricSpec("fast.batch.groups", "counter",
                    "block-group commits performed by batch flushes"),
         MetricSpec("fast.fallback.scalar", "counter",
-                   "queued operations handed back to the scalar engine"),
+                   "reads and re-encryptions of non-clean blocks handed "
+                   "back to the scalar engine"),
     ]
 
 

@@ -24,6 +24,7 @@ from repro.core.engine.secure_memory import IntegrityError, SecureMemory
 from repro.fast import BatchSecureMemory, KernelDivergence
 from repro.fast.kernels import KernelPair, KernelTable
 from repro.obs.metrics import MetricRegistry, use_registry
+from repro.obs.probe import probes
 
 KEY = bytes(range(48))
 REGION = 64 * 1024  # 1024 blocks, 16 groups
@@ -150,36 +151,106 @@ def test_batch_state_equivalence_all_presets(name, scheme_kwargs):
     assert batch_scoped == scalar_scoped
 
 
-@pytest.mark.parametrize(
-    "name,scheme_kwargs",
-    [
-        ("combined", {"delta_bits": 2}),
-        ("combined_dual", {"base_delta_bits": 2, "extension_bits": 2}),
-        ("mac_in_ecc", {"counter_bits": 4}),
-    ],
-)
+def _reencryptions(totals):
+    """Group plus global re-encryptions the counter schemes reported."""
+    return sum(
+        value
+        for metric, value in totals.items()
+        if metric.startswith("counters.")
+        and metric.endswith((".reencrypt", ".global_reencrypt"))
+    )
+
+
+def _spy_scalar_reencrypts(monkeypatch):
+    """Record each call of the scalar engine's re-encryption handlers."""
+    calls = []
+    for name in ("_reencrypt_group", "_global_reencrypt"):
+        handler = getattr(SecureMemory, name)
+
+        def spy(self, *args, _handler=handler, _name=name, **kwargs):
+            calls.append(_name)
+            return _handler(self, *args, **kwargs)
+
+        monkeypatch.setattr(SecureMemory, name, spy)
+    return calls
+
+
+#: tiny widths that force group and global re-encryptions mid-batch
+REENCRYPT_CONFIGS = [
+    ("combined", {"delta_bits": 2}),
+    ("combined_dual", {"base_delta_bits": 2, "extension_bits": 2}),
+    ("mac_in_ecc", {"counter_bits": 4}),
+    ("endurance", {}),
+]
+
+
+@pytest.mark.parametrize("name,scheme_kwargs", REENCRYPT_CONFIGS)
 def test_batch_equivalence_through_overflow_reencryptions(
+    name, scheme_kwargs, monkeypatch
+):
+    """The batched re-encryptions must keep state bit-identical."""
+    _check_batched_reencryptions(name, scheme_kwargs, "fast", monkeypatch)
+
+
+@pytest.mark.parametrize("name,scheme_kwargs", REENCRYPT_CONFIGS)
+def test_batch_paranoid_through_overflow_reencryptions(
+    name, scheme_kwargs, monkeypatch
+):
+    """Every kernel call of the batched re-encryptions, checked against
+    its scalar reference, with zero divergence."""
+    _check_batched_reencryptions(
+        name, scheme_kwargs, "paranoid", monkeypatch
+    )
+
+
+@pytest.mark.parametrize("name,scheme_kwargs", REENCRYPT_CONFIGS)
+def test_reencrypt_probe_observes_every_batched_reencryption(
     name, scheme_kwargs
 ):
-    """Tiny widths force group/global re-encryptions mid-batch; the
-    scalar-fallback handling must keep state bit-identical."""
+    """The batched group and global re-encryptions run inside the
+    engine's ``engine.reencrypt`` probe, once each."""
+    registry = MetricRegistry()
+    with use_registry(registry), probes(True):
+        engine = SecureMemory(_config(name, scheme_kwargs), KEY)
+        batch = BatchSecureMemory(engine, mode="fast")
+        ops = _mixed_ops(seed=7, count=700, hot_blocks=8)
+        writes = [(op[1] * 64, op[2]) for op in ops if op[0] == "write"]
+        for start in range(0, len(writes), 17):
+            batch.write_many(writes[start : start + 17])
+    totals = registry.snapshot().totals()
+    assert totals.get("fast.fallback.scalar", 0) == 0
+    assert _reencryptions(totals) > 0
+    assert registry.histogram("probe.engine.reencrypt").count == (
+        _reencryptions(totals)
+    )
+
+
+def _check_batched_reencryptions(name, scheme_kwargs, mode, monkeypatch):
     config = _config(name, scheme_kwargs)
     ops = _mixed_ops(seed=7, count=700, hot_blocks=8)
     scalar_state, scalar_reads, scalar_totals = _run_scalar(config, ops)
+    scalar_calls = _spy_scalar_reencrypts(monkeypatch)
     batch_state, batch_reads, batch_scoped, batch_totals = _run_batch(
-        config, ops, mode="fast"
+        config, ops, mode=mode
     )
     assert batch_state == scalar_state
     assert batch_reads == scalar_reads
-    # The workload must actually have exercised an overflow path for
-    # this test to mean anything.
-    reencrypts = sum(
-        value
+    assert batch_scoped == {
+        metric: value
         for metric, value in scalar_totals.items()
-        if metric.endswith((".reencrypt", ".global_reencrypt"))
-    )
-    assert reencrypts > 0
-    assert batch_totals.get("fast.fallback.scalar", 0) > 0
+        if metric.startswith(("engine.", "counters."))
+    }
+    # The workload must actually have exercised an overflow path for
+    # this test to mean anything, and every re-encryption of these clean
+    # groups must have been batched.
+    assert _reencryptions(scalar_totals) > 0
+    assert _reencryptions(batch_totals) > 0
+    assert scalar_calls == []
+    if mode == "paranoid":
+        assert batch_totals["fast.paranoid.checks"] == batch_totals[
+            "fast.kernel.calls"
+        ]
+        assert batch_totals.get("fast.paranoid.divergence", 0) == 0
 
 
 def test_batch_paranoid_mode_full_workload_zero_divergence():
@@ -447,7 +518,7 @@ def _lagging_group_run():
 
 @pytest.mark.parametrize("name,scheme_kwargs", OVERFLOW_CONFIGS)
 def test_overflow_of_group_dirtied_earlier_in_the_same_run(
-    name, scheme_kwargs
+    name, scheme_kwargs, monkeypatch
 ):
     config = _overflow_config(name, scheme_kwargs)
     prologue = [(block * 64, bytes([block]) * 64) for block in (1, 3, 66)]
@@ -473,16 +544,145 @@ def test_overflow_of_group_dirtied_earlier_in_the_same_run(
             return _engine_state(engine), reads, registry.snapshot().totals()
 
     scalar_state, scalar_reads, scalar_totals = scalar()
+    scalar_calls = _spy_scalar_reencrypts(monkeypatch)
     batch_state, batch_reads, batch_totals = batched()
     assert batch_state == scalar_state
     assert batch_reads == scalar_reads
     assert batch_reads[-1] == run[-1][1]
-    assert batch_totals["fast.fallback.scalar"] >= 2  # re-encryptions ran
-    assert sum(
-        value
-        for metric, value in scalar_totals.items()
-        if metric.endswith((".reencrypt", ".global_reencrypt"))
-    ) >= 2
+    assert _reencryptions(scalar_totals) >= 2
+    assert _reencryptions(batch_totals) >= 2  # re-encryptions ran
+    assert scalar_calls == []  # ... all of them batched
+
+
+# -- non-clean re-encryptions go to the scalar handlers --------------------
+
+
+def _first_reencryption(config, blocks):
+    """Index of the first write in ``blocks`` that re-encrypts."""
+    with use_registry(MetricRegistry()):
+        scheme = config.build_scheme()
+    for index, block in enumerate(blocks):
+        outcome = scheme.on_write(block)
+        if outcome.reencrypted_group is not None or outcome.has(
+            CounterEvent.GLOBAL_RE_ENCRYPT
+        ):
+            return index
+    raise AssertionError("the writes never re-encrypt")
+
+
+def _payloads(blocks, start):
+    return [
+        (block * 64, bytes((block * 29 + sequence * 7 + i) & 0xFF
+                           for i in range(64)))
+        for sequence, block in enumerate(blocks, start)
+    ]
+
+
+def _flip(*positions):
+    """Flip stored ciphertext bits of block 1, in group 0."""
+    return lambda engine: engine.flip_data_bits(64, positions)
+
+
+def _corrupt_group_counters(engine):
+    stored = bytearray(engine._stored_metadata(0))
+    stored[0] ^= 1
+    engine.corrupt_counter_storage(0, bytes(stored))
+
+
+#: id -> (preset, scheme overrides, tamper applied before the run,
+#: blocks the run writes before the overflowing one, expected calls of
+#: the scalar handlers)
+ROUTING_CASES = {
+    "correctable-flip": ("endurance", {}, _flip(5), [], 1),
+    "flipped-check-bit": (
+        "endurance", {}, lambda engine: engine.flip_ecc_bits(64, [58]), [], 1
+    ),
+    "uncorrectable-tamper": ("endurance", {}, _flip(*range(0, 64, 4)), [], 1),
+    "tampered-counters": ("endurance", {}, _corrupt_group_counters, [], 1),
+    "never-written-blocks": ("endurance", {}, None, [], 0),
+    "separate-mac": ("delta_only", {"delta_bits": 2}, _flip(5), [], 1),
+    "monolithic-wrap": ("mac_in_ecc", {"counter_bits": 4}, None,
+                        [65, 130], 0),
+    "monolithic-wrap-flip": ("mac_in_ecc", {"counter_bits": 4}, _flip(5),
+                             [65, 130], 1),
+}
+
+
+@pytest.mark.parametrize("mode", ["fast", "paranoid"])
+@pytest.mark.parametrize("case", list(ROUTING_CASES))
+def test_non_clean_reencryption_goes_to_the_scalar_handler(
+    case, mode, monkeypatch
+):
+    """A re-encryption that meets a block the read path would not take
+    as clean (a flipped bit, a tamper, wrong stored counters) runs the
+    scalar handler once, so its corrections, raises and metrics are the
+    scalar engine's; clean groups (never-written blocks included, and a
+    monolithic wrap while other groups lag) stay batched."""
+    name, scheme_kwargs, tamper, lead, expected_calls = ROUTING_CASES[case]
+    config = _config(name, scheme_kwargs)
+    hammer = [1, 2, 3, 64] + [0] * 200
+    brink = _first_reencryption(config, hammer)
+    # The run opens at the overflowing write (after ``lead``'s writes
+    # to other groups), so a raise leaves both engines comparable.
+    prologue = _payloads(hammer[:brink], 0)
+    run = _payloads(lead + hammer[brink : brink + 60] + [1, 2, 64], brink)
+    addresses = sorted({address for address, _ in prologue + run})
+
+    def drive(batched):
+        registry = MetricRegistry()
+        with use_registry(registry), probes(True):
+            engine = SecureMemory(config, KEY)
+            batch = BatchSecureMemory(engine, mode=mode)
+
+            def write(writes):
+                if batched:
+                    batch.write_many(writes)
+                else:
+                    for address, data in writes:
+                        engine.write(address, data)
+
+            write(prologue)
+            if tamper is not None:
+                tamper(engine)
+            lazy = 64 - sum(block in engine.ciphertexts for block in range(64))
+            try:
+                write(run)
+                if batched:
+                    results = batch.read_many(addresses)
+                else:
+                    results = [engine.read(address) for address in addresses]
+                outcome = [(r.data, r.outcome) for r in results]
+            except IntegrityError as error:
+                outcome = (error.kind, error.address)
+            state = _engine_state(engine)
+        probed = registry.histogram("probe.engine.reencrypt").count
+        return outcome, state, registry.snapshot().totals(), lazy, probed
+
+    scalar_outcome, scalar_state, scalar_totals, _, _ = drive(batched=False)
+    calls = _spy_scalar_reencrypts(monkeypatch)
+    batch_outcome, batch_state, batch_totals, lazy, probed = drive(
+        batched=True
+    )
+    # One probe observation per re-encryption, scalar fallbacks included.
+    assert probed == _reencryptions(batch_totals)
+    assert batch_outcome == scalar_outcome
+    assert batch_state == scalar_state
+    for metric, value in scalar_totals.items():
+        if metric.startswith(("engine.", "counters.")):
+            assert batch_totals.get(metric) == value, metric
+    assert len(calls) == expected_calls
+    assert batch_totals.get("fast.fallback.scalar", 0) == expected_calls
+    assert _reencryptions(batch_totals) > 0
+    assert lazy > 0  # group 0 holds never-written blocks when it overflows
+    assert batch_totals.get("fast.paranoid.divergence", 0) == 0
+    if mode == "paranoid":
+        assert batch_totals["fast.paranoid.checks"] == batch_totals[
+            "fast.kernel.calls"
+        ]
+    if case == "correctable-flip":
+        assert batch_totals["engine.read.correction"] == 1
+    if case in ("uncorrectable-tamper", "tampered-counters", "separate-mac"):
+        assert batch_outcome == ("mac", 64)
 
 
 # -- one counter encode per dirty group ------------------------------------

@@ -22,6 +22,9 @@ from repro.persist.store import CrashPlan
 SMALL = CrashSimSpec(ops=8, checkpoint_interval=3)
 #: Same workload through the batched facade: group-commit frames.
 BATCHED = CrashSimSpec(ops=8, checkpoint_interval=3, batch=3)
+#: Flushes of 4 writes over the default 20-op workload: its group
+#: re-encryptions run batched inside open group-commit transactions.
+REENCRYPTING = CrashSimSpec(ops=20, batch=4)
 #: Full composition: batching + resilience (retire + degrade splices).
 COMPOSED = CrashSimSpec(ops=9, checkpoint_interval=3, batch=3,
                         resilient=True)
@@ -133,6 +136,28 @@ class TestGroupCommitMatrix:
 
     def test_exhaustive_batched_matrix_is_clean(self):
         report = run_matrix(BATCHED)
+        assert report.exhaustive
+        assert report.ok, report.format_summary()
+
+    def test_exhaustive_matrix_over_batched_reencryptions_is_clean(
+        self, monkeypatch
+    ):
+        """A crash anywhere around a flush whose group re-encryption ran
+        as one batch inside the open transaction recovers cleanly."""
+        from repro.fast.batch_memory import BatchSecureMemory
+
+        batched = []
+        reencrypt = BatchSecureMemory._reencrypt
+
+        def spy(self, blocks, old_nonces, new_nonces):
+            ok = reencrypt(self, blocks, old_nonces, new_nonces)
+            batched.append(ok and self.engine.persist.in_txn)
+            return ok
+
+        monkeypatch.setattr(BatchSecureMemory, "_reencrypt", spy)
+        run_workload(REENCRYPTING)
+        assert any(batched), "no re-encryption ran batched inside a txn"
+        report = run_matrix(REENCRYPTING)
         assert report.exhaustive
         assert report.ok, report.format_summary()
 
