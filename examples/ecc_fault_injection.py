@@ -24,7 +24,7 @@ def show_layout() -> None:
     print("  bits 56..62  7-bit Hamming SEC-DED over the MAC itself")
     print("  bit      63  even parity over the ciphertext (scrub bit)")
 
-    codec = MacEccCodec(CarterWegmanMac(os.urandom(24), mode="fast"))
+    codec = MacEccCodec(CarterWegmanMac(os.urandom(24), mode="splitmix"))
     ciphertext = os.urandom(64)
     field = codec.build(ciphertext, address=0x1000, counter=7)
     print(f"\n  example field: {field.pack().hex()}")
@@ -60,7 +60,7 @@ def show_fault_matrix() -> None:
 
 def show_scrubbing() -> None:
     rng = random.Random(9)
-    codec = MacEccCodec(CarterWegmanMac(os.urandom(24), mode="fast"))
+    codec = MacEccCodec(CarterWegmanMac(os.urandom(24), mode="splitmix"))
     blocks = []
     for i in range(64):
         ciphertext = bytes(rng.randrange(256) for _ in range(64))

@@ -20,7 +20,9 @@ def main() -> None:
     config = preset(
         "combined",
         protected_bytes=1024 * 1024,
-        keystream_mode="fast",  # simulation-speed keystream; "aes" for real
+        # simulation-speed SplitMix64 keystream and MAC mask; "fast",
+        # "aesni" or "reference" run real AES instead
+        keystream_mode="splitmix",
     )
     memory = SecureMemory(config, key)
     print(f"protected region : {config.protected_bytes // 1024} KiB")

@@ -219,7 +219,7 @@ def run_fault_matrix(
     """Inject each scenario ``trials`` times into both schemes."""
     rng = random.Random(seed)
     secded = BlockSecDed()
-    mac = CarterWegmanMac(bytes(range(24)), mode="fast")
+    mac = CarterWegmanMac(bytes(range(24)), mode="splitmix")
     codec = MacEccCodec(mac)
     corrector = FlipAndCheckCorrector(mac)
     matrix = FaultMatrix(trials=trials)

@@ -40,7 +40,7 @@ from repro.analysis.storage import (
 from repro.core.engine.config import PRESETS, preset
 from repro.core.engine.secure_memory import SecureMemory
 from repro.fast.backends import keystream_backends
-from repro.fast.kernels import MODES as KERNEL_MODES
+from repro.fast.kernels import parse_mode
 from repro.harness.parallel import (
     TRANSPORTS,
     BenchSpec,
@@ -91,6 +91,14 @@ def _rate(text: str) -> float:
     if value < 0:
         raise argparse.ArgumentTypeError("rate must be >= 0")
     return value
+
+
+def _kernel_mode(token: str) -> str:
+    try:
+        parse_mode(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return token
 
 
 def _resolve_profile(name):
@@ -207,7 +215,6 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         preset=args.preset,
         keystream=args.keystream,
-        paranoid_sample=args.paranoid_sample,
     )
     payload = run_bench(
         spec, workers=args.workers, transport=args.transport
@@ -786,13 +793,11 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="APP")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes to shard applications across")
-    p.add_argument("--mode", choices=list(KERNEL_MODES), default="fast",
-                   help="kernel dispatch: fast, reference, or paranoid "
-                        "(runs both and cross-checks)")
-    p.add_argument("--paranoid-sample", type=int, default=0, metavar="N",
-                   help="with --mode fast: cross-check 1-in-N kernel "
-                        "calls against the scalar reference on a seeded "
-                        "deterministic schedule")
+    p.add_argument("--mode", type=_kernel_mode, default="fast",
+                   help="kernel verification: fast, paranoid (cross-"
+                        "check every kernel call against its scalar "
+                        "reference) or sampled:N (1-in-N calls on a "
+                        "seeded deterministic schedule)")
     p.add_argument("--accesses", type=int, default=20_000,
                    help="trace accesses per core")
     p.add_argument("--preset", default="combined",
@@ -829,9 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keystream backends to sweep (unavailable ones "
                         "are skipped and recorded)")
     p.add_argument("--modes", nargs="+", default=list(DEFAULT_MODES),
-                   metavar="MODE",
-                   help="kernel-mode tokens: fast, reference, paranoid, "
-                        "or sampled:N")
+                   type=_kernel_mode, metavar="MODE",
+                   help="kernel-mode tokens: fast, paranoid, or sampled:N")
     p.add_argument("--workers-list", nargs="+", type=int, default=[1, 2],
                    metavar="N", help="worker counts to sweep")
     p.add_argument("--presets", nargs="+", default=["combined"],

@@ -52,8 +52,8 @@ class EngineConfig:
     tree_arity: int = 8
     onchip_tree_bytes: int = 3072
     #: keystream backend name from the :mod:`repro.fast.backends`
-    #: registry ("reference" | "fast" | "aesni" | "splitmix"); the legacy
-    #: spelling "aes" normalizes to "fast" (same construction and bytes)
+    #: registry ("reference" | "fast" | "aesni" | "splitmix"); it runs
+    #: both the CTR keystream and the MAC's nonce mask
     keystream_mode: str = "fast"
     #: extra read-path cycles for delta decode (paper: 2 at up to 4 GHz)
     decode_cycles: int = 2
@@ -90,11 +90,6 @@ class EngineConfig:
             raise ConfigError(
                 f"keystream backend {backend.name!r} is unavailable: {error}"
             )
-        # Normalize legacy aliases ("aes" -> "fast") so every consumer
-        # downstream -- engine, kernels, bench payloads -- sees one
-        # canonical name.
-        if backend.name != self.keystream_mode:
-            object.__setattr__(self, "keystream_mode", backend.name)
 
     # -- derived helpers ---------------------------------------------------
 

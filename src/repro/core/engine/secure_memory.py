@@ -147,21 +147,8 @@ class SecureMemory:
         # land in the same plane as the engine's own metrics.
         with use_registry(registry):
             self.scheme = config.build_scheme()
-        mode = config.keystream_mode
-        self._cipher = CtrModeCipher(key[:16], mode=mode)
-        # The MAC's nonce mask follows the keystream backend's family:
-        # AES-family backends mask with AES (accelerated through the same
-        # backend's block encryptor), the splitmix backend masks with the
-        # simulation PRF.
-        backend = self._cipher.backend
-        if backend.family == "aes":
-            self._mac = CarterWegmanMac(
-                key[16:40],
-                mode="aes",
-                mask_encryptor=backend.build_encryptor(key[24:40]),
-            )
-        else:
-            self._mac = CarterWegmanMac(key[16:40], mode="fast")
+        self._cipher = CtrModeCipher(key[:16], mode=config.keystream_mode)
+        self._mac = CarterWegmanMac(key[16:40], mode=config.keystream_mode)
         self._codec = MacEccCodec(self._mac)
         self._corrector = FlipAndCheckCorrector(self._mac)
         self._correction_method = correction_method
@@ -293,11 +280,6 @@ class SecureMemory:
     def mac(self) -> CarterWegmanMac:
         """The MAC (for the batch-kernel façade)."""
         return self._mac
-
-    @property
-    def corrector(self) -> FlipAndCheckCorrector:
-        """The flip-and-check corrector (for the batch-kernel façade)."""
-        return self._corrector
 
     @staticmethod
     def _pad_leaf(metadata: bytes) -> bytes:

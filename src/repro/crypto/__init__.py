@@ -14,7 +14,7 @@ model *what* the hardware computes, not how fast.
 """
 
 from repro.crypto.aes import AES128
-from repro.crypto.ctr import CtrModeCipher, KeystreamGenerator
+from repro.crypto.ctr import CtrModeCipher
 from repro.crypto.gf import GF64, GF128
 from repro.crypto.mac import CarterWegmanMac, MAC_BITS
 from repro.crypto.prf import SplitMix64, XorShiftKeystream
@@ -22,7 +22,6 @@ from repro.crypto.prf import SplitMix64, XorShiftKeystream
 __all__ = [
     "AES128",
     "CtrModeCipher",
-    "KeystreamGenerator",
     "GF64",
     "GF128",
     "CarterWegmanMac",

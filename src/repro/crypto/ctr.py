@@ -13,16 +13,19 @@ How the block cipher is *executed* is pluggable: ``mode`` names a
 :class:`repro.fast.backends.KeystreamBackend` (``reference`` / ``fast`` /
 ``aesni`` run the identical AES construction with different execution
 strategies; ``splitmix`` swaps in the non-cryptographic simulation PRF).
-The legacy spelling ``"aes"`` resolves to ``fast``.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 MEMORY_BLOCK_SIZE = 64  # bytes; one cache line / one protected block
 
 
-class KeystreamGenerator:
-    """Produce the per-(counter, address) keystream for one memory block.
+class CtrModeCipher:
+    """Counter-mode encryption of whole 64-byte memory blocks.
 
     Parameters
     ----------
@@ -31,19 +34,18 @@ class KeystreamGenerator:
     mode:
         A registered keystream backend name (see
         :func:`repro.fast.backends.keystream_backends`): ``reference``,
-        ``fast`` (default; alias ``aes``) and ``aesni`` for real AES-CTR,
-        ``splitmix`` for the simulation-speed PRF.
+        ``fast`` (default) and ``aesni`` for real AES-CTR, ``splitmix``
+        for the simulation-speed PRF.
     """
 
     def __init__(self, key: bytes, mode: str = "fast") -> None:
         from repro.fast.backends import resolve_backend
 
         backend = resolve_backend(mode)
-        self.backend = backend
         self.mode = backend.name
         self.family = backend.family
         self._key = bytes(key)
-        self.engine = backend.build(self._key)
+        self._engine = backend.build(self._key)
 
     def keystream(
         self, counter: int, address: int, length: int = MEMORY_BLOCK_SIZE
@@ -56,35 +58,33 @@ class KeystreamGenerator:
         """
         if counter < 0 or address < 0:
             raise ValueError("counter and address must be non-negative")
-        return self.engine.keystream(counter, address, length)
-
-
-class CtrModeCipher:
-    """Counter-mode encryption of whole 64-byte memory blocks."""
-
-    def __init__(self, key: bytes, mode: str = "fast") -> None:
-        self._generator = KeystreamGenerator(key, mode=mode)
-
-    @property
-    def mode(self) -> str:
-        return self._generator.mode
-
-    @property
-    def family(self) -> str:
-        return self._generator.family
-
-    @property
-    def backend(self):
-        return self._generator.backend
+        return self._engine.keystream(counter, address, length)
 
     def encrypt(self, plaintext: bytes, counter: int, address: int) -> bytes:
         """Encrypt one memory block under nonce (counter, address)."""
-        stream = self._generator.keystream(counter, address, len(plaintext))
+        stream = self.keystream(counter, address, len(plaintext))
         return bytes(p ^ s for p, s in zip(plaintext, stream))
 
     def decrypt(self, ciphertext: bytes, counter: int, address: int) -> bytes:
         """Decrypt one memory block (XOR is an involution)."""
         return self.encrypt(ciphertext, counter, address)
+
+    def xor_blocks(
+        self,
+        data: np.ndarray,
+        counters: Sequence[int],
+        addresses: Sequence[int],
+    ) -> np.ndarray:
+        """Encrypt/decrypt an ``(N, 64)`` uint8 array under N nonces.
+
+        The batched twin of :meth:`encrypt`: one call to the backend's
+        ``pads`` produces all N keystreams.
+        """
+        if data.ndim != 2 or data.shape[1] != MEMORY_BLOCK_SIZE:
+            raise ValueError("data must have shape (N, 64)")
+        if data.shape[0] != len(counters) or len(counters) != len(addresses):
+            raise ValueError("data, counters and addresses must align")
+        return data ^ self._engine.pads(counters, addresses)
 
     def reference_twin(self) -> "CtrModeCipher":
         """An independent scalar implementation of the same construction.
@@ -96,7 +96,7 @@ class CtrModeCipher:
         itself.
         """
         twin_mode = "reference" if self.family == "aes" else "splitmix"
-        return CtrModeCipher(self._generator._key, mode=twin_mode)
+        return CtrModeCipher(self._key, mode=twin_mode)
 
 
-__all__ = ["KeystreamGenerator", "CtrModeCipher", "MEMORY_BLOCK_SIZE"]
+__all__ = ["CtrModeCipher", "MEMORY_BLOCK_SIZE"]

@@ -23,13 +23,17 @@ flip-and-check error correction into a syndrome lookup (see
 
 from __future__ import annotations
 
-from repro.crypto.aes import AES128
+from typing import TYPE_CHECKING
+
 from repro.crypto.gf import GF64
 from repro.crypto.prf import SplitMix64
 
 # Tag width is a layout contract (Figure 2): re-exported here because the
 # MAC is where every other module historically imported it from.
 from repro.lint.contracts import MAC_BITS, MAC_MASK
+
+if TYPE_CHECKING:
+    from repro.fast.backends import BlockEncryptor
 
 _WORD_BYTES = 8
 _MASK64 = (1 << 64) - 1
@@ -44,37 +48,33 @@ class CarterWegmanMac:
         At least 24 bytes: the first 8 become the GF(2^64) hash key ``h``
         (forced non-zero), the next 16 key the nonce-masking PRF.
     mode:
-        ``"aes"`` (default) masks nonces with AES; ``"fast"`` uses the
-        simulation-speed PRF.  Tags from the two modes differ, but all
-        structural properties (linearity, nonce binding) are identical.
-    mask_encryptor:
-        Optional :class:`repro.fast.backends.BlockEncryptor` keyed with
-        ``key[8:24]`` that accelerates the ``"aes"`` nonce mask (e.g.
-        hardware AES-NI).  Must be bit-identical to table AES under the
-        same key; the table-AES schedule is always kept alongside it so
-        :meth:`reference_twin` stays an independent implementation.
+        A registered keystream backend name (see
+        :func:`repro.fast.backends.keystream_backends`).  AES-family
+        backends (``reference`` / ``fast`` / ``aesni``) mask nonces with
+        AES through the backend's block encryptor, so they all produce
+        the same tags; ``splitmix`` masks with the simulation-speed PRF.
+        Tags from the two families differ, but all structural properties
+        (linearity, nonce binding) are identical.
     """
 
-    def __init__(
-        self, key: bytes, mode: str = "aes", mask_encryptor=None
-    ) -> None:
+    def __init__(self, key: bytes, mode: str = "fast") -> None:
         if len(key) < 24:
             raise ValueError("CarterWegmanMac key must be at least 24 bytes")
-        if mode not in ("aes", "fast"):
-            raise ValueError(f"unknown MAC mode {mode!r}")
-        self.mode = mode
+        from repro.fast.backends import resolve_backend
+
+        backend = resolve_backend(mode)
+        self.mode = backend.name
+        self.family = backend.family
         self._key = bytes(key[:24])
         h = int.from_bytes(key[:8], "little")
         # h == 0 would hash every message to 0 and h == 1 degenerates the
         # polynomial to a plain XOR; remap both to a fixed full-weight
         # element (probability 2^-63 for random keys, but be safe).
         self._h = h if h > 1 else 0xD6E8FEB86659FD93
-        self._mask_cipher: AES128 | None = None
+        self._mask_aes: BlockEncryptor | None = None
         self._mask_prf: SplitMix64 | None = None
-        self._mask_encryptor = None
-        if mode == "aes":
-            self._mask_cipher = AES128(key[8:24])
-            self._mask_encryptor = mask_encryptor
+        if backend.family == "aes":
+            self._mask_aes = backend.build_encryptor(key[8:24])
         else:
             self._mask_prf = SplitMix64(key[8:24])
 
@@ -99,16 +99,13 @@ class CarterWegmanMac:
     def _mask_value(self, address: int, counter: int) -> int:
         if address < 0 or counter < 0:
             raise ValueError("address and counter must be non-negative")
-        if self._mask_cipher is not None:
+        if self._mask_aes is not None:
             block = (address & _MASK64).to_bytes(8, "little") + (
                 (counter & ((1 << 63) - 1)) | (1 << 63)
             ).to_bytes(8, "little")
-            encrypt = (
-                self._mask_encryptor.encrypt_block
-                if self._mask_encryptor is not None
-                else self._mask_cipher.encrypt_block
+            return int.from_bytes(
+                self._mask_aes.encrypt_block(block)[:8], "little"
             )
-            return int.from_bytes(encrypt(block)[:8], "little")
         assert self._mask_prf is not None
         mixed = self._mask_prf.value(address & _MASK64)
         return self._mask_prf.value(mixed ^ (counter & _MASK64) ^ 0xA5A5A5A5A5A5A5A5)
@@ -129,12 +126,14 @@ class CarterWegmanMac:
         """Same-key MAC with the pure-python mask implementation.
 
         The cross-check side of paranoid / sampled-paranoid kernel
-        verification: when the production mask runs through an
-        accelerated encryptor (AES-NI), the twin recomputes it through
-        table AES so the comparison is between independent
-        implementations.
+        verification, chosen by the rule of
+        :meth:`repro.crypto.ctr.CtrModeCipher.reference_twin`: an
+        AES-family mask is recomputed through the table-AES
+        ``reference`` backend, so an accelerated mask (numpy batches,
+        AES-NI) is checked against an independent implementation.
         """
-        return CarterWegmanMac(self._key, mode=self.mode)
+        twin_mode = "reference" if self.family == "aes" else "splitmix"
+        return CarterWegmanMac(self._key, mode=twin_mode)
 
     # -- linearity hooks for accelerated flip-and-check --------------------
 

@@ -1,23 +1,22 @@
 """Vectorized batch kernels for the engine's hot paths.
 
-Every scalar hot path in the library -- AES-CTR keystream generation,
-Carter-Wegman MAC evaluation, flip-and-check correction, the MAC-in-ECC
-lane's Hamming check bits and parity, and delta-group counter
-pack/unpack -- has a numpy-batched twin in this package that
-processes N blocks per call instead of one.  The pairing is explicit: each
-fast kernel registers against its scalar reference in a
-:class:`repro.fast.kernels.KernelPair`, and the kernel table can run in
-``fast`` (batched only), ``reference`` (scalar only), ``paranoid``
-(run both, cross-check every call) or sampled-paranoid
-(``paranoid_sample=N``: cross-check 1-in-N calls on a seeded schedule)
-mode.  The differential test suites (`tests/fast/test_differential.py`,
+Every scalar hot path the batch engine runs -- AES-CTR keystream
+generation, Carter-Wegman MAC evaluation, the MAC-in-ECC lane's Hamming
+check bits and parity, tree node hashing, and delta-group counter
+pack/unpack -- has a numpy-batched twin that processes N blocks per call
+instead of one.  The pairing is explicit: each fast kernel registers
+against its scalar reference in a :class:`repro.fast.kernels.KernelPair`,
+and one mode token says how often the kernel table cross-checks the two:
+``fast`` (never), ``paranoid`` (every call) or ``sampled:N`` (1-in-N
+calls on a seeded schedule).  The differential test suites (`tests/fast/test_differential.py`,
 `tests/fast/test_backend_differential.py`) property-test ``fast(x) ==
 reference(x)`` for every pair and every keystream backend, so the
 speedup never costs bit-exactness.
 
 The block cipher itself is pluggable: :mod:`repro.fast.backends` keys
-keystream execution strategies (``reference`` / ``fast`` / ``aesni`` /
-``splitmix``) by name, selected through ``EngineConfig.keystream_mode``.
+execution strategies (``reference`` / ``fast`` / ``aesni`` /
+``splitmix``) by name, selected through ``EngineConfig.keystream_mode``;
+the one name runs both the CTR keystream and the MAC's nonce mask.
 
 :class:`repro.fast.batch_memory.BatchSecureMemory` composes the kernels
 into a façade over :class:`repro.core.engine.secure_memory.SecureMemory`

@@ -16,16 +16,20 @@ executed, and that choice is what a :class:`KeystreamBackend` names:
   reproduces the engine's little-endian segment layout exactly (the
   library's own CTR mode cannot: it increments the 16-byte counter
   big-endian, while the segment lane at bytes 14..15 is little-endian).
-* ``splitmix``  -- the non-cryptographic SplitMix64 simulation PRF
-  (previously spelled ``keystream_mode="fast"``); a different *family*,
-  so its pads intentionally differ from the AES backends'.
+* ``splitmix``  -- the non-cryptographic SplitMix64 simulation PRF; a
+  different *family*, so its pads intentionally differ from the AES
+  backends'.
+
+The same name selects the Carter-Wegman MAC's nonce mask (paper Section
+3.2): an AES-family backend's block encryptor computes the mask, the
+``splitmix`` backend masks with SplitMix64 (see
+:class:`repro.crypto.mac.CarterWegmanMac`).
 
 Backends within the ``aes`` family are interchangeable at the bit level;
 ``tests/crypto/test_kat.py`` pins every registered backend to golden
 vectors and ``tests/fast/test_backend_differential.py`` property-tests
 cross-backend equality, so a backend cannot register without proving
-itself.  The legacy config spelling ``keystream_mode="aes"`` resolves to
-``fast`` (identical bytes and, for scalar engines, identical code path).
+itself.
 """
 
 from __future__ import annotations
@@ -270,15 +274,10 @@ class KeystreamBackend:
 
 _REGISTRY: Dict[str, KeystreamBackend] = {}
 
-#: Legacy spellings accepted everywhere a backend name is:
-#: ``"aes"`` predates the registry and meant "the real AES construction,
-#: batched where batching exists" -- exactly what ``fast`` is now.
-BACKEND_ALIASES = {"aes": "fast"}
-
 
 def register_backend(backend: KeystreamBackend) -> KeystreamBackend:
     """Add a backend to the registry (duplicate names are an error)."""
-    if backend.name in _REGISTRY or backend.name in BACKEND_ALIASES:
+    if backend.name in _REGISTRY:
         raise ValueError(f"duplicate keystream backend {backend.name!r}")
     if backend.family not in ("aes", "splitmix"):
         raise ValueError(f"unknown backend family {backend.family!r}")
@@ -292,12 +291,11 @@ def keystream_backends() -> Tuple[str, ...]:
 
 
 def resolve_backend(name: str) -> KeystreamBackend:
-    """Look up a backend by name (legacy aliases accepted)."""
-    canonical = BACKEND_ALIASES.get(name, name)
+    """Look up a backend by its registered name."""
     try:
-        return _REGISTRY[canonical]
+        return _REGISTRY[name]
     except KeyError:
-        choices = ", ".join(sorted(_REGISTRY) + sorted(BACKEND_ALIASES))
+        choices = ", ".join(_REGISTRY)
         raise ValueError(
             f"unknown keystream backend {name!r} (choices: {choices})"
         ) from None
@@ -340,7 +338,6 @@ register_backend(
 __all__ = [
     "AesCtrKeystream",
     "AesNiEncryptor",
-    "BACKEND_ALIASES",
     "BackendUnavailable",
     "BatchTableAesEncryptor",
     "BlockEncryptor",

@@ -92,7 +92,6 @@ class BatchSecureMemory:
         self,
         engine: SecureMemory,
         mode: str = "fast",
-        paranoid_sample: int = 0,
     ) -> None:
         if not isinstance(engine, SecureMemory):
             raise ConfigError(
@@ -106,11 +105,9 @@ class BatchSecureMemory:
         self.kernels: KernelTable = build_kernel_table(
             engine.cipher,
             engine.mac,
-            engine.corrector,
             engine.scheme,
             engine.tree.key,
             mode=mode,
-            paranoid_sample=paranoid_sample,
         )
         self._has_counter_kernels = "counters.encode" in self.kernels.pairs
         registry = engine.registry
@@ -128,10 +125,6 @@ class BatchSecureMemory:
     @property
     def mode(self) -> str:
         return self.kernels.mode
-
-    @property
-    def paranoid_sample(self) -> int:
-        return self.kernels.paranoid_sample
 
     # -- queueing ----------------------------------------------------------
 

@@ -1,19 +1,19 @@
 """The kernel-pair table: every fast kernel bound to its scalar reference.
 
 A :class:`KernelPair` names one batched kernel and the scalar loop it
-claims to be bit-identical to.  :class:`KernelTable` dispatches calls by
-mode:
+claims to be bit-identical to.  :class:`KernelTable` always runs the
+batched kernel; its one ``mode`` token says how often the scalar
+reference also runs and is compared (:func:`parse_mode`):
 
-* ``fast``      -- run the batched kernel (production),
-* ``reference`` -- run the scalar loop (debugging / baseline timing),
-* ``paranoid``  -- run *both* on every call, compare, and raise
-  :class:`KernelDivergence` on the first mismatch (the acceptance mode:
-  a full figure-8 run in paranoid mode must complete with zero
-  divergences).
+* ``fast``       -- never (production),
+* ``paranoid``   -- on every call, raising :class:`KernelDivergence` on
+  the first mismatch (the acceptance mode: a full figure-8 run in
+  paranoid mode must complete with zero divergences),
+* ``sampled:N``  -- on 1-in-N calls, on a deterministic schedule.
 
 The table for a given engine is built by :func:`build_kernel_table`,
-which binds each pair to that engine's cipher, MAC, corrector,
-counter-scheme geometry and tree key.  Calls are metered under
+which binds each pair to that engine's cipher, MAC, counter-scheme
+geometry and tree key.  Calls are metered under
 ``fast.kernel.*`` / ``fast.paranoid.*`` in the active metrics registry.
 """
 
@@ -26,14 +26,11 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core.counters.delta import DeltaCounters
-from repro.core.ecc_mac.correction import FlipAndCheckCorrector
 from repro.core.engine.tree import node_hashes
 from repro.crypto.ctr import CtrModeCipher
 from repro.crypto.mac import CarterWegmanMac
-from repro.fast.ctr_batch import BatchCtrCipher
 from repro.ecc.hamming import HammingSecDed
 from repro.ecc.parity import parity_of_bytes
-from repro.fast.ecc_batch import BatchFlipAndCheck
 from repro.fast import ecc_lane
 from repro.fast.mac_batch import BatchCarterWegmanMac
 from repro.fast import counters_batch
@@ -42,7 +39,6 @@ from repro.crypto.prf import splitmix64
 from repro.lint.contracts import MAC_BITS
 from repro.obs.metrics import get_registry
 
-MODES = ("fast", "reference", "paranoid")
 _SEED_MASK = (1 << 64) - 1
 
 #: ``tree.hash`` batches below this many rows (or of unequal-length
@@ -78,47 +74,47 @@ class KernelPair:
     equal: Callable[[Any, Any], bool] = field(default=_default_equal)
 
 
-#: default seed for the sampled-paranoid schedule (any fixed value works;
+#: seed of the sampled-paranoid schedule (any fixed value works;
 #: determinism is the requirement, not secrecy)
 SAMPLE_SEED = 0x0DAC2018
 
 
-class KernelTable:
-    """Mode-dispatched registry of kernel pairs.
+def parse_mode(token: str) -> int:
+    """Validate a kernel-mode token; returns its check period.
 
-    ``paranoid_sample=N`` (with ``mode="fast"``) enables *sampled*
-    paranoid verification: every Nth kernel call -- counted across the
-    table, on a seeded deterministic schedule -- also runs the scalar
-    reference and cross-checks the results.  The schedule's phase is
-    derived from ``sample_seed`` so repeated runs check the same calls,
-    the sampling rate is exactly 1/N, and a *persistent* kernel
-    corruption is caught within N calls.
+    ``fast`` -> 0 (no cross-checks), ``paranoid`` -> 1 (every call),
+    ``sampled:N`` -> N (one call in N, ``N >= 1``).
+    """
+    if token == "fast":
+        return 0
+    if token == "paranoid":
+        return 1
+    prefix, _, count = token.partition(":")
+    if prefix == "sampled" and count.isdigit() and int(count) >= 1:
+        return int(count)
+    raise ValueError(
+        f"unknown kernel mode {token!r} "
+        "(choices: fast, paranoid, sampled:N with N >= 1)"
+    )
+
+
+class KernelTable:
+    """Registry of kernel pairs, cross-checked as ``mode`` says.
+
+    Every call runs the batched kernel.  With a check period ``N``
+    (``paranoid`` is ``N = 1``, ``sampled:N`` any ``N >= 1``), every Nth
+    call -- counted across the table, on a schedule whose phase derives
+    from :data:`SAMPLE_SEED` -- also runs the scalar reference and
+    compares: repeated runs check the same calls, the rate is exactly
+    1/N, and a *persistent* kernel corruption is caught within N calls.
     """
 
-    def __init__(
-        self,
-        pairs: Sequence[KernelPair],
-        mode: str = "fast",
-        paranoid_sample: int = 0,
-        sample_seed: int = SAMPLE_SEED,
-    ) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown kernel mode {mode!r}")
-        if paranoid_sample < 0:
-            raise ValueError("paranoid_sample must be >= 0")
-        if paranoid_sample and mode != "fast":
-            raise ValueError(
-                "paranoid_sample only applies to mode='fast' "
-                "(reference/paranoid modes already check every call)"
-            )
+    def __init__(self, pairs: Sequence[KernelPair], mode: str = "fast") -> None:
         self.mode = mode
-        self.paranoid_sample = paranoid_sample
-        self.sample_seed = sample_seed
+        self._period = parse_mode(mode)
         self._calls_seen = 0
         self._sample_phase = (
-            splitmix64(sample_seed & _SEED_MASK) % paranoid_sample
-            if paranoid_sample
-            else 0
+            splitmix64(SAMPLE_SEED) % self._period if self._period else 0
         )
         self.pairs: dict[str, KernelPair] = {}
         for pair in pairs:
@@ -137,30 +133,24 @@ class KernelTable:
         self._m_skipped = registry.counter("fast.paranoid.skipped", inst=inst)
 
     def run(self, name: str, *args: Any, blocks: int = 1) -> Any:
-        """Execute one kernel under the table's mode."""
+        """Execute one kernel, cross-checking it when the schedule says."""
         pair = self.pairs[name]
-        if self.mode == "reference":
-            return pair.reference(*args)
         result = pair.fast(*args)
         self._m_calls.inc()
         self._m_blocks.inc(blocks)
-        check = self.mode == "paranoid"
-        if not check and self.paranoid_sample:
-            index = self._calls_seen
-            self._calls_seen += 1
-            if index % self.paranoid_sample == self._sample_phase:
-                check = True
-                self._m_sampled.inc()
-            else:
-                self._m_skipped.inc()
-        if check:
-            reference = pair.reference(*args)
-            self._m_checks.inc()
-            if not pair.equal(result, reference):
-                self._m_divergence.inc()
-                raise KernelDivergence(
-                    name, f"batch of {blocks} block(s)"
-                )
+        if not self._period:
+            return result
+        index = self._calls_seen
+        self._calls_seen += 1
+        if index % self._period != self._sample_phase:
+            self._m_skipped.inc()
+            return result
+        self._m_sampled.inc()
+        reference = pair.reference(*args)
+        self._m_checks.inc()
+        if not pair.equal(result, reference):
+            self._m_divergence.inc()
+            raise KernelDivergence(name, f"batch of {blocks} block(s)")
         return result
 
 
@@ -255,12 +245,9 @@ def tree_hash_rows(
 def build_kernel_table(
     cipher: CtrModeCipher,
     mac: CarterWegmanMac,
-    corrector: FlipAndCheckCorrector,
     scheme: Any,
     tree_key: int,
     mode: str = "fast",
-    paranoid_sample: int = 0,
-    sample_seed: int = SAMPLE_SEED,
 ) -> KernelTable:
     """Bind the full kernel-pair set to one engine's primitives.
 
@@ -269,24 +256,17 @@ def build_kernel_table(
     sampled-paranoid checks on an accelerated backend (numpy batches,
     AES-NI) compare against table AES rather than the code under test.
     """
-    batch_cipher = BatchCtrCipher(cipher)
     batch_mac = BatchCarterWegmanMac(mac)
-    batch_corrector = BatchFlipAndCheck(corrector)
     pairs = [
         KernelPair(
             name="ctr.encrypt",
-            fast=batch_cipher.xor_blocks,
+            fast=cipher.xor_blocks,
             reference=_reference_ctr_encrypt(cipher.reference_twin()),
         ),
         KernelPair(
             name="mac.tags",
             fast=batch_mac.tags,
             reference=_reference_mac_tags(mac.reference_twin()),
-        ),
-        KernelPair(
-            name="ecc.flip_and_check",
-            fast=batch_corrector.correct_accelerated,
-            reference=corrector.correct_accelerated,
         ),
         KernelPair(
             name="ecc.lane",
@@ -325,21 +305,16 @@ def build_kernel_table(
             KernelPair("counters.decode", decode, decode_reference),
             KernelPair("counters.encode", encode, encode_reference),
         ]
-    return KernelTable(
-        pairs,
-        mode=mode,
-        paranoid_sample=paranoid_sample,
-        sample_seed=sample_seed,
-    )
+    return KernelTable(pairs, mode=mode)
 
 
 __all__ = [
     "KernelDivergence",
     "KernelPair",
     "KernelTable",
-    "MODES",
     "SAMPLE_SEED",
     "TREE_HASH_CROSSOVER",
     "build_kernel_table",
+    "parse_mode",
     "tree_hash_rows",
 ]

@@ -2,10 +2,11 @@
 
 Vector twin of :class:`repro.crypto.mac.CarterWegmanMac`: the universal
 hash runs through the window-table GF(2^64) Horner evaluator and the
-nonce masks are batched through either the AES byte-plane cipher ("aes"
-mode) or the vectorized SplitMix64 PRF ("fast" mode), replicating the
-scalar mask layouts bit for bit (including the high-bit domain separator
-on the counter half of the AES mask block).
+nonce masks are batched through either the MAC backend's block encryptor
+(AES family: numpy byte-plane AES, AES-NI, or table AES) or the
+vectorized SplitMix64 PRF (``splitmix``), replicating the scalar mask
+layouts bit for bit (including the high-bit domain separator on the
+counter half of the AES mask block).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.crypto.mac import MAC_MASK, CarterWegmanMac
-from repro.fast.aes_batch import BatchAes128
 from repro.fast.gf_batch import BatchHornerHash
 from repro.fast.prf_batch import BatchSplitMix64
 
@@ -40,20 +40,10 @@ class BatchCarterWegmanMac:
     """Batched tags for N (message, address, counter) triples."""
 
     def __init__(self, mac: CarterWegmanMac) -> None:
-        self.mode = mac.mode
         self._horner = BatchHornerHash(mac._h)
-        self._mask_aes = None
+        self._mask_aes = mac._mask_aes
         self._mask_prf: BatchSplitMix64 | None = None
-        if mac._mask_cipher is not None:
-            # The mask cipher batches through the MAC's backend encryptor
-            # when one is attached (e.g. AES-NI); otherwise through the
-            # numpy byte-plane AES bound to the scalar key schedule.
-            if mac._mask_encryptor is not None:
-                self._mask_aes = mac._mask_encryptor
-            else:
-                self._mask_aes = BatchAes128.from_scalar(mac._mask_cipher)
-        else:
-            assert mac._mask_prf is not None
+        if mac._mask_prf is not None:
             self._mask_prf = BatchSplitMix64(mac._mask_prf)
 
     def hash_part(self, messages: np.ndarray) -> np.ndarray:

@@ -86,7 +86,6 @@ class BenchSpec:
     seed: int = 1
     preset: str = "combined"
     keystream: str = "splitmix"
-    paranoid_sample: int = 0
 
     def config_dict(self) -> dict:
         return {
@@ -98,7 +97,6 @@ class BenchSpec:
             "seed": self.seed,
             "preset": self.preset,
             "keystream": self.keystream,
-            "paranoid_sample": self.paranoid_sample,
         }
 
 
@@ -203,9 +201,7 @@ def run_app(
             keystream_mode=spec.keystream,
         )
         engine = SecureMemory(config, _app_key(app, spec.seed))
-        batch = BatchSecureMemory(
-            engine, mode=spec.mode, paranoid_sample=spec.paranoid_sample
-        )
+        batch = BatchSecureMemory(engine, mode=spec.mode)
 
         payloads: dict[int, bytes] = {}
         for start in range(0, len(writebacks), FLUSH_CHUNK):

@@ -21,9 +21,8 @@ Methodology (after the flavor-sweep study harnesses of perf-tools):
   ``fast`` / ``aesni``) must agree bit-for-bit within a group, so a
   backend cannot "win" the sweep by computing the wrong ciphertext.
 
-Mode tokens extend the kernel modes with sampled verification:
-``"fast"``, ``"reference"``, ``"paranoid"`` run the kernel table as
-named; ``"sampled:N"`` runs ``fast`` with ``paranoid_sample=N``.
+The mode axis takes kernel-mode tokens (``fast``, ``paranoid``,
+``sampled:N``; see :func:`repro.fast.kernels.parse_mode`).
 
 Wall-clock numbers vary across hosts; like ``BENCH_perf.json``, the
 committed ``BENCH_study.json`` is a recorded baseline, not a
@@ -39,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.fast.backends import keystream_backends, resolve_backend
-from repro.fast.kernels import MODES
+from repro.fast.kernels import parse_mode
 from repro.harness.parallel import BenchSpec, run_bench
 
 STUDY_SCHEMA = "repro.study/1"
@@ -50,21 +49,6 @@ DEFAULT_KEYSTREAMS = ("reference", "fast", "aesni", "splitmix")
 DEFAULT_MODES = ("fast", "sampled:32")
 DEFAULT_WORKERS = (1, 2)
 DEFAULT_PRESETS = ("combined",)
-
-
-def parse_mode_token(token: str) -> tuple[str, int]:
-    """``"fast"|"reference"|"paranoid"|"sampled:N"`` -> (mode, sample)."""
-    if token.startswith("sampled:"):
-        sample = int(token.split(":", 1)[1])
-        if sample < 1:
-            raise ValueError(f"sampled:N needs N >= 1 (got {token!r})")
-        return "fast", sample
-    if token not in MODES:
-        raise ValueError(
-            f"unknown mode token {token!r} (choices: "
-            f"{', '.join(MODES)}, sampled:N)"
-        )
-    return token, 0
 
 
 @dataclass(frozen=True)
@@ -89,17 +73,15 @@ class Flavor:
         return f"{self.preset}/{self.mode_token}/w{self.workers}"
 
     def bench_spec(self, spec: "StudySpec") -> BenchSpec:
-        mode, sample = parse_mode_token(self.mode_token)
         return BenchSpec(
             apps=spec.apps,
-            mode=mode,
+            mode=self.mode_token,
             accesses=spec.accesses,
             region_mb=spec.region_mb,
             cores=spec.cores,
             seed=spec.seed,
             preset=self.preset,
             keystream=self.keystream,
-            paranoid_sample=sample,
         )
 
 
@@ -145,7 +127,7 @@ class StudySpec:
                 continue
             for preset_name in self.presets:
                 for token in self.modes:
-                    parse_mode_token(token)  # validate before sweeping
+                    parse_mode(token)  # validate before sweeping
                     for workers in self.workers:
                         out.append(
                             Flavor(
@@ -318,7 +300,6 @@ __all__ = [
     "Flavor",
     "StudySpec",
     "dump_study",
-    "parse_mode_token",
     "render_study",
     "run_flavor",
     "run_study",

@@ -186,15 +186,15 @@ def _fast_specs() -> list[MetricSpec]:
         MetricSpec("fast.kernel.blocks", "counter",
                    "blocks processed by batched kernels"),
         MetricSpec("fast.paranoid.checks", "counter",
-                   "paranoid-mode fast/reference cross-checks"),
+                   "fast/reference kernel cross-checks"),
         MetricSpec("fast.paranoid.divergence", "counter",
-                   "paranoid-mode divergences (must stay zero)"),
+                   "kernel cross-check divergences (must stay zero)"),
         MetricSpec("fast.paranoid.sampled", "counter",
-                   "kernel calls selected by the sampled-paranoid "
-                   "schedule (1-in-N, seeded)"),
+                   "kernel calls selected by the cross-check schedule "
+                   "(every call when paranoid, 1-in-N when sampled:N)"),
         MetricSpec("fast.paranoid.skipped", "counter",
-                   "kernel calls the sampled-paranoid schedule let "
-                   "through unchecked"),
+                   "kernel calls the sampled:N schedule let through "
+                   "unchecked"),
         MetricSpec("fast.batch.reads", "counter",
                    "reads queued through the batch facade"),
         MetricSpec("fast.batch.writes", "counter",

@@ -73,7 +73,6 @@ class EngineStack:
         *,
         fast: bool = True,
         kernel_mode: str = "fast",
-        paranoid_sample: int = 0,
         durability: DurabilityConfig | None = None,
         store: DurableStore | None = None,
         resilience: dict[str, Any] | None = None,
@@ -97,9 +96,7 @@ class EngineStack:
         self.registry = registry
         self.engine = engine
         self.batch: BatchSecureMemory | None = (
-            BatchSecureMemory(
-                engine, mode=kernel_mode, paranoid_sample=paranoid_sample
-            )
+            BatchSecureMemory(engine, mode=kernel_mode)
             if fast
             else None
         )
@@ -196,7 +193,6 @@ class EngineStack:
         *,
         fast: bool = True,
         kernel_mode: str = "fast",
-        paranoid_sample: int = 0,
         durability: DurabilityConfig | None = None,
         resilience: dict[str, Any] | None = None,
         registry: MetricRegistry | None = None,
@@ -216,7 +212,6 @@ class EngineStack:
         stack = cls(
             fast=fast,
             kernel_mode=kernel_mode,
-            paranoid_sample=paranoid_sample,
             resilience=resilience,
             registry=registry,
             _engine=engine,

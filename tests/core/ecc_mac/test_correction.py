@@ -14,7 +14,7 @@ from tests.conftest import random_block
 
 @pytest.fixture
 def mac(key24):
-    return CarterWegmanMac(key24, mode="fast")
+    return CarterWegmanMac(key24, mode="splitmix")
 
 
 @pytest.fixture

@@ -92,10 +92,9 @@ class TestKeystreamMode:
                 continue
             assert EngineConfig(keystream_mode=name).keystream_mode == name
 
-    def test_legacy_aes_alias_normalized(self):
-        # Pre-registry configs said keystream_mode="aes"; they must
-        # keep working and resolve to the canonical backend name.
-        assert EngineConfig(keystream_mode="aes").keystream_mode == "fast"
+    def test_legacy_aes_alias_rejected(self):
+        with pytest.raises(ValueError, match="reference/fast/aesni/splitmix"):
+            EngineConfig(keystream_mode="aes")
 
     def test_unknown_backend_names_choices(self):
         with pytest.raises(ValueError, match="aesni"):

@@ -255,7 +255,7 @@ class TestKeyHandling:
 
     def test_real_aes_mode_roundtrip(self, key48, rng):
         memory = SecureMemory(
-            preset("combined", protected_bytes=4096, keystream_mode="aes"),
+            preset("combined", protected_bytes=4096, keystream_mode="fast"),
             key48,
         )
         data = random_block(rng)

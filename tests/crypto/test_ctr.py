@@ -1,8 +1,9 @@
 """Counter-mode encryption: nonce semantics and roundtrips."""
 
+import numpy as np
 import pytest
 
-from repro.crypto.ctr import MEMORY_BLOCK_SIZE, CtrModeCipher, KeystreamGenerator
+from repro.crypto.ctr import MEMORY_BLOCK_SIZE, CtrModeCipher
 
 
 @pytest.fixture(params=["reference", "fast", "aesni", "splitmix"])
@@ -63,39 +64,48 @@ class TestNonceSemantics:
 
 
 class TestKeystreamGenerator:
+    """``CtrModeCipher.keystream``: the per-(counter, address) generator."""
+
     def test_length_control(self):
-        generator = KeystreamGenerator(bytes(16))
+        cipher = CtrModeCipher(bytes(16))
         for length in (1, 16, 63, 64, 128):
-            assert len(generator.keystream(1, 64, length)) == length
+            assert len(cipher.keystream(1, 64, length)) == length
 
     def test_prefix_consistency(self):
-        generator = KeystreamGenerator(bytes(16))
-        long = generator.keystream(1, 64, 128)
-        short = generator.keystream(1, 64, 64)
+        cipher = CtrModeCipher(bytes(16))
+        long = cipher.keystream(1, 64, 128)
+        short = cipher.keystream(1, 64, 64)
         assert long[:64] == short
 
     def test_default_block_size(self):
-        generator = KeystreamGenerator(bytes(16))
-        assert len(generator.keystream(0, 0)) == MEMORY_BLOCK_SIZE
+        cipher = CtrModeCipher(bytes(16))
+        assert len(cipher.keystream(0, 0)) == MEMORY_BLOCK_SIZE
 
     def test_negative_inputs_rejected(self):
-        generator = KeystreamGenerator(bytes(16))
+        cipher = CtrModeCipher(bytes(16))
         with pytest.raises(ValueError):
-            generator.keystream(-1, 0)
+            cipher.keystream(-1, 0)
         with pytest.raises(ValueError):
-            generator.keystream(0, -64)
+            cipher.keystream(0, -64)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            KeystreamGenerator(bytes(16), mode="rot13")
+            CtrModeCipher(bytes(16), mode="rot13")
 
     def test_families_differ(self):
-        aes = KeystreamGenerator(bytes(16), mode="fast")
-        splitmix = KeystreamGenerator(bytes(16), mode="splitmix")
+        aes = CtrModeCipher(bytes(16), mode="fast")
+        splitmix = CtrModeCipher(bytes(16), mode="splitmix")
         assert aes.keystream(1, 64) != splitmix.keystream(1, 64)
 
-    def test_legacy_aes_alias_resolves_to_fast(self):
-        legacy = KeystreamGenerator(bytes(16), mode="aes")
-        assert legacy.mode == "fast"
-        fast = KeystreamGenerator(bytes(16), mode="fast")
-        assert legacy.keystream(1, 64) == fast.keystream(1, 64)
+    def test_legacy_aes_spelling_rejected(self):
+        with pytest.raises(ValueError, match="reference, fast, aesni"):
+            CtrModeCipher(bytes(16), mode="aes")
+
+
+class TestXorBlocks:
+    def test_rejects_misshaped_batches(self):
+        cipher = CtrModeCipher(bytes(16))
+        with pytest.raises(ValueError, match="shape"):
+            cipher.xor_blocks(np.zeros((2, 32), dtype=np.uint8), [1, 2], [0, 64])
+        with pytest.raises(ValueError, match="align"):
+            cipher.xor_blocks(np.zeros((2, 64), dtype=np.uint8), [1], [0, 64])

@@ -17,12 +17,12 @@ import pytest
 from repro.crypto.aes import AES128
 from repro.crypto.mac import CarterWegmanMac
 from repro.fast.backends import (
-    BACKEND_ALIASES,
     KeystreamBackend,
     keystream_backends,
     register_backend,
     resolve_backend,
 )
+from repro.fast.mac_batch import BatchCarterWegmanMac
 
 
 def _available_backends(family=None):
@@ -165,9 +165,11 @@ def test_registry_lists_expected_backends_in_order():
     ]
 
 
-def test_registry_resolves_legacy_alias():
-    assert BACKEND_ALIASES == {"aes": "fast"}
-    assert resolve_backend("aes").name == "fast"
+def test_registry_rejects_legacy_alias():
+    # "aes" once aliased the fast backend; backends are named only by
+    # their registered names now.
+    with pytest.raises(ValueError, match="unknown keystream backend"):
+        resolve_backend("aes")
 
 
 def test_registry_rejects_unknown_backend():
@@ -238,35 +240,52 @@ def test_sp800_38a_ctr_decrypt():
 MAC_KEY = bytes(range(48))
 MAC_MSG = bytes((i * 37 + 11) & 0xFF for i in range(64))
 
-#: (mode, message, address, counter) -> 56-bit tag, frozen from the
-#: reviewed implementation; a change here is a stored-MAC format break.
+#: (family, message, address, counter) -> 56-bit tag, frozen from the
+#: reviewed implementation; every backend of the family must produce the
+#: exact tag, scalar and batched -- a change here is a stored-MAC format
+#: break.
 MAC_GOLDEN = [
     ("aes", MAC_MSG, 0x1000, 5, 0xD518EAF217CBCB),
     ("aes", bytes(64), 0, 0, 0xCC02432EFF95E4),
     ("aes", MAC_MSG, 0xDEADBEEF, 123456789, 0xCA045737A2864B),
-    ("fast", MAC_MSG, 0x1000, 5, 0x24340E5A1F9B0E),
-    ("fast", bytes(64), 0, 0, 0x2BC1449A827243),
-    ("fast", MAC_MSG, 0xDEADBEEF, 123456789, 0x891529F2F9C652),
+    ("splitmix", MAC_MSG, 0x1000, 5, 0x24340E5A1F9B0E),
+    ("splitmix", bytes(64), 0, 0, 0x2BC1449A827243),
+    ("splitmix", MAC_MSG, 0xDEADBEEF, 123456789, 0x891529F2F9C652),
 ]
 
 
-@pytest.mark.parametrize("mode,message,address,counter,expected", MAC_GOLDEN)
-def test_mac_golden_tags(mode, message, address, counter, expected):
-    mac = CarterWegmanMac(MAC_KEY, mode=mode)
-    assert mac.tag(message, address, counter) == expected
-    assert mac.verify(message, address, counter, expected)
+@pytest.mark.parametrize("family,message,address,counter,expected", MAC_GOLDEN)
+def test_mac_golden_tags(family, message, address, counter, expected):
+    checked = 0
+    for name in keystream_backends():
+        backend = resolve_backend(name)
+        if backend.family != family or not backend.available():
+            continue
+        mac = CarterWegmanMac(MAC_KEY, mode=name)
+        assert mac.tag(message, address, counter) == expected, name
+        assert mac.verify(message, address, counter, expected)
+        tags = BatchCarterWegmanMac(mac).tags(
+            np.frombuffer(message, dtype=np.uint8).reshape(1, 64),
+            [address],
+            [counter],
+        )
+        assert tags.tolist() == [expected], name
+        checked += 1
+    assert checked >= 1
 
 
 def test_mac_golden_hash_part_mode_independent():
     # The universal-hash half depends only on the hash key, not on the
-    # masking mode; both modes must agree on this pinned value.
-    for mode in ("aes", "fast"):
+    # masking backend; every backend must agree on this pinned value.
+    for mode in keystream_backends():
+        if not resolve_backend(mode).available():
+            continue
         mac = CarterWegmanMac(MAC_KEY, mode=mode)
         assert mac.hash_part(MAC_MSG) == 0x14938009648226CC
 
 
 def test_mac_golden_single_bit_syndromes():
-    mac = CarterWegmanMac(MAC_KEY, mode="aes")
+    mac = CarterWegmanMac(MAC_KEY, mode="reference")
     syndromes = mac.single_bit_syndromes(64)
     assert len(syndromes) == 512
     assert syndromes[:4] == [

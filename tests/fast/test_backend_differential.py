@@ -10,10 +10,10 @@ Three claims are pinned here:
 2. **Engine-state equivalence.**  A full engine driven with each
    backend ends in the same externally observable state (ciphertexts,
    MACs, counter metadata, tree root) across presets.
-3. **Sampled paranoia works.**  ``paranoid_sample=N`` checks exactly
+3. **Sampled paranoia works.**  ``mode="sampled:N"`` checks exactly
    1-in-N kernel calls on a seeded deterministic schedule, catches an
    injected persistent kernel corruption within N calls, and repeats
-   the same schedule when re-seeded identically.
+   the same schedule on every run.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine.config import preset
 from repro.core.engine.secure_memory import SecureMemory
+from repro.crypto.prf import splitmix64
 from repro.fast.backends import resolve_backend
 from repro.fast.batch_memory import BatchSecureMemory
 from repro.fast.kernels import (
@@ -225,7 +226,7 @@ def test_batched_equals_scalar_per_backend(backend_name):
 # -- 3. sampled-paranoid guarantees -----------------------------------------
 
 
-def _counting_table(paranoid_sample, corrupt_after=None, seed=SAMPLE_SEED):
+def _counting_table(sample, corrupt_after=None):
     """A table with one integer-doubling kernel; optionally make the
     fast side return a wrong value from call ``corrupt_after`` on."""
     calls = {"n": 0}
@@ -239,12 +240,7 @@ def _counting_table(paranoid_sample, corrupt_after=None, seed=SAMPLE_SEED):
     pair = KernelPair(name="double", fast=fast, reference=lambda v: v * 2)
     registry = MetricRegistry()
     with use_registry(registry):
-        table = KernelTable(
-            [pair],
-            mode="fast",
-            paranoid_sample=paranoid_sample,
-            sample_seed=seed,
-        )
+        table = KernelTable([pair], mode=f"sampled:{sample}")
     return table, registry
 
 
@@ -277,17 +273,17 @@ def test_persistent_corruption_caught_within_n_calls(sample):
             break
     assert caught_at is not None, (
         f"persistent corruption survived {sample} calls at "
-        f"paranoid_sample={sample}"
+        f"sampled:{sample}"
     )
     assert caught_at == table._sample_phase
     assert registry.snapshot().totals()["fast.paranoid.divergence"] == 1
 
 
 def test_sampled_schedule_is_deterministic():
-    first, _ = _counting_table(8, seed=1234)
-    second, _ = _counting_table(8, seed=1234)
-    other, _ = _counting_table(8, seed=99)
+    first, _ = _counting_table(8)
+    second, _ = _counting_table(8)
     assert first._sample_phase == second._sample_phase
+    assert first._sample_phase == splitmix64(SAMPLE_SEED) % 8
     checked_first = [
         i for i in range(64) if i % 8 == first._sample_phase
     ]
@@ -295,9 +291,6 @@ def test_sampled_schedule_is_deterministic():
         i for i in range(64) if i % 8 == second._sample_phase
     ]
     assert checked_first == checked_second
-    # A different seed is allowed to pick a different phase but must
-    # stay inside the window.
-    assert 0 <= other._sample_phase < 8
 
 
 def test_sampled_paranoid_catches_corruption_through_the_engine():
@@ -315,7 +308,7 @@ def test_sampled_paranoid_catches_corruption_through_the_engine():
         # single level, as this region's tree sits all on-chip); a
         # coprime sampling stride guarantees the schedule rotates over
         # every kernel instead of aliasing onto one.
-        batch = BatchSecureMemory(engine, mode="fast", paranoid_sample=3)
+        batch = BatchSecureMemory(engine, mode="sampled:3")
         table = batch.kernels
         real = table.pairs["ctr.encrypt"].fast
 
@@ -374,7 +367,17 @@ def test_flush_kernel_sequence_period_is_coprime_to_the_stride():
 
 
 def test_paranoid_sample_validation():
-    with pytest.raises(ValueError, match="paranoid_sample"):
-        KernelTable([], mode="paranoid", paranoid_sample=4)
-    with pytest.raises(ValueError, match=">= 0"):
-        KernelTable([], mode="fast", paranoid_sample=-1)
+    for token, period in (
+        ("fast", 0),
+        ("paranoid", 1),
+        ("sampled:1", 1),
+        ("sampled:32", 32),
+    ):
+        table = KernelTable([], mode=token)
+        assert table.mode == token
+        assert table._period == period
+    for token in (
+        "reference", "sampled:0", "sampled:x", "sampled:-3", "paranoid:4", "aes",
+    ):
+        with pytest.raises(ValueError, match="fast, paranoid, sampled:N"):
+            KernelTable([], mode=token)

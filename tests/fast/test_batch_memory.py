@@ -266,18 +266,6 @@ def test_batch_paranoid_mode_full_workload_zero_divergence():
     assert totals.get("fast.paranoid.divergence", 0) == 0
 
 
-def test_batch_reference_mode_matches_scalar():
-    config = _config("combined", {"delta_bits": 3})
-    ops = _mixed_ops(seed=5, count=200)
-    scalar_state, scalar_reads, _ = _run_scalar(config, ops)
-    batch_state, batch_reads, _, totals = _run_batch(
-        config, ops, mode="reference"
-    )
-    assert batch_state == scalar_state
-    assert batch_reads == scalar_reads
-    assert totals.get("fast.kernel.calls", 0) == 0  # no batched kernels ran
-
-
 def test_batch_fault_correction_falls_back_bit_identically():
     """A single-bit ciphertext fault must heal through the scalar
     correction path with identical metrics and healed state."""

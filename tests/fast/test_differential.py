@@ -2,7 +2,7 @@
 
 For every :class:`KernelPair` the batch kernel and its scalar reference
 are driven with random batch shapes, keys, counters and addresses --
-and, for the corrector and the ECC lane, injected bit flips -- asserting
+and, for the ECC lane, injected bit flips -- asserting
 bit-identical outputs.  The counter codecs are additionally driven
 through random write sequences at tiny field widths so the widen /
 reset / re-encode state-machine edges (Figures 5-6) all appear in the
@@ -19,14 +19,11 @@ from hypothesis import strategies as st
 from repro.core.counters import make_scheme
 from repro.core.counters.layout import DeltaLayout
 from repro.core.engine.tree import node_hash
-from repro.core.ecc_mac.correction import FlipAndCheckCorrector, _flip
 from repro.crypto.ctr import CtrModeCipher
 from repro.crypto.mac import CarterWegmanMac
 from repro.ecc.hamming import DecodeStatus, HammingSecDed
 from repro.ecc.parity import parity_of_bytes
 from repro.fast import counters_batch
-from repro.fast.ctr_batch import BatchCtrCipher
-from repro.fast.ecc_batch import BatchFlipAndCheck
 from repro.fast.ecc_lane import CHECK_MASK, PARITY_SHIFT, check_bytes
 from repro.fast.kernels import (
     TREE_HASH_CROSSOVER,
@@ -65,9 +62,7 @@ def test_ctr_keystream_differential(mode, key, rows, data):
         st.lists(U64, min_size=len(rows), max_size=len(rows))
     )
     cipher = CtrModeCipher(key[:16], mode=mode)
-    batched = BatchCtrCipher(cipher).xor_blocks(
-        _as_matrix(rows), counters, addresses
-    )
+    batched = cipher.xor_blocks(_as_matrix(rows), counters, addresses)
     for row, plain, counter, address in zip(
         batched, rows, counters, addresses
     ):
@@ -77,7 +72,7 @@ def test_ctr_keystream_differential(mode, key, rows, data):
 # -- mac.tags --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["aes", "fast"])
+@pytest.mark.parametrize("mode", ["reference", "fast", "aesni", "splitmix"])
 @settings(max_examples=40, deadline=None)
 @given(key=KEYS, rows=BLOCKS, data=st.data())
 def test_mac_tags_differential(mode, key, rows, data):
@@ -95,37 +90,6 @@ def test_mac_tags_differential(mode, key, rows, data):
         tags, rows, addresses, counters
     ):
         assert int(tag) == mac.tag(message, address, counter)
-
-
-# -- ecc.flip_and_check ----------------------------------------------------
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    key=KEYS,
-    plaintext=st.binary(min_size=64, max_size=64),
-    address=st.integers(0, (1 << 48) - 1),
-    counter=st.integers(0, (1 << 56) - 1),
-    flips=st.lists(
-        st.integers(0, 511), min_size=0, max_size=3, unique=True
-    ),
-)
-def test_flip_and_check_differential(key, plaintext, address, counter, flips):
-    mac = CarterWegmanMac(key, mode="fast")
-    corrector = FlipAndCheckCorrector(mac)
-    batched = BatchFlipAndCheck(corrector)
-    stored = mac.tag(plaintext, address, counter)
-    corrupted = _flip(plaintext, tuple(flips)) if flips else plaintext
-    scalar = corrector.correct_accelerated(corrupted, address, counter, stored)
-    fast = batched.correct_accelerated(corrupted, address, counter, stored)
-    assert fast.corrected == scalar.corrected
-    assert fast.data == scalar.data
-    assert fast.flipped_bits == scalar.flipped_bits
-    assert fast.checks == scalar.checks
-    assert fast.method == scalar.method
-    if len(flips) in (1, 2):
-        assert fast.corrected
-        assert fast.data == plaintext
 
 
 # -- ecc.lane --------------------------------------------------------------
@@ -312,11 +276,9 @@ TREE_KEY = 0x5EED_0F_7EE
 
 
 def _tree_hash_table(mode="fast"):
-    mac = CarterWegmanMac(bytes(48), mode="fast")
     return build_kernel_table(
         CtrModeCipher(bytes(16), mode="fast"),
-        mac,
-        FlipAndCheckCorrector(mac),
+        CarterWegmanMac(bytes(48), mode="splitmix"),
         None,
         TREE_KEY,
         mode=mode,
@@ -380,18 +342,16 @@ def test_every_kernel_pair_agrees_through_the_table(key48):
         ("dual_length", {"base_delta_bits": 2, "extension_bits": 2}),
     ]:
         cipher = CtrModeCipher(key48[:16], mode="fast")
-        mac = CarterWegmanMac(key48, mode="fast")
-        corrector = FlipAndCheckCorrector(mac)
+        mac = CarterWegmanMac(key48, mode="splitmix")
         scheme = make_scheme(scheme_name, 128, **kwargs)
         for block in (0, 5, 5, 5, 70, 71, 5):
             scheme.on_write(block)
         table = build_kernel_table(
-            cipher, mac, corrector, scheme, TREE_KEY, mode="paranoid"
+            cipher, mac, scheme, TREE_KEY, mode="paranoid"
         )
         assert set(table.pairs) == {
             "ctr.encrypt",
             "mac.tags",
-            "ecc.flip_and_check",
             "ecc.lane",
             "tree.hash",
             "counters.decode",
@@ -405,14 +365,6 @@ def test_every_kernel_pair_agrees_through_the_table(key48):
             "mac.tags", ciphertexts, [0, 64, 128], [1, 2, 3], blocks=3
         )
         table.run("ecc.lane", tags, ciphertexts, blocks=3)
-        stored = mac.tag(bytes(range(64)), 0, 9)
-        table.run(
-            "ecc.flip_and_check",
-            _flip(bytes(range(64)), (17,)),
-            0,
-            9,
-            stored,
-        )
         metadata = table.run("counters.encode", [0, 1, 0])
         table.run("counters.decode", metadata)
         for rows in (1, TREE_HASH_CROSSOVER, 2 * TREE_HASH_CROSSOVER):

@@ -243,13 +243,12 @@ def test_bench_sampled_paranoid_meters_and_stays_clean():
     payload = run_bench(
         BenchSpec(
             apps=("stream",),
-            mode="fast",
+            mode="sampled:4",
             accesses=2000,
             region_mb=2,
             cores=2,
             seed=11,
             keystream="fast",
-            paranoid_sample=4,
         ),
         workers=1,
     )

@@ -12,11 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.fast.backends import resolve_backend
+from repro.fast.kernels import parse_mode
 from repro.harness.study import (
     STUDY_SCHEMA,
     Flavor,
     StudySpec,
-    parse_mode_token,
     render_study,
     run_flavor,
     run_study,
@@ -35,22 +35,24 @@ SPEC = StudySpec(
 
 class TestModeTokens:
     def test_plain_modes(self):
-        assert parse_mode_token("fast") == ("fast", 0)
-        assert parse_mode_token("reference") == ("reference", 0)
-        assert parse_mode_token("paranoid") == ("paranoid", 0)
+        assert parse_mode("fast") == 0
+        assert parse_mode("paranoid") == 1
 
     def test_sampled(self):
-        assert parse_mode_token("sampled:4") == ("fast", 4)
-        assert parse_mode_token("sampled:128") == ("fast", 128)
+        assert parse_mode("sampled:4") == 4
+        assert parse_mode("sampled:128") == 128
 
     @pytest.mark.parametrize("token", ["sampled:0", "sampled:-3"])
     def test_sampled_requires_positive(self, token):
+        spec = StudySpec(keystreams=("reference",), modes=(token,))
         with pytest.raises(ValueError, match="N >= 1"):
-            parse_mode_token(token)
+            spec.flavors()
 
     def test_unknown_token(self):
-        with pytest.raises(ValueError, match="unknown mode token"):
-            parse_mode_token("yolo")
+        for token in ("yolo", "reference"):
+            spec = StudySpec(keystreams=("reference",), modes=(token,))
+            with pytest.raises(ValueError, match="unknown kernel mode"):
+                spec.flavors()
 
 
 class TestGrid:
@@ -84,8 +86,7 @@ class TestGrid:
             mode_token="sampled:16", workers=1,
         )
         bench = flavor.bench_spec(StudySpec())
-        assert bench.mode == "fast"
-        assert bench.paranoid_sample == 16
+        assert bench.mode == "sampled:16"
         assert bench.keystream == "fast"
 
 

@@ -106,7 +106,7 @@ class TestRuntimeAgreement:
         from repro.core.ecc_mac.layout import MacEccCodec
         from repro.crypto.mac import CarterWegmanMac
 
-        codec = MacEccCodec(CarterWegmanMac(bytes(range(32)), mode="fast"))
+        codec = MacEccCodec(CarterWegmanMac(bytes(range(32)), mode="splitmix"))
         field = codec.build(b"\xaa" * contracts.BLOCK_BYTES, 0, 1)
         assert field.mac <= contracts.MAC_MASK
         assert field.mac_check < (1 << contracts.HAMMING_BITS)

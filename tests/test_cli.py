@@ -60,11 +60,16 @@ class TestBench:
         code = main(
             ["bench", "--apps", "stream", "--accesses", "2000",
              "--region-mb", "2", "--workers", "2",
-             "--keystream", "fast", "--paranoid-sample", "8"]
+             "--keystream", "fast", "--mode", "sampled:8"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "stream" in out and "paranoid divergences: 0" in out
+
+    def test_unknown_mode_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--mode", "reference"])
+        assert "fast, paranoid, sampled:N" in capsys.readouterr().err
 
 
 class TestStudy:

@@ -139,13 +139,23 @@ class TestFaultStormRecovery:
 
 
 class TestCrossModePairing:
-    def test_aes_and_fast_modes_share_all_semantics(self, key48, rng):
-        """Both keystream modes must behave identically at the API level
-        (different bits, same structure): roundtrip, fault healing,
-        replay detection."""
+    def test_every_backend_shares_all_semantics(self, key48, rng):
+        """Every available keystream backend, in both families, must
+        behave identically at the API level (different bits, same
+        structure): roundtrip, fault healing, replay detection."""
         from repro.core.engine.secure_memory import IntegrityError
+        from repro.fast.backends import keystream_backends, resolve_backend
 
-        for mode in ("aes", "fast"):
+        modes = [
+            name
+            for name in keystream_backends()
+            if resolve_backend(name).available()
+        ]
+        assert {resolve_backend(name).family for name in modes} == {
+            "aes",
+            "splitmix",
+        }
+        for mode in modes:
             memory = SecureMemory(
                 preset("combined", protected_bytes=16 * 1024,
                        keystream_mode=mode),
