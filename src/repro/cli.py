@@ -54,7 +54,7 @@ from repro.harness.study import (
     dump_study,
     run_study,
 )
-from repro.harness.reporting import format_table
+from repro.harness.reporting import format_series, format_table
 from repro.harness.runner import PerformanceExperiment, ReencryptionExperiment
 from repro.lint import (
     Baseline,
@@ -361,7 +361,7 @@ def _cmd_resilience(args) -> int:
     # last retirements), so it runs after the summaries are printed.
     mismatches = campaign.verify_all()
     print(f"\nfinal ground-truth sweep: {mismatches} mismatches over "
-          f"{len(campaign.shadow)} written blocks")
+          f"{len(campaign.shadow.acked)} written blocks")
     sound = report.reconciles() and report.sdc_total == 0 and not mismatches
     if args.json_out:
         artifact = report.as_dict()
@@ -382,6 +382,8 @@ _CRASH_SCHEME_KWARGS = {
     "delta_only": (("delta_bits", 2),),
     "combined": (("delta_bits", 2),),
     "combined_dual": (("base_delta_bits", 2), ("extension_bits", 2)),
+    # The preset's own 2+2-bit widths: an empty tuple would wipe them.
+    "endurance": tuple(PRESETS["endurance"].scheme_kwargs.items()),
 }
 
 
@@ -542,133 +544,99 @@ def _cmd_serve(args) -> int:
     return 1
 
 
+def _service_spec_fields(args) -> dict:
+    """The spec fields behind the flags ``loadgen`` and ``chaos`` share."""
+    return {
+        "tenants": args.tenants,
+        "shards": args.shards,
+        "ops_per_tenant": args.ops,
+        "region_kb": args.region_kb,
+        "preset": args.preset,
+        "seed": args.seed,
+        "secret_seed": args.secret_seed,
+        "kill_shard": args.kill_shard,
+    }
+
+
+def _run_service_campaign(args, run, spec) -> tuple[dict, int]:
+    """Run ``repro loadgen``/``chaos``, print one summary, and return
+    the payload with the exit status."""
+    if args.root:
+        payload = run(spec, args.root, out_path=args.json_out)
+    else:
+        prefix = f"repro-{args.command}-"
+        with tempfile.TemporaryDirectory(prefix=prefix) as root:
+            payload = run(spec, root, out_path=args.json_out)
+    results = payload["results"]
+    breaker = results["breaker"]
+    client = results["client"]
+    degraded = results["degraded"] or {}
+    print(format_table(
+        f"Service {args.command} ({spec.tenants} tenants x {spec.shards} "
+        f"shards, kill shard {spec.kill_shard}, victim "
+        f"{spec.victim_tenant()})",
+        ["refusal code", "count"],
+        [[code, count] for code, count in sorted(results["refusals"].items())]
+        or [["(none)", 0]],
+    ))
+    print()
+    print(format_series("Summary", {
+        "acked ops": results["acked_ops"],
+        "throughput ops/s": results.get("throughput_ops_s", "-"),
+        "p50 / p99 ms": f"{results['p50_ms']} / {results['p99_ms']}",
+        "verified blocks": results["verified_blocks"],
+        "ambiguous ok / skipped": f"{results['ambiguous_ok_blocks']} / "
+                                  f"{results['skipped_blocks']}",
+        "SDC blocks": results["sdc_blocks"],
+        "breaker opened / half-open / closed": f"{breaker['opened']} / "
+        f"{breaker['half_open']} / {breaker['closed']}",
+        "overload shed": f"{results['overload']['shed']}/"
+                         f"{results['overload']['probes']}",
+        "deadline refused": f"{results['deadline']['refused']}/"
+                            f"{results['deadline']['sent']}",
+        "degraded write refused / read ok": f"{degraded.get('write_refused')}"
+        f" / {degraded.get('read_ok')}",
+        "retry amplification": f"{client['amplification']}x ("
+        f"{client['sends']} sends / {results['logical_ops']} logical ops)",
+        "all_verified": payload["all_verified"],
+    }))
+    if args.json_out:
+        print(f"wrote {payload['bench']} bench payload to {args.json_out}",
+              file=sys.stderr)
+    return payload, 0 if payload["all_verified"] else 1
+
+
 def _cmd_loadgen(args) -> int:
     spec = LoadgenSpec(
-        tenants=args.tenants,
-        shards=args.shards,
-        ops_per_tenant=args.ops,
-        region_kb=args.region_kb,
-        preset=args.preset,
+        **_service_spec_fields(args),
         keystream=args.keystream,
-        seed=args.seed,
-        secret_seed=args.secret_seed,
         quota=QuotaConfig(
             rate_ops=args.rate_ops,
             burst_ops=args.burst_ops,
             max_bytes_written=args.max_bytes,
         ),
-        kill_shard=args.kill_shard,
     )
-    if args.root:
-        payload = run_loadgen(spec, args.root, out_path=args.json_out)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as root:
-            payload = run_loadgen(spec, root, out_path=args.json_out)
-    results = payload["results"]
-    rows = [
-        [
-            tenant_id,
-            entry["shard"],
-            entry["acked_ops"],
-            entry["retried_ops"],
-            entry["quota_rejections"],
-            entry["p50_ms"],
-            entry["p99_ms"],
-        ]
-        for tenant_id, entry in sorted(results["tenants"].items())
-    ]
-    print(
-        format_table(
-            f"Service loadgen ({spec.tenants} tenants x "
-            f"{spec.shards} shards"
-            + (f", chaos kill shard {spec.kill_shard}"
-               if spec.kill_shard is not None else "")
-            + ")",
-            ["tenant", "shard", "acked", "retried", "quota_rej",
-             "p50 ms", "p99 ms"],
-            rows,
-        )
-    )
-    print(
-        f"\nthroughput: {results['throughput_ops_s']} ops/s   "
-        f"p50: {results['p50_ms']} ms   p99: {results['p99_ms']} ms\n"
-        f"verified blocks: {results['verified_blocks']}   "
-        f"SDC: {results['sdc_blocks']}   "
-        f"all_verified: {payload['all_verified']}"
-    )
-    if args.json_out:
-        print(f"wrote service bench payload to {args.json_out}",
-              file=sys.stderr)
-    return 0 if payload["all_verified"] else 1
+    return _run_service_campaign(args, run_loadgen, spec)[1]
 
 
 def _cmd_chaos(args) -> int:
     spec = ChaosSpec(
-        tenants=args.tenants,
-        shards=args.shards,
-        ops_per_tenant=args.ops,
-        region_kb=args.region_kb,
-        preset=args.preset,
-        seed=args.seed,
-        secret_seed=args.secret_seed,
+        **_service_spec_fields(args),
         fault_rate=args.fault_rate,
         boost_rate=args.boost_rate,
         degraded_after=args.degraded_after,
         max_queue_depth=args.queue_depth,
-        kill_shard=args.kill_shard,
         overload_probes=args.overload_probes,
         deadline_probes=args.deadline_probes,
     )
-    if args.root:
-        payload = run_chaos(spec, args.root, out_path=args.json_out)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as root:
-            payload = run_chaos(spec, root, out_path=args.json_out)
-    results = payload["results"]
-    refusal_rows = [
-        [code, count]
-        for code, count in sorted(results["refusals"].items())
-    ]
-    print(
-        format_table(
-            f"Chaos campaign ({spec.tenants} tenants x {spec.shards} "
-            f"shards, kill shard {spec.kill_shard}, victim "
-            f"{payload['config']['victim_tenant']})",
-            ["refusal code", "count"],
-            refusal_rows or [["(none)", 0]],
-        )
-    )
-    breaker = results["breaker"]
-    overload = results["overload"]
-    deadline = results["deadline"]
-    degraded = results["degraded"]
-    print(
-        f"\nacked: {results['acked_ops']}   "
-        f"verified blocks: {results['verified_blocks']}   "
-        f"SDC: {results['sdc_blocks']}   "
-        f"ambiguous ok: {results['ambiguous_ok_blocks']}\n"
-        f"breaker: opened={breaker['opened']} "
-        f"half_open={breaker['half_open']} closed={breaker['closed']}   "
-        f"overload shed: {overload['shed']}/{overload['probes']}   "
-        f"deadline refused: {deadline['refused']}/{deadline['sent']}\n"
-        f"degraded tenant {degraded['tenant']}: "
-        f"write_refused={degraded['write_refused']} "
-        f"read_ok={degraded['read_ok']}   "
-        f"retry amplification: {results['client']['amplification']}x "
-        f"({results['client']['sends']} sends / "
-        f"{results['logical_ops']} logical ops)\n"
-        f"all_verified: {payload['all_verified']}"
-    )
-    if args.json_out:
-        print(f"wrote chaos bench payload to {args.json_out}",
-              file=sys.stderr)
+    payload, status = _run_service_campaign(args, run_chaos, spec)
     if args.health_out:
         pathlib.Path(args.health_out).write_text(
             json.dumps(payload["health"], indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote /health snapshots to {args.health_out}",
               file=sys.stderr)
-    return 0 if payload["all_verified"] else 1
+    return status
 
 
 def _cmd_trace(args) -> int:
@@ -1015,38 +983,46 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master secret the per-tenant keys derive from")
     p.set_defaults(func=_cmd_serve)
 
+    def service_campaign(p, *, ops, kill_shard, kill_help, json_help):
+        """The flags ``loadgen`` and ``chaos`` share."""
+        p.add_argument("--root", default=None,
+                       help="service root (default: a temp dir, removed)")
+        p.add_argument("--tenants", type=int, default=4)
+        p.add_argument("--shards", type=int, default=2)
+        p.add_argument("--ops", type=int, default=ops,
+                       help="operations per tenant")
+        p.add_argument("--region-kb", type=int, default=16,
+                       help="protected region per tenant in KiB")
+        p.add_argument("--preset", default="combined",
+                       choices=sorted(PRESETS))
+        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--secret-seed", type=int, default=0xDAC2018)
+        p.add_argument("--kill-shard", type=int, default=kill_shard,
+                       help=kill_help)
+        p.add_argument("--json-out", metavar="FILE", default=None,
+                       help=json_help)
+
     p = sub.add_parser(
         "loadgen",
         help="drive mixed-tenant traffic against a self-hosted service "
              "(optionally SIGKILL a shard mid-run) and verify every "
              "acknowledged write against a shadow copy",
     )
-    p.add_argument("--root", default=None,
-                   help="service root (default: a temp dir, removed)")
-    p.add_argument("--tenants", type=int, default=4)
-    p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--ops", type=int, default=200,
-                   help="operations per tenant")
-    p.add_argument("--region-kb", type=int, default=16,
-                   help="protected region per tenant in KiB")
-    p.add_argument("--preset", default="combined",
-                   choices=sorted(PRESETS))
+    service_campaign(
+        p, ops=200, kill_shard=None,
+        kill_help="chaos: SIGKILL this shard mid-run and restart it",
+        json_help="write the BENCH_service payload as JSON",
+    )
     p.add_argument("--keystream", choices=list(keystream_backends()),
                    default="splitmix",
                    help="keystream backend every tenant is provisioned "
                         "with")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--secret-seed", type=int, default=0xDAC2018)
     p.add_argument("--rate-ops", type=_rate, default=0.0,
                    help="token-bucket refill rate (0 = unlimited)")
     p.add_argument("--burst-ops", type=int, default=0,
                    help="token-bucket burst ceiling (0 = unlimited)")
     p.add_argument("--max-bytes", type=int, default=0,
                    help="per-tenant lifetime write-byte budget (0 = off)")
-    p.add_argument("--kill-shard", type=int, default=None,
-                   help="chaos: SIGKILL this shard mid-run and restart it")
-    p.add_argument("--json-out", metavar="FILE", default=None,
-                   help="write the BENCH_service payload as JSON")
     p.set_defaults(func=_cmd_loadgen)
 
     p = sub.add_parser(
@@ -1056,18 +1032,11 @@ def build_parser() -> argparse.ArgumentParser:
              "against an ambiguity-aware shadow (zero SDC, every "
              "refusal typed)",
     )
-    p.add_argument("--root", default=None,
-                   help="service root (default: a temp dir, removed)")
-    p.add_argument("--tenants", type=int, default=4)
-    p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--ops", type=int, default=120,
-                   help="operations per tenant")
-    p.add_argument("--region-kb", type=int, default=16,
-                   help="protected region per tenant in KiB")
-    p.add_argument("--preset", default="combined",
-                   choices=sorted(PRESETS))
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--secret-seed", type=int, default=0xDAC2018)
+    service_campaign(
+        p, ops=120, kill_shard=1,
+        kill_help="SIGKILL this shard once mid-run, then restart",
+        json_help="write the BENCH_chaos payload as JSON",
+    )
     p.add_argument("--fault-rate", type=float, default=0.002,
                    help="background disk-fault rate per fs step")
     p.add_argument("--boost-rate", type=float, default=0.35,
@@ -1076,14 +1045,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="storage faults before a tenant degrades")
     p.add_argument("--queue-depth", type=int, default=8,
                    help="per-shard dispatch queue bound (overload)")
-    p.add_argument("--kill-shard", type=int, default=1,
-                   help="SIGKILL this shard once mid-run, then restart")
     p.add_argument("--overload-probes", type=int, default=32,
                    help="concurrent raw connections in the overload burst")
     p.add_argument("--deadline-probes", type=int, default=8,
                    help="requests sent with deadline_ms=0")
-    p.add_argument("--json-out", metavar="FILE", default=None,
-                   help="write the BENCH_chaos payload as JSON")
     p.add_argument("--health-out", metavar="FILE", default=None,
                    help="write the final /health snapshots as JSON")
     p.set_defaults(func=_cmd_chaos)

@@ -10,7 +10,9 @@ crash matrix is *exhaustive*, not sampled:
    per tearable step (multi-byte payload writes);
 3. for each point, re-run the identical workload against a store armed
    at that step, let it crash, run full recovery
-   (:meth:`repro.stack.EngineStack.recover`), and check the invariants:
+   (:meth:`repro.stack.EngineStack.recover`), and check the invariants
+   through the :class:`~repro.harness.oracle.ShadowOracle` the run kept
+   (acks pin values, the crash turns in-flight writes into candidates):
 
    * **durability** -- every *acknowledged* write reads back with its
      acknowledged data (work in flight at the crash may land or vanish,
@@ -46,11 +48,12 @@ same arming, which reproduces the crash state bit-for-bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.core.engine.config import EngineConfig, preset
 from repro.core.engine.secure_memory import IntegrityError
+from repro.harness.oracle import SDC, ZERO_BLOCK, ShadowOracle
 from repro.lint.contracts import BLOCK_BYTES
 from repro.obs.metrics import MetricRegistry
 from repro.persist.config import DurabilityConfig
@@ -64,7 +67,6 @@ from repro.persist.store import (
 from repro.stack import EngineStack
 
 _DEFAULT_SEED = 0xDAC2018
-_ZERO_BLOCK = b"\x00" * BLOCK_BYTES
 
 #: workload operations: ("write", address, data) / ("read", address) /
 #: ("fault", address, data_bits)
@@ -125,20 +127,7 @@ class CrashSimSpec:
         }
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "preset": self.preset,
-            "scheme_kwargs": dict(self.scheme_kwargs),
-            "group_count": self.group_count,
-            "workload_blocks": self.workload_blocks,
-            "ops": self.ops,
-            "seed": self.seed,
-            "checkpoint_interval": self.checkpoint_interval,
-            "journal_capacity_records": self.journal_capacity_records,
-            "batch": self.batch,
-            "resilient": self.resilient,
-            "spare_blocks": self.spare_blocks,
-            "ce_threshold": self.ce_threshold,
-        }
+        return {**asdict(self), "scheme_kwargs": dict(self.scheme_kwargs)}
 
 
 def build_workload(spec: CrashSimSpec) -> list[tuple[int, bytes]]:
@@ -177,28 +166,11 @@ class RunState:
     """Everything one (possibly crashed) workload run leaves behind."""
 
     store: DurableStore
-    acked: dict[int, bytes]  # address -> last acknowledged plaintext
+    #: acked values, counter floor and sealed quarantine mappings
+    oracle: ShadowOracle
     inflight: list[tuple[int, bytes]]  # writes un-acked at the crash
     crash: SimulatedCrash | None
-    floor_meta: dict[int, bytes]  # counter storage at the last ack
-    floor_epoch: int
     trace: list[StepRecord]
-    #: quarantine mapping at the last completed op / at crash time
-    #: (None when the spec has no resilience layer)
-    floor_quarantine: dict[str, Any] | None = None
-    crash_quarantine: dict[str, Any] | None = None
-
-
-def _mapping_state(stack: EngineStack) -> dict[str, Any] | None:
-    """The durable-equivalent slice of the quarantine map (the health
-    history is checkpoint-cadence state and may legitimately lag)."""
-    if stack.resilient is None:
-        return None
-    state = stack.resilient.quarantine.state_dict()
-    return {
-        key: state[key]
-        for key in ("map", "retired", "free_spares", "degraded")
-    }
 
 
 def run_workload(
@@ -208,20 +180,15 @@ def run_workload(
     registry = MetricRegistry()
     store = DurableStore(plan=plan)
     key = bytes(range(48))
+    oracle = ShadowOracle(unacked=ZERO_BLOCK)
     state = RunState(
-        store=store,
-        acked={},
-        inflight=[],
-        crash=None,
-        floor_meta={},
-        floor_epoch=0,
-        trace=store.trace,
+        store=store, oracle=oracle, inflight=[], crash=None, trace=store.trace
     )
     if spec.resilient:
         # The sealed floor before anything runs is the pristine map --
         # a crash during provisioning must recover exactly this.
         total = spec.engine_config().total_blocks
-        state.floor_quarantine = {
+        oracle.mapping = {
             "map": {},
             "retired": {},
             "free_spares": list(range(total - spec.spare_blocks, total)),
@@ -240,17 +207,13 @@ def run_workload(
     except SimulatedCrash as crash:
         state.crash = crash  # died during provisioning, before any ack
         return state
-    engine = stack.engine
-    state.floor_quarantine = _mapping_state(stack)
+    oracle.pin(stack)
     pending: list[tuple[int, bytes]] = []
 
     def ack() -> None:
-        for address, data in state.inflight:
-            state.acked[address] = data
+        oracle.ack(state.inflight)
         state.inflight = []
-        state.floor_meta = dict(engine.counter_storage)
-        state.floor_epoch = getattr(engine.scheme, "epoch", 0)
-        state.floor_quarantine = _mapping_state(stack)
+        oracle.pin(stack)
 
     def flush_pending() -> None:
         if not pending:
@@ -289,7 +252,7 @@ def run_workload(
         flush_pending()
     except SimulatedCrash as crash:
         state.crash = crash
-        state.crash_quarantine = _mapping_state(stack)
+        oracle.crash(stack, state.inflight)
     return state
 
 
@@ -362,98 +325,43 @@ def _read_back(stack: EngineStack, address: int) -> tuple[bytes | None, str]:
 
 
 def _check_invariants(
-    spec: CrashSimSpec,
     state: RunState,
     stack: EngineStack,
     outcome: CrashPointOutcome,
 ) -> None:
     """The crash-consistency invariants, plus liveness."""
-    engine = stack.engine
+    oracle = state.oracle
     #: final value per in-flight address (a batch may hit one twice)
     inflight_final = dict(state.inflight)
-    # (1) durability: every acknowledged write reads back.
-    for address, expected in sorted(state.acked.items()):
-        got, why = _read_back(stack, address)
-        if got is None:
-            outcome.violations.append(
-                f"acked address {address:#x} unreadable after recovery: "
-                f"{why}"
-            )
-            continue
-        if got == expected:
-            continue
-        if address in inflight_final and got == inflight_final[address]:
-            continue  # in-flight write sealed before the crash: allowed
-        outcome.violations.append(
-            f"acked data lost at address {address:#x}"
-        )
+    # (1) durability: every acked address reads back its acked value,
+    # every in-flight one its acked or its in-flight value; and
     # (1b) atomicity: the in-flight batch lands whole or not at all --
     # one sealed group-commit frame is the all-or-nothing unit.
     landed: set[bool] = set()
-    for address, final in sorted(inflight_final.items()):
-        baseline = state.acked.get(address, _ZERO_BLOCK)
-        if final == baseline:
-            continue  # uninformative: both outcomes read identically
+    for address in oracle.sweep():
         got, why = _read_back(stack, address)
         if got is None:
             outcome.violations.append(
-                f"in-flight address {address:#x} unreadable after "
-                f"recovery: {why}"
+                f"address {address:#x} unreadable after recovery: {why}"
             )
-        elif got == final:
-            landed.add(True)
-        elif got == baseline:
-            landed.add(False)
-        else:
+        elif oracle.check(address, got) == SDC:
             outcome.violations.append(
-                f"in-flight address {address:#x} recovered to neither "
-                "its acked nor its batch value"
+                f"address {address:#x} recovered to neither its acked nor "
+                "its in-flight value"
             )
+        elif address in inflight_final and (
+            inflight_final[address] != oracle.expected(address)
+        ):
+            landed.add(got == inflight_final[address])
     if len(landed) > 1:
         outcome.violations.append(
             "group commit split: crash landed part of an in-flight batch"
         )
-    # (2) anti-replay: counters never regress below the acked floor.
-    recovered_epoch = getattr(engine.scheme, "epoch", 0)
-    if recovered_epoch == state.floor_epoch:
-        for group, metadata in sorted(state.floor_meta.items()):
-            floor = engine.scheme.decode_metadata(metadata)
-            stored = engine.counter_storage.get(group)
-            now = (
-                engine.scheme.decode_metadata(stored)
-                if stored is not None
-                else floor
-            )
-            for slot, (lo, cur) in enumerate(zip(floor, now)):
-                if cur < lo:
-                    outcome.violations.append(
-                        f"counter regression: group {group} slot {slot} "
-                        f"recovered {cur} < acked {lo}"
-                    )
+    # (2) anti-replay and (4) quarantine consistency.
+    outcome.violations.extend(oracle.recovery_violations(stack))
     # (3) integrity: recovery verified the root (recorded in the report).
     if outcome.recovery is not None and not outcome.recovery.root_verified:
         outcome.violations.append("tree root not verified by recovery")
-    # (4) quarantine consistency: the recovered mapping must equal the
-    # last *sealed* resilience state -- the floor (last completed op),
-    # or the crash-time state when the crash interrupted a read after
-    # its retirement record sealed.  Anything else is divergence.
-    if spec.resilient:
-        recovered = _mapping_state(stack)
-        allowed = [state.floor_quarantine]
-        if state.crash_quarantine is not None:
-            allowed.append(state.crash_quarantine)
-        if recovered not in allowed:
-            outcome.violations.append(
-                "quarantine mapping diverged from every sealed state"
-            )
-        for physical_text in (state.floor_quarantine or {}).get(
-            "retired", {}
-        ):
-            if not stack.resilient.quarantine.is_retired(int(physical_text)):
-                outcome.violations.append(
-                    f"retired physical block {physical_text} resurrected "
-                    "by recovery"
-                )
     # Liveness: the resumed stack must accept and authenticate new writes.
     probe = b"\xa5" * BLOCK_BYTES
     try:
@@ -479,7 +387,7 @@ def run_point(spec: CrashSimSpec, plan: CrashPlan) -> CrashPointOutcome:
     outcome = CrashPointOutcome(
         point=point_id(plan),
         label=label,
-        acked_writes=len(state.acked),
+        acked_writes=len(state.oracle.acked),
         crashed=state.crash is not None,
         recovered=False,
     )
@@ -503,7 +411,7 @@ def run_point(spec: CrashSimSpec, plan: CrashPlan) -> CrashPointOutcome:
         return outcome
     outcome.recovered = True
     outcome.recovery = report
-    _check_invariants(spec, state, stack, outcome)
+    _check_invariants(state, stack, outcome)
     return outcome
 
 

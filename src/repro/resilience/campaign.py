@@ -19,8 +19,8 @@ Every injected fault is followed by a demand read of the faulted block
 exactly one primary outcome -- corrected, detected-uncorrectable,
 silently corrupting (never, if the paper is right), or absorbed by an
 earlier recovery on the same block -- and the totals reconcile.
-Background traffic (seeded random reads/writes with a ground-truth
-shadow) then exercises recurrence: stuck-at blocks keep producing CEs
+Background traffic (seeded random reads/writes checked against the
+:class:`~repro.harness.oracle.ShadowOracle`) then exercises recurrence: stuck-at blocks keep producing CEs
 until the quarantine threshold retires them.
 """
 
@@ -33,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.analysis.faults import FaultScenario
+from repro.harness.oracle import SDC, ZERO_BLOCK, ShadowOracle
 from repro.harness.reporting import format_series, format_table
 from repro.resilience.errlog import EventOutcome
 from repro.resilience.recovery import RecoveryStage
@@ -40,7 +41,6 @@ from repro.resilience.runtime import ResilientMemory
 
 BLOCK_BYTES = 64
 BLOCK_BITS = 512
-ECC_BITS = 64
 
 
 def poisson_draw(rng: random.Random, rate: float) -> int:
@@ -239,6 +239,10 @@ class CampaignReport:
     def primary_total(self) -> int:
         return sum(sum(c.values()) for c in self.primary.values())
 
+    def observe(self, model: str, outcome: str) -> None:
+        """Record one injected fault's primary outcome."""
+        self.primary.setdefault(model, Counter())[outcome] += 1
+
     def reconciles(self) -> bool:
         """Every injected fault terminated in exactly one primary outcome."""
         return self.injected_total == self.primary_total
@@ -317,7 +321,13 @@ class CampaignReport:
 
 
 class FaultCampaign:
-    """Drive seeded traffic + fault arrivals against a ResilientMemory."""
+    """Drive seeded traffic + fault arrivals against a ResilientMemory.
+
+    One operation draws the RNG in a fixed order: model arrivals, then
+    each arrival's faults and demand reads, then the background block,
+    write/read coin and payload.  The torture campaign adds its crash
+    and checkpoint schedule around the same :meth:`_traffic_op`.
+    """
 
     def __init__(
         self,
@@ -338,79 +348,77 @@ class FaultCampaign:
         self.rng = random.Random(seed)
         self.write_fraction = write_fraction
         self.scrub_interval = scrub_interval
-        #: ground truth: logical block -> expected plaintext
-        self.shadow: dict[int, bytes] = {}
+        self.shadow = ShadowOracle(unacked=ZERO_BLOCK)
         self._next_fault_id = 0
 
-    # -- ground truth -------------------------------------------------------
+    # -- memory access (the torture campaign batches and journals these) ----
 
-    def expected(self, block: int) -> bytes:
-        """What a read of a logical block must return (zeros if untouched)."""
-        return self.shadow.get(block, b"\x00" * BLOCK_BYTES)
+    def _write(self, address: int, data: bytes) -> None:
+        self.memory.write(address, data)
+        self.shadow.ack([(address, data)])
 
-    def _check_read(self, block: int, rec, report: CampaignReport) -> None:
-        """SDC detection: recovered data must match the shadow copy."""
-        if rec.ok and rec.data != self.expected(block):
+    def _read(self, address: int, report, why: str):
+        """One read: SDC detection against the shadow, DUE repair."""
+        rec = self.memory.read(address)
+        report.reads += 1
+        if not rec.ok:
+            self._repair_due(address, report)
+        elif self.shadow.check(address, rec.data) == SDC:
             report.sdc_total += 1
-            self.memory.log.log(
-                cycle=self.memory.cycle,
-                address=self.memory.physical_address(block * BLOCK_BYTES),
-                logical_address=block * BLOCK_BYTES,
-                fault_class="campaign",
-                outcome=EventOutcome.SDC,
-                detail="recovered data disagrees with ground truth",
-            )
+            self._on_sdc(address, why)
+        return rec
 
-    def _repair_due(self, block: int, report: CampaignReport) -> None:
+    def _on_sdc(self, address: int, why: str) -> None:
+        self.memory.log.log(
+            cycle=self.memory.cycle,
+            address=self.memory.physical_address(address),
+            logical_address=address,
+            fault_class="campaign",
+            outcome=EventOutcome.SDC,
+            detail="recovered data disagrees with ground truth",
+        )
+
+    def _repair_due(self, address: int, report) -> None:
         """Software repair after a DUE: rewrite the lost block."""
-        self.memory.write(block * BLOCK_BYTES, self.expected(block))
+        self.memory.write(address, self.shadow.expected(address))
         report.due_rewrites += 1
 
-    # -- fault handling -----------------------------------------------------
+    # -- the traffic and fault loop -----------------------------------------
 
     def _inject_and_observe(
-        self, model: FaultModel, spec: FaultSpec, report: CampaignReport
+        self, model: FaultModel, spec: FaultSpec, report
     ) -> None:
         """Inject one fault spec, then issue the demand read that
         discovers it; classify the primary outcome."""
         address = spec.block * BLOCK_BYTES
-        fault_id = self._next_fault_id
-        self._next_fault_id += 1
         self.memory.inject_fault(
             address,
             data_bits=spec.data_bits,
             ecc_bits=spec.ecc_bits,
             persistence=spec.persistence,
             fault_class=model.fault_class,
-            fault_id=fault_id,
+            fault_id=self._next_fault_id,
         )
+        self._next_fault_id += 1
         report.injected[model.name] += 1
-        rec = self.memory.read(address)
-        report.reads += 1
-        primary = _STAGE_TO_PRIMARY[rec.stage]
-        self._check_read(spec.block, rec, report)
-        report.primary.setdefault(model.name, Counter())[primary] += 1
-        if not rec.ok:
-            self._repair_due(spec.block, report)
+        rec = self._read(address, report, "demand")
+        report.observe(model.name, _STAGE_TO_PRIMARY[rec.stage])
 
-    # -- traffic ------------------------------------------------------------
-
-    def _background_op(self, report: CampaignReport) -> None:
-        block = self.rng.randrange(self.memory.capacity_blocks)
-        address = block * BLOCK_BYTES
+    def _traffic_op(self, report) -> None:
+        capacity = self.memory.capacity_blocks
+        for model in self.models:
+            for _ in range(model.arrivals(self.rng)):
+                for spec in model.draw(self.rng, capacity):
+                    self._inject_and_observe(model, spec, report)
+        address = self.rng.randrange(capacity) * BLOCK_BYTES
         if self.rng.random() < self.write_fraction:
             data = self.rng.getrandbits(BLOCK_BITS).to_bytes(
                 BLOCK_BYTES, "little"
             )
-            self.memory.write(address, data)
-            self.shadow[block] = data
             report.writes += 1
+            self._write(address, data)
         else:
-            rec = self.memory.read(address)
-            report.reads += 1
-            self._check_read(block, rec, report)
-            if not rec.ok:
-                self._repair_due(block, report)
+            self._read(address, report, "background")
 
     def run(self, operations: int) -> CampaignReport:
         """Run the campaign; fully deterministic for a given seed."""
@@ -420,13 +428,7 @@ class FaultCampaign:
             capacity_blocks=self.memory.capacity_blocks,
         )
         for op in range(operations):
-            for model in self.models:
-                for _ in range(model.arrivals(self.rng)):
-                    for spec in model.draw(
-                        self.rng, self.memory.capacity_blocks
-                    ):
-                        self._inject_and_observe(model, spec, report)
-            self._background_op(report)
+            self._traffic_op(report)
             if (
                 self.scrub_interval
                 and (op + 1) % self.scrub_interval == 0
@@ -438,20 +440,23 @@ class FaultCampaign:
         report.ce_total = log.ce_total
         report.due_total = log.due_total
         report.cycles_spent = self.memory.cycle
-        report.retired_blocks = self.memory.quarantine.retired_count
-        report.degraded_blocks = self.memory.quarantine.degraded_count
-        report.spares_remaining = self.memory.quarantine.spares_remaining
+        self._tally_quarantine(report)
         return report
+
+    def _tally_quarantine(self, report) -> None:
+        quarantine = self.memory.quarantine
+        report.retired_blocks = quarantine.retired_count
+        report.degraded_blocks = quarantine.degraded_count
+        report.spares_remaining = quarantine.spares_remaining
 
     def verify_all(self) -> int:
         """Final sweep: read every block ever written and count
         ground-truth mismatches (must be 0 for a sound run)."""
-        mismatches = 0
-        for block in sorted(self.shadow):
-            rec = self.memory.read(block * BLOCK_BYTES)
-            if not rec.ok or rec.data != self.shadow[block]:
-                mismatches += 1
-        return mismatches
+        observed = {}
+        for address in self.shadow.sweep():
+            rec = self.memory.read(address)
+            observed[address] = rec.data if rec.ok else None
+        return self.shadow.verify(observed)[SDC]
 
 
 def default_models(

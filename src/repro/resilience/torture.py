@@ -8,10 +8,11 @@ Each leaves the other's failure mode untested: a crash can land while
 the quarantine map, error log and spare pool are mid-evolution, and a
 fault can strike state that a recent recovery just rebuilt.
 
-This module interleaves both.  One composed
-:class:`~repro.stack.EngineStack` (fast x durable x resilient) runs over
-a single :class:`~repro.persist.store.DurableStore` for the whole
-campaign, while the harness:
+This module interleaves both: :class:`TortureCampaign` is the fault
+campaign's traffic and fault loop plus a crash and checkpoint schedule.
+One composed :class:`~repro.stack.EngineStack` (fast x durable x
+resilient) runs over a single :class:`~repro.persist.store.DurableStore`
+for the whole campaign, while the harness:
 
 * drives seeded background traffic through the batched write path (each
   flush seals one group-commit transaction);
@@ -20,8 +21,8 @@ campaign, while the harness:
   recovery, DUE accounting, quarantine retirement, spare remapping);
 * crashes the stack at the end of every cycle (drop the volatile half,
   keep the store), runs full recovery via :meth:`EngineStack.recover`,
-  and verifies the rebuilt state against a **ground-truth shadow
-  model** before traffic resumes.
+  and verifies the rebuilt state against the ground-truth
+  :class:`~repro.harness.oracle.ShadowOracle` before traffic resumes.
 
 Per-recovery verification (one violation string per breach):
 
@@ -33,9 +34,10 @@ Per-recovery verification (one violation string per breach):
   the last acknowledgement, and a batched write that never flushed
   never becomes durable;
 * **quarantine consistency** -- the recovered logical->physical
-  mapping, retired set, spare pool and degraded set exactly equal the
-  crash-time state (retire/degrade records are journaled immediately);
-  a block retired at any point in the campaign is never resurrected;
+  mapping, retired set, spare pool and degraded set equal the sealed
+  state, which between operations is the crash-time state
+  (retire/degrade records are journaled immediately); a block retired
+  at any point in the campaign is never resurrected;
 * **telemetry consistency** -- the recovered error-log accounting and
   CE/DUE health history equal the snapshot taken at the last explicit
   checkpoint (telemetry is checkpoint-cadence durable by design, so
@@ -45,7 +47,7 @@ Per-recovery verification (one violation string per breach):
 
 Volatile fault state (registered stuck/in-flight masks) does *not*
 survive a crash: a power cycle is modeled as a fresh power-on of the
-memory parts.  What must survive -- and what the shadow model checks --
+memory parts.  What must survive -- and what the shadow oracle checks --
 is the *durable* residue of every fault: the quarantine map that
 retired blocks, the spare pool it consumed, and the error-log totals.
 
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.core.engine.config import EngineConfig, preset
@@ -69,25 +71,8 @@ from repro.obs.metrics import MetricRegistry
 from repro.persist.config import DurabilityConfig
 from repro.persist.recovery import RecoveryError
 from repro.persist.store import DurableStore
-from repro.resilience.campaign import FaultModel, default_models
-from repro.resilience.recovery import RecoveryStage
+from repro.resilience.campaign import FaultCampaign, FaultModel, default_models
 from repro.stack import EngineStack
-
-_ZERO_BLOCK = b"\x00" * BLOCK_BYTES
-BLOCK_BITS = BLOCK_BYTES * 8
-
-_STAGE_TO_PRIMARY = {
-    RecoveryStage.CLEAN: "absorbed",
-    RecoveryStage.RETRY_CLEARED: "ce_retry",
-    RecoveryStage.MAC_REPAIRED: "ce_mac_repair",
-    RecoveryStage.CORRECTED: "ce_flip_and_check",
-    RecoveryStage.FAILED: "due",
-}
-
-#: what a freshly provisioned error log checkpoints as
-_FRESH_ERRLOG = {
-    "seq": 0, "evicted": 0, "cycles": 0, "outcomes": {}, "by_class": {},
-}
 
 
 @dataclass(frozen=True)
@@ -107,7 +92,7 @@ class TortureSpec:
     group_count: int = 2
     cycles: int = 100
     ops_per_cycle: int = 20
-    batch: int = 4  # writes per group-commit flush (0 = scalar)
+    batch: int = 4  # writes per group-commit flush
     kernel_mode: str = "fast"
     seed: int = 0xDAC2018
     checkpoint_every: int = 5  # cycles between explicit checkpoints
@@ -167,42 +152,7 @@ class TortureSpec:
         )
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "preset": self.preset,
-            "scheme_kwargs": dict(self.scheme_kwargs),
-            "group_count": self.group_count,
-            "cycles": self.cycles,
-            "ops_per_cycle": self.ops_per_cycle,
-            "batch": self.batch,
-            "kernel_mode": self.kernel_mode,
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-            "spare_blocks": self.spare_blocks,
-            "ce_threshold": self.ce_threshold,
-            "due_threshold": self.due_threshold,
-            "write_fraction": self.write_fraction,
-            "transient_rate": self.transient_rate,
-            "stuck_rate": self.stuck_rate,
-            "burst_rate": self.burst_rate,
-        }
-
-
-@dataclass
-class ShadowModel:
-    """Ground truth the recovered stack is checked against."""
-
-    #: logical address -> last *acknowledged* plaintext
-    acked: dict[int, bytes] = field(default_factory=dict)
-    #: counter storage / scheme epoch at the last acknowledgement
-    floor_meta: dict[int, bytes] = field(default_factory=dict)
-    floor_epoch: int = 0
-    #: every physical block ever retired (must never serve again)
-    retired_ever: set[int] = field(default_factory=set)
-    #: telemetry captured at the last explicit checkpoint
-    checkpoint_errlog: dict[str, Any] = field(
-        default_factory=lambda: dict(_FRESH_ERRLOG)
-    )
-    checkpoint_health: dict[str, Any] = field(default_factory=dict)
+        return {**asdict(self), "scheme_kwargs": dict(self.scheme_kwargs)}
 
 
 @dataclass
@@ -228,6 +178,10 @@ class TortureReport:
     @property
     def injected_total(self) -> int:
         return sum(self.injected.values())
+
+    def observe(self, model: str, outcome: str) -> None:
+        """Record one injected fault's primary outcome."""
+        self.primary[outcome] += 1
 
     @property
     def ok(self) -> bool:
@@ -287,149 +241,101 @@ class TortureReport:
         return "\n".join(lines)
 
 
-class TortureCampaign:
-    """Run one spec: traffic + faults + a crash/recovery every cycle."""
+class TortureCampaign(FaultCampaign):
+    """The fault campaign's traffic and fault loop, plus a crash and
+    checkpoint schedule: an explicit checkpoint every
+    ``checkpoint_every`` cycles, a crash and verified recovery at the end
+    of every cycle."""
 
     def __init__(self, spec: TortureSpec):
         self.spec = spec
-        self.rng = random.Random(spec.seed)
         self.key = bytes(
             random.Random(spec.seed ^ 0x5EED).randrange(256)
             for _ in range(48)
         )
         self.registry = MetricRegistry()
         self.store = DurableStore()
-        self.models = spec.models()
-        self.shadow = ShadowModel()
-        self.report = TortureReport(spec=spec)
         self.stack = EngineStack(
             spec.engine_config(),
             self.key,
-            fast=spec.batch > 0,
             kernel_mode=spec.kernel_mode,
             durability=spec.durability(),
             store=self.store,
             resilience=spec.resilience_kwargs(),
             registry=self.registry,
         )
+        super().__init__(
+            self.stack.resilient,
+            spec.models(),
+            seed=spec.seed,
+            write_fraction=spec.write_fraction,
+        )
+        self.report = TortureReport(spec=spec)
+        #: telemetry captured at the last explicit checkpoint
+        self.checkpoint_errlog = self.stack.resilient.log.state_dict()
+        self.checkpoint_health = self._health_state()
         #: writes queued in the batch facade but not yet flushed (acked)
         self.pending: list[tuple[int, bytes]] = []
+        self.cycle = 0
 
-    # -- shadow bookkeeping --------------------------------------------------
-
-    def _ack_floors(self) -> None:
-        engine = self.stack.engine
-        self.shadow.floor_meta = dict(engine.counter_storage)
-        self.shadow.floor_epoch = getattr(engine.scheme, "epoch", 0)
+    # -- memory access: batched writes, acknowledged at each flush ----------
 
     def _flush_ack(self) -> None:
         """Seal the queued write run (one group commit) and acknowledge."""
         if self.pending:
             self.stack.flush()
             self.report.group_commits += 1
-            for address, data in self.pending:
-                self.shadow.acked[address] = data
+            self.shadow.ack(self.pending)
             self.pending.clear()
-        self._ack_floors()
+        self.shadow.pin(self.stack)
 
     def _write(self, address: int, data: bytes) -> None:
-        self.report.writes += 1
         self.stack.write(address, data)
-        if self.spec.batch > 0:
-            self.pending.append((address, data))
-            if len(self.pending) >= self.spec.batch:
-                self._flush_ack()
-        else:
-            self.shadow.acked[address] = data
-            self._ack_floors()
-
-    def _expected(self, address: int) -> bytes:
-        return self.shadow.acked.get(address, _ZERO_BLOCK)
-
-    def _read(self, address: int, cycle: int, why: str):
-        """One resilient read with SDC detection and DUE repair."""
-        self._flush_ack()  # reads observe only acknowledged state
-        self.report.reads += 1
-        rec = self.stack.read(address)
-        if rec.ok:
-            if rec.data != self._expected(address):
-                self.report.sdc_total += 1
-                self.report.violations.append(
-                    f"cycle {cycle}: SDC on {why} read of address "
-                    f"{address:#x} (data disagrees with ground truth)"
-                )
-        else:
-            # Detected-uncorrectable: data destroyed by injected
-            # physics, flagged, software-repaired from the shadow --
-            # the same contract the fault campaign enforces.
-            self.report.due_repairs += 1
-            self._write(address, self._expected(address))
+        self.pending.append((address, data))
+        if len(self.pending) >= self.spec.batch:
             self._flush_ack()
+
+    def _read(self, address: int, report, why: str):
+        self._flush_ack()  # reads observe only acknowledged state
+        rec = super()._read(address, report, why)
         # Retirement/degrade side effects sealed inside the read; the
         # acknowledged floor moves with them.
-        self._ack_floors()
+        self.shadow.pin(self.stack)
         return rec
 
-    # -- quarantine snapshots ------------------------------------------------
+    def _on_sdc(self, address: int, why: str) -> None:
+        self.report.violations.append(
+            f"cycle {self.cycle}: SDC on {why} read of address "
+            f"{address:#x} (data disagrees with ground truth)"
+        )
 
-    def _mapping_state(self) -> dict[str, Any]:
-        """The immediately-journaled slice of the quarantine state."""
-        state = self.stack.resilient.quarantine.state_dict()
-        return {
-            key: state[key]
-            for key in ("map", "retired", "free_spares", "degraded")
-        }
+    def _repair_due(self, address: int, report) -> None:
+        # Detected-uncorrectable: data destroyed by injected physics,
+        # flagged, software-repaired from the shadow -- the same
+        # contract the fault campaign enforces.
+        report.due_repairs += 1
+        report.writes += 1
+        self._write(address, self.shadow.expected(address))
+        self._flush_ack()
+
+    # -- the crash and checkpoint schedule ----------------------------------
 
     def _health_state(self) -> dict[str, Any]:
         return self.stack.resilient.quarantine.state_dict()["health"]
-
-    # -- campaign phases -----------------------------------------------------
 
     def _checkpoint(self) -> None:
         """Explicit checkpoint + the telemetry shadow snapshot."""
         self._flush_ack()
         self.stack.checkpoint()
         self.report.checkpoints += 1
-        self.shadow.checkpoint_errlog = (
-            self.stack.resilient.log.state_dict()
-        )
-        self.shadow.checkpoint_health = self._health_state()
+        self.checkpoint_errlog = self.stack.resilient.log.state_dict()
+        self.checkpoint_health = self._health_state()
 
-    def _inject_and_observe(self, model: FaultModel, cycle: int) -> None:
-        capacity = self.stack.capacity_blocks
-        for fault in model.draw(self.rng, capacity):
-            self.stack.resilient.inject_fault(
-                fault.block * BLOCK_BYTES,
-                data_bits=fault.data_bits,
-                ecc_bits=fault.ecc_bits,
-                persistence=fault.persistence,
-                fault_class=model.fault_class,
-            )
-            self.report.injected[model.name] += 1
-            rec = self._read(fault.block * BLOCK_BYTES, cycle, "demand")
-            self.report.primary[_STAGE_TO_PRIMARY[rec.stage]] += 1
-
-    def _traffic_op(self, cycle: int) -> None:
-        for model in self.models:
-            for _ in range(model.arrivals(self.rng)):
-                self._inject_and_observe(model, cycle)
-        block = self.rng.randrange(self.stack.capacity_blocks)
-        address = block * BLOCK_BYTES
-        if self.rng.random() < self.spec.write_fraction:
-            data = self.rng.getrandbits(BLOCK_BITS).to_bytes(
-                BLOCK_BYTES, "little"
-            )
-            self._write(address, data)
-        else:
-            self._read(address, cycle, "background")
-
-    def _crash_and_recover(self, cycle: int) -> None:
+    def _crash_and_recover(self) -> None:
         """Power-cut the volatile half, recover, verify vs the shadow."""
-        crash_mapping = self._mapping_state()
-        self.shadow.retired_ever.update(
-            int(text) for text in crash_mapping["retired"]
-        )
-        #: final value per never-flushed address (must NOT be durable)
+        # Nothing is in flight between operations: queued writes never
+        # flushed, so they are not candidates -- they must vanish.
+        self.shadow.crash(self.stack)
         phantom = dict(self.pending)
         self.pending.clear()
         try:
@@ -437,7 +343,6 @@ class TortureCampaign:
                 self.store,
                 self.spec.engine_config(),
                 self.key,
-                fast=self.spec.batch > 0,
                 kernel_mode=self.spec.kernel_mode,
                 durability=self.spec.durability(),
                 resilience=self.spec.resilience_kwargs(),
@@ -445,88 +350,45 @@ class TortureCampaign:
             )
         except RecoveryError as err:
             self.report.violations.append(
-                f"cycle {cycle}: recovery failed: {err}"
+                f"cycle {self.cycle}: recovery failed: {err}"
             )
             raise
+        self.memory = self.stack.resilient
         self.report.recoveries += 1
-        self._verify_recovery(cycle, recovery, crash_mapping, phantom)
+        self._verify_recovery(recovery, phantom)
 
-    def _verify_recovery(
-        self,
-        cycle: int,
-        recovery,
-        crash_mapping: dict[str, Any],
-        phantom: dict[int, bytes],
-    ) -> None:
-        bad = self.report.violations
+    def _verify_recovery(self, recovery, phantom: dict[int, bytes]) -> None:
+        bad = self.shadow.recovery_violations(self.stack)
         # Integrity: recovery must have verified the rebuilt root.
         if not recovery.root_verified:
-            bad.append(f"cycle {cycle}: tree root not verified by recovery")
-        # Quarantine mapping: journaled immediately, so the recovered
-        # mapping must *exactly* equal the crash-time mapping.
-        recovered_mapping = self._mapping_state()
-        if recovered_mapping != crash_mapping:
-            bad.append(
-                f"cycle {cycle}: quarantine mapping diverged from the "
-                f"crash-time state"
-            )
-        quarantine = self.stack.resilient.quarantine
-        for physical in sorted(self.shadow.retired_ever):
-            if not quarantine.is_retired(physical):
-                bad.append(
-                    f"cycle {cycle}: retired physical block {physical} "
-                    f"resurrected by recovery"
-                )
+            bad.append("tree root not verified by recovery")
         # Telemetry: checkpoint-cadence durable -- recovered accounting
         # equals the snapshot at the last explicit checkpoint, exactly.
-        recovered_errlog = self.stack.resilient.log.state_dict()
-        if recovered_errlog != self.shadow.checkpoint_errlog:
-            bad.append(
-                f"cycle {cycle}: error-log accounting diverged from the "
-                f"last checkpoint snapshot"
-            )
-        if self._health_state() != self.shadow.checkpoint_health:
-            bad.append(
-                f"cycle {cycle}: CE/DUE health history diverged from the "
-                f"last checkpoint snapshot"
-            )
-        # Anti-replay: counters never regress below the acked floor.
-        engine = self.stack.engine
-        if getattr(engine.scheme, "epoch", 0) == self.shadow.floor_epoch:
-            for group, metadata in sorted(self.shadow.floor_meta.items()):
-                floor = engine.scheme.decode_metadata(metadata)
-                stored = engine.counter_storage.get(group)
-                now = (
-                    engine.scheme.decode_metadata(stored)
-                    if stored is not None
-                    else floor
-                )
-                for slot, (lo, cur) in enumerate(zip(floor, now)):
-                    if cur < lo:
-                        bad.append(
-                            f"cycle {cycle}: counter regression in group "
-                            f"{group} slot {slot} ({cur} < {lo})"
-                        )
+        if self.stack.resilient.log.state_dict() != self.checkpoint_errlog:
+            bad.append("error-log accounting diverged from the last "
+                       "checkpoint snapshot")
+        if self._health_state() != self.checkpoint_health:
+            bad.append("CE/DUE health history diverged from the last "
+                       "checkpoint snapshot")
         # No replay of unacknowledged work: a batched write that never
         # flushed has no sealed frame and must not be durable.
         for address, queued in sorted(phantom.items()):
-            if queued == self._expected(address):
+            if queued == self.shadow.expected(address):
                 continue  # uninformative: both outcomes read identically
             rec = self.stack.read(address)
             if rec.ok and rec.data == queued:
-                bad.append(
-                    f"cycle {cycle}: unacknowledged batched write to "
-                    f"address {address:#x} survived the crash"
-                )
+                bad.append(f"unacknowledged batched write to address "
+                           f"{address:#x} survived the crash")
         # No SDC: every acknowledged block reads back (DUEs repaired).
-        for address in sorted(self.shadow.acked):
+        for address in self.shadow.sweep():
             try:
-                self._read(address, cycle, "verification")
+                self._read(address, self.report, "verification")
             except IntegrityError as err:
-                bad.append(
-                    f"cycle {cycle}: verification read of address "
-                    f"{address:#x} raised integrity error: {err}"
-                )
+                bad.append(f"verification read of address {address:#x} "
+                           f"raised integrity error: {err}")
+        self.report.violations.extend(
+            f"cycle {self.cycle}: {violation}" for violation in bad
+        )
 
     # -- entry point ---------------------------------------------------------
 
@@ -535,18 +397,15 @@ class TortureCampaign:
         cycles = self.spec.cycles if limit is None else min(
             self.spec.cycles, limit
         )
-        self._ack_floors()
-        for cycle in range(cycles):
-            if cycle % self.spec.checkpoint_every == 0:
+        self.shadow.pin(self.stack)
+        for self.cycle in range(cycles):
+            if self.cycle % self.spec.checkpoint_every == 0:
                 self._checkpoint()
             for _ in range(self.spec.ops_per_cycle):
-                self._traffic_op(cycle)
-            self.report.cycles_run = cycle + 1
-            self._crash_and_recover(cycle)
-        quarantine = self.stack.resilient.quarantine
-        self.report.retired_blocks = quarantine.retired_count
-        self.report.degraded_blocks = quarantine.degraded_count
-        self.report.spares_remaining = quarantine.spares_remaining
+                self._traffic_op(self.report)
+            self.report.cycles_run = self.cycle + 1
+            self._crash_and_recover()
+        self._tally_quarantine(self.report)
         return self.report
 
 
@@ -558,7 +417,6 @@ def run_torture(
 
 
 __all__ = [
-    "ShadowModel",
     "TortureCampaign",
     "TortureReport",
     "TortureSpec",

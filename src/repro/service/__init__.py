@@ -29,7 +29,9 @@ Module map:
   endpoints fed by the obs registry and resilience health state;
 * :mod:`repro.service.lifecycle`  -- graceful drain and
   crash-recovery-on-restart via :mod:`repro.persist.recovery`;
-* :mod:`repro.service.loadgen`    -- the mixed-tenant load generator
+* :mod:`repro.service.chaos`      -- the shadow-verified campaign
+  behind ``repro chaos`` and ``BENCH_chaos.json``;
+* :mod:`repro.service.loadgen`    -- the same campaign with faults off,
   behind ``repro loadgen`` and ``BENCH_service.json``.
 """
 

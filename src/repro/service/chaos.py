@@ -1,7 +1,15 @@
-"""``repro chaos``: disk faults x shard kills x overload, one campaign.
+"""``repro chaos`` and ``repro loadgen``: one service campaign harness.
 
-Extends the loadgen shadow-verification harness (``repro loadgen``)
-with the full fault surface this service claims to survive:
+A campaign self-hosts a :class:`ServiceSupervisor`, provisions N tenants
+across the shards, and drives concurrent per-tenant traffic (single
+writes, group-commit batches, and verifying reads).  Each tenant checks
+what it reads against a :class:`~repro.harness.oracle.ShadowOracle`;
+at the end every tracked block is read back through the service and
+checked once more.
+
+``repro loadgen`` (:mod:`repro.service.loadgen`) is this campaign with
+faults off.  ``repro chaos`` adds the full fault surface this service
+claims to survive:
 
 * **disk faults** -- every tenant's :class:`~repro.faultfs.FaultFS`
   runs a seeded background :class:`~repro.faultfs.FaultProfile`, and
@@ -23,10 +31,16 @@ staleness**.  Every *acknowledged* write must read back exactly.  A
 *refused* mutation is allowed to leave the address at either the last
 acknowledged value or the attempted one -- a storage fault between the
 in-memory apply and the journal seal is genuinely ambiguous one level
-up -- so the shadow tracks a candidate *set* for such addresses and
+up -- so the oracle tracks a candidate *set* for such addresses and
 verification accepts either member, never a third value.  Every
 refusal must be typed: an ``internal`` error code anywhere fails the
 campaign.
+
+An op's latency includes any retry stall (a killed shard answers again
+only after the restarted worker replayed its journals), so the reported
+p99 is the *user-visible* tail, not a fair-weather number.  Latency and
+throughput are wall-clock and therefore machine-dependent; the
+correctness fields are not.
 
 The committed ``BENCH_chaos.json`` additionally carries a
 *retry-amplification* measurement (total client frame sends over
@@ -44,9 +58,10 @@ import pathlib
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar, Sequence
 
 from repro.faultfs import FaultProfile
+from repro.harness.oracle import AMBIGUOUS_OK, OK, SDC, SKIPPED, ShadowOracle
 from repro.obs.metrics import MetricRegistry
 from repro.service.breaker import BreakerConfig
 from repro.service.endpoints import scrape
@@ -56,7 +71,6 @@ from repro.service.errors import (
     StorageFaulted,
     TenantDegraded,
 )
-from repro.service.loadgen import _block_payload, percentile
 from repro.service.quota import QuotaConfig
 from repro.service.router import ShardRouter, shard_of
 from repro.service.server import (
@@ -74,7 +88,19 @@ CHAOS_SCHEMA = "repro.service.chaos/1"
 
 @dataclass(frozen=True)
 class ChaosSpec:
-    """One chaos campaign, fully determined by its fields."""
+    """One service campaign, fully determined by its fields.
+
+    What sets a chaos campaign apart from plain load derives from the
+    fields, not from a mode switch: a nonzero fault rate provisions the
+    tenants with the resilience plane and gives their clients a
+    fast-tripping breaker (the gate wants to see it cycle); a nonzero
+    ``boost_rate`` picks a victim tenant, and then ``quota`` rate-limits
+    one *other* tenant, so the two refusal kinds stay apart -- without a
+    victim every tenant runs under ``quota``.
+    """
+
+    #: prefix of the per-tenant traffic and client RNG streams
+    namespace: ClassVar[str] = "repro.chaos"
 
     tenants: int = 4
     shards: int = 2
@@ -84,6 +110,7 @@ class ChaosSpec:
     read_every: int = 5
     region_kb: int = 16
     preset: str = "combined"
+    keystream: str = "splitmix"
     seed: int = 1
     secret_seed: int = 0xDAC2018
     #: background disk-fault rate every tenant runs under
@@ -96,97 +123,133 @@ class ChaosSpec:
     degraded_after: int = 4
     max_queue_depth: int = 8
     #: SIGKILL this shard once mid-run, then restart it
-    kill_shard: int = 1
+    kill_shard: int | None = 1
     kill_after_fraction: float = 0.4
     #: concurrent raw connections fired at one shard to overflow the
     #: dispatch queue
     overload_probes: int = 32
     #: requests sent with ``deadline_ms = 0`` (expired on arrival)
     deadline_probes: int = 8
-    #: tight op quota for one tenant, so QuotaExceeded shows up typed
+    #: op quota: tight, for one tenant, so QuotaExceeded shows up typed
     quota: QuotaConfig = field(
         default_factory=lambda: QuotaConfig(rate_ops=400.0, burst_ops=24)
     )
 
     def __post_init__(self) -> None:
-        if self.tenants < 2 or self.shards < 2:
+        if self.tenants < 1 or self.shards < 1:
+            raise ValueError("tenants and shards must be >= 1")
+        if self.ops_per_tenant < 1:
+            raise ValueError("ops_per_tenant must be >= 1")
+        if self.kill_shard is not None and not (
+            0 <= self.kill_shard < self.shards
+        ):
+            raise ValueError("kill_shard out of range")
+        if not 0.0 <= self.fault_rate < 1.0 or not 0.0 <= self.boost_rate < 1.0:
+            raise ValueError("fault rates must be in [0, 1)")
+        # The victim and the probes need a shard that is never killed.
+        spare_shard = (
+            self.boost_rate or self.overload_probes or self.deadline_probes
+        )
+        if (self.boost_rate and self.tenants < 2) or (
+            spare_shard and self.kill_shard is not None and self.shards < 2
+        ):
             raise ValueError(
                 "chaos needs >= 2 tenants and >= 2 shards (one shard "
                 "is killed; the victim tenant must live elsewhere)"
             )
-        if not 0 <= self.kill_shard < self.shards:
-            raise ValueError("kill_shard out of range")
-        if not 0.0 <= self.fault_rate < 1.0 or not 0.0 <= self.boost_rate < 1.0:
-            raise ValueError("fault rates must be in [0, 1)")
 
     def tenant_ids(self) -> list[str]:
         return [f"tenant-{index:02d}" for index in range(self.tenants)]
 
-    def victim_tenant(self) -> str:
+    def injects_faults(self) -> bool:
+        return self.fault_rate > 0 or self.boost_rate > 0
+
+    def victim_tenant(self) -> str | None:
         """The boosted tenant: first one routed off the killed shard."""
+        if not self.boost_rate:
+            return None
         for tenant_id in self.tenant_ids():
             if shard_of(tenant_id, self.shards) != self.kill_shard:
                 return tenant_id
         raise ValueError("no tenant routes off the killed shard")
 
-    def quota_tenant(self) -> str:
-        """The rate-limited tenant (distinct from the victim)."""
+    def quota_tenant(self) -> str | None:
+        """The rate-limited tenant (distinct from the victim; None when
+        there is no victim and every tenant runs under ``quota``)."""
         victim = self.victim_tenant()
-        for tenant_id in reversed(self.tenant_ids()):
-            if tenant_id != victim:
-                return tenant_id
-        raise AssertionError("unreachable: >= 2 tenants")
+        if victim is None:
+            return None
+        return next(t for t in reversed(self.tenant_ids()) if t != victim)
+
+    def quota_for(self, tenant_id: str) -> QuotaConfig:
+        if self.quota_tenant() in (None, tenant_id):
+            return self.quota
+        return QuotaConfig()
+
+    def breaker(self) -> BreakerConfig | None:
+        if self.injects_faults():
+            return BreakerConfig(failure_threshold=3, cooldown=0.1)
+        return None
 
     def safe_shard(self) -> int:
         """A shard that is never killed (overload/deadline target)."""
         return 0 if self.kill_shard != 0 else 1
 
+    def _profile(self, rate: float) -> FaultProfile | None:
+        if not rate:
+            return None
+        return FaultProfile(
+            seed=self.seed, rate=rate, warmup_steps=self.warmup_steps
+        )
+
     def shard_options(self) -> ShardOptions:
         return ShardOptions(
             max_queue_depth=self.max_queue_depth,
             degraded_after=self.degraded_after,
-            fault_profile=FaultProfile(
-                seed=self.seed,
-                rate=self.fault_rate,
-                warmup_steps=self.warmup_steps,
-            ),
-            fault_boost_tenant=self.victim_tenant(),
-            fault_boost_profile=FaultProfile(
-                seed=self.seed,
-                rate=self.boost_rate,
-                warmup_steps=self.warmup_steps,
-            ),
+            fault_profile=self._profile(self.fault_rate),
+            fault_boost_tenant=self.victim_tenant() or "",
+            fault_boost_profile=self._profile(self.boost_rate),
         )
 
+    #: what the bench payload's ``config`` records (methods by value)
+    config_fields: ClassVar[tuple[str, ...]] = (
+        "tenants", "shards", "ops_per_tenant", "seed", "fault_rate",
+        "boost_rate", "warmup_steps", "degraded_after", "max_queue_depth",
+        "kill_shard", "kill_after_fraction", "overload_probes",
+        "deadline_probes", "victim_tenant", "quota_tenant",
+    )
+
     def config_dict(self) -> dict[str, Any]:
-        return {
-            "tenants": self.tenants,
-            "shards": self.shards,
-            "ops_per_tenant": self.ops_per_tenant,
-            "seed": self.seed,
-            "fault_rate": self.fault_rate,
-            "boost_rate": self.boost_rate,
-            "warmup_steps": self.warmup_steps,
-            "degraded_after": self.degraded_after,
-            "max_queue_depth": self.max_queue_depth,
-            "kill_shard": self.kill_shard,
-            "kill_after_fraction": self.kill_after_fraction,
-            "overload_probes": self.overload_probes,
-            "deadline_probes": self.deadline_probes,
-            "victim_tenant": self.victim_tenant(),
-            "quota_tenant": self.quota_tenant(),
-        }
+        config = {}
+        for name in self.config_fields:
+            value = getattr(self, name)
+            config[name] = value() if callable(value) else value
+        return config
 
 
-class _ChaosTraffic:
-    """One tenant's traffic loop with ambiguity-aware ground truth.
+def _block_payload(tenant_id: str, seed: int, address: int,
+                   sequence: int) -> bytes:
+    return hashlib.sha512(
+        f"repro.loadgen/{tenant_id}/{seed}/{address}/{sequence}".encode()
+    ).digest()[:BLOCK_BYTES]
 
-    ``shadow`` holds the last *acknowledged* value per address.
-    ``ambiguous`` holds, for addresses whose latest mutation was
-    refused after possibly reaching the engine, the set of values a
-    read may legally return: the last acked value (or None for
-    never-acked) plus the attempted one.  Bounded staleness, no
-    fabricated ground truth.
+
+def percentile(samples: list[float], q: float) -> float:
+    """Nearest-rank percentile (q in [0, 100]) of ``samples``, in ms."""
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    rank = max(0, min(len(ordered) - 1,
+                      round(q / 100.0 * (len(ordered) - 1))))
+    return ordered[rank]
+
+
+class _Traffic:
+    """One tenant's traffic loop, checked against its shadow oracle.
+
+    Through the service a never-acknowledged block has no ground truth
+    (it legally reads as whatever the engine initialises it to), so the
+    oracle skips it instead of expecting zeros.
     """
 
     def __init__(
@@ -202,20 +265,21 @@ class _ChaosTraffic:
             root,
             spec.shards,
             registry=client_registry,
-            breaker=BreakerConfig(failure_threshold=3, cooldown=0.1),
+            breaker=spec.breaker(),
             rng_seed=int.from_bytes(
                 hashlib.sha256(
-                    f"repro.chaos.client/{spec.seed}/{tenant_id}".encode()
+                    f"{spec.namespace}.client/{spec.seed}/{tenant_id}".encode()
                 ).digest()[:8],
                 "big",
             ),
         )
-        self.rng = random.Random(f"repro.chaos/{spec.seed}/{tenant_id}")
-        self.shadow: dict[int, bytes] = {}
-        self.ambiguous: dict[int, set[bytes | None]] = {}
+        self.rng = random.Random(f"{spec.namespace}/{spec.seed}/{tenant_id}")
+        self.shadow = ShadowOracle()
         self.refusals: collections.Counter[str] = collections.Counter()
         self.logical_ops = 0
+        #: acknowledged requests, and the block reads/writes they carried
         self.acked_ops = 0
+        self.acked_blocks = 0
         self.inline_mismatches = 0
         self.inline_ambiguous = 0
         self.latencies_ms: list[float] = []
@@ -223,18 +287,14 @@ class _ChaosTraffic:
 
     async def provision(self) -> None:
         self.logical_ops += 1
-        quota = (
-            self.spec.quota
-            if self.tenant_id == self.spec.quota_tenant()
-            else QuotaConfig()
-        )
         response = await self.client.request_retry({
             "op": "provision",
             "tenant": self.tenant_id,
             "preset": self.spec.preset,
             "region_kb": self.spec.region_kb,
-            "resilience": True,
-            "quota": quota.to_json(),
+            "keystream": self.spec.keystream,
+            "resilience": self.spec.injects_faults(),
+            "quota": self.spec.quota_for(self.tenant_id).to_json(),
         })
         self.capacity_bytes = int(response["capacity_bytes"])
 
@@ -242,36 +302,15 @@ class _ChaosTraffic:
         blocks = self.capacity_bytes // BLOCK_BYTES
         return self.rng.randrange(blocks) * BLOCK_BYTES
 
-    def _acceptable(self, address: int) -> set[bytes | None]:
-        candidates = self.ambiguous.get(address)
-        if candidates is not None:
-            return candidates
-        return {self.shadow.get(address)}
-
-    def _mark_ambiguous(
-        self, writes: list[tuple[int, bytes]]
-    ) -> None:
-        """A refused mutation leaves each address two-valued."""
-        for address, attempted in writes:
-            candidates = self.ambiguous.setdefault(
-                address, {self.shadow.get(address)}
-            )
-            candidates.add(attempted)
-
-    def _ack(self, writes: list[tuple[int, bytes]]) -> None:
-        for address, data in writes:
-            self.shadow[address] = data
-            self.ambiguous.pop(address, None)
-
-    async def _mutate(
-        self, payload: dict[str, Any], writes: list[tuple[int, bytes]]
-    ) -> None:
-        """One mutating request; classifies every refusal by type."""
+    async def _request(
+        self, payload: dict[str, Any], writes: Sequence[tuple[int, bytes]] = ()
+    ) -> dict[str, Any] | None:
+        """One request; returns None on a refusal, classified by type."""
         # Per-op latency includes retry stalls: the user-visible tail.
         # repro-lint: disable=RL002
         start = time.monotonic()
         try:
-            await self.client.request_retry(payload, deadline=30.0)
+            return await self.client.request_retry(payload, deadline=30.0)
         except (QuotaExceeded, TenantDegraded) as error:
             # Refused strictly before dispatch: nothing reached the
             # engine, the last acked value still stands.
@@ -281,19 +320,17 @@ class _ChaosTraffic:
             # possibly applied in engine memory.  Two-valued from here
             # until a later ack pins it.
             self.refusals[error.code] += 1
-            self._mark_ambiguous(writes)
+            self.shadow.refuse_ambiguous(writes)
         except RETRYABLE_ERRORS as error:
             # Retry budget exhausted: the last attempt is ambiguous.
             self.refusals[error.code] += 1
-            self._mark_ambiguous(writes)
+            self.shadow.refuse_ambiguous(writes)
         except ServiceError as error:
             self.refusals[error.code] += 1
-        else:
-            self._ack(writes)
-            self.acked_ops += 1
         finally:
             # repro-lint: disable=RL002
             self.latencies_ms.append((time.monotonic() - start) * 1000.0)
+        return None
 
     async def _one_op(self, sequence: int) -> None:
         spec = self.spec
@@ -301,28 +338,29 @@ class _ChaosTraffic:
         if (
             spec.read_every
             and sequence % spec.read_every == 2
-            and self.shadow
+            and self.shadow.acked
         ):
-            address = self.rng.choice(sorted(self.shadow))
-            try:
-                response = await self.client.request_retry({
-                    "op": "read",
-                    "tenant": self.tenant_id,
-                    "address": address,
-                }, deadline=30.0)
-            except ServiceError as error:
-                self.refusals[error.code] += 1
+            address = self.rng.choice(sorted(self.shadow.acked))
+            response = await self._request({
+                "op": "read",
+                "tenant": self.tenant_id,
+                "address": address,
+            })
+            if response is None:
                 return
             data = response.get("data")
-            seen = bytes.fromhex(data) if data else None
-            acceptable = self._acceptable(address)
-            if seen in acceptable:
-                self.acked_ops += 1
-                if address in self.ambiguous:
-                    self.inline_ambiguous += 1
-            else:
+            verdict = self.shadow.check(
+                address, bytes.fromhex(data) if data else None
+            )
+            if verdict == SDC:
                 self.inline_mismatches += 1
-        elif spec.batch_every and sequence % spec.batch_every == 1:
+                return
+            if verdict == AMBIGUOUS_OK:
+                self.inline_ambiguous += 1
+            self.acked_ops += 1
+            self.acked_blocks += 1
+            return
+        if spec.batch_every and sequence % spec.batch_every == 1:
             writes = []
             for offset in range(spec.batch_size):
                 address = self._pick_address()
@@ -330,60 +368,47 @@ class _ChaosTraffic:
                     self.tenant_id, spec.seed, address,
                     sequence * 1000 + offset,
                 )))
-            await self._mutate({
+            payload = {
                 "op": "batch",
                 "tenant": self.tenant_id,
                 "writes": [[a, d.hex()] for a, d in writes],
-            }, writes)
+            }
         else:
             address = self._pick_address()
-            data = _block_payload(
-                self.tenant_id, spec.seed, address, sequence
-            )
-            await self._mutate({
+            data = _block_payload(self.tenant_id, spec.seed, address, sequence)
+            writes = [(address, data)]
+            payload = {
                 "op": "write",
                 "tenant": self.tenant_id,
                 "address": address,
                 "data": data.hex(),
-            }, writes=[(address, data)])
+            }
+        if await self._request(payload, writes) is not None:
+            self.shadow.ack(writes)
+            self.acked_ops += 1
+            self.acked_blocks += len(writes)
 
     async def run(self) -> None:
         for sequence in range(self.spec.ops_per_tenant):
             await self._one_op(sequence)
 
-    async def verify(self) -> dict[str, int]:
-        """Read back every tracked address; SDC = a third value.
+    async def verify(self) -> collections.Counter[str]:
+        """Read back every tracked address: one oracle verdict each.
 
-        Addresses whose only history is a refused first write (no
-        acked value to fall back to) are skipped, not guessed: with no
-        acknowledged ground truth there is nothing to hold the service
-        to -- an unwritten block legally reads as anything the engine
-        initialises it to.
+        Verification reads pay the same op quota as traffic, so a
+        rate-limited tenant's sweep politely waits for bucket refills.
         """
-        verified = sdc = ambiguous_ok = skipped = 0
-        for address in sorted(set(self.shadow) | set(self.ambiguous)):
-            if address not in self.shadow:
-                skipped += 1
-                continue
-            acceptable = self._acceptable(address)
+        observed = {}
+        for address in self.shadow.sweep():
             while True:
                 try:
-                    data = await self.client.read(self.tenant_id, address)
+                    observed[address] = await self.client.read(
+                        self.tenant_id, address
+                    )
                     break
                 except QuotaExceeded:
                     await asyncio.sleep(0.05)
-            if data in acceptable:
-                verified += 1
-                if address in self.ambiguous:
-                    ambiguous_ok += 1
-            else:
-                sdc += 1
-        return {
-            "verified": verified,
-            "sdc": sdc,
-            "ambiguous_ok": ambiguous_ok,
-            "skipped": skipped,
-        }
+        return self.shadow.verify(observed)
 
     async def close(self) -> None:
         await self.client.close()
@@ -467,14 +492,37 @@ async def _overload_burst(
     }
 
 
+async def _degraded_probe(victim: _Traffic) -> dict[str, Any]:
+    """The victim must end the campaign degraded: one more write has to
+    bounce with the typed refusal while a read still serves."""
+    tenant = victim.tenant_id
+    write_refused = read_ok = False
+    try:
+        await victim.client.write(
+            tenant, 0, _block_payload(tenant, victim.spec.seed, 0, 999_999)
+        )
+    except ServiceError as error:
+        write_refused = isinstance(error, TenantDegraded)
+    try:
+        await victim.client.read(tenant, 0)
+        read_ok = True
+    except ServiceError:
+        pass
+    return {
+        "tenant": tenant,
+        "write_refused": write_refused,
+        "read_ok": read_ok,
+    }
+
+
 async def _drive(
     spec: ChaosSpec,
     root: pathlib.Path,
     supervisor: ServiceSupervisor,
-) -> dict[str, Any]:
+) -> tuple[dict[str, Any], list[_Traffic]]:
     client_registry = MetricRegistry()
     traffic = [
-        _ChaosTraffic(tenant_id, spec, root, client_registry)
+        _Traffic(tenant_id, spec, root, client_registry)
         for tenant_id in spec.tenant_ids()
     ]
     for tenant in traffic:
@@ -483,6 +531,8 @@ async def _drive(
     kill_events: list[dict[str, Any]] = []
 
     async def _chaos_kill() -> None:
+        if spec.kill_shard is None:
+            return
         total = spec.ops_per_tenant * spec.tenants
         target = int(total * spec.kill_after_fraction)
         while (
@@ -507,42 +557,22 @@ async def _drive(
     # repro-lint: disable=RL002
     elapsed = time.monotonic() - start
 
-    # The victim must end the campaign degraded: one more write has to
-    # bounce with the typed refusal while a read still serves.
-    victim = next(
-        t for t in traffic if t.tenant_id == spec.victim_tenant()
-    )
-    victim_address = 0
-    victim_payload = _block_payload(
-        victim.tenant_id, spec.seed, victim_address, 999_999
-    )
-    degraded_write_refused = False
-    try:
-        await victim.client.write(
-            victim.tenant_id, victim_address, victim_payload
+    victim = spec.victim_tenant()
+    degraded = None
+    if victim is not None:
+        degraded = await _degraded_probe(
+            next(t for t in traffic if t.tenant_id == victim)
         )
-    except TenantDegraded:
-        degraded_write_refused = True
-    except ServiceError:
-        degraded_write_refused = False
-    degraded_read_ok = False
-    try:
-        await victim.client.read(victim.tenant_id, victim_address)
-        degraded_read_ok = True
-    except ServiceError:
-        degraded_read_ok = False
 
-    verify_totals = collections.Counter()
+    verdicts, refusals = collections.Counter(), collections.Counter()
     for tenant in traffic:
-        verify_totals.update(await tenant.verify())
-
-    refusals = collections.Counter()
-    for tenant in traffic:
+        verdicts.update(await tenant.verify())
         refusals.update(tenant.refusals)
+    verified = verdicts[OK] + verdicts[AMBIGUOUS_OK]
 
     logical_ops = sum(t.logical_ops for t in traffic) + (
         deadline_report["sent"]
-    ) + verify_totals["verified"] + verify_totals["sdc"]
+    ) + verified + verdicts[SDC]
     client_totals = client_registry.snapshot().totals()
     sends = client_totals.get("service.client.sends", 0)
     amplification = (sends / logical_ops) if logical_ops else 0.0
@@ -563,10 +593,10 @@ async def _drive(
         "refusals": dict(sorted(refusals.items())),
         "p50_ms": round(percentile(all_latencies, 50), 3),
         "p99_ms": round(percentile(all_latencies, 99), 3),
-        "verified_blocks": verify_totals["verified"],
-        "sdc_blocks": verify_totals["sdc"],
-        "ambiguous_ok_blocks": verify_totals["ambiguous_ok"],
-        "skipped_blocks": verify_totals["skipped"],
+        "verified_blocks": verified,
+        "sdc_blocks": verdicts[SDC],
+        "ambiguous_ok_blocks": verdicts[AMBIGUOUS_OK],
+        "skipped_blocks": verdicts[SKIPPED],
         "inline_mismatches": sum(t.inline_mismatches for t in traffic),
         "inline_ambiguous": sum(t.inline_ambiguous for t in traffic),
         "kill_events": kill_events,
@@ -588,20 +618,16 @@ async def _drive(
             "closed": client_totals.get("service.breaker.closed", 0),
             "states": breaker_states,
         },
-        "degraded": {
-            "tenant": spec.victim_tenant(),
-            "write_refused": degraded_write_refused,
-            "read_ok": degraded_read_ok,
-        },
-    }
+        "degraded": degraded,
+    }, traffic
 
 
-def run_chaos(
-    spec: ChaosSpec,
-    root: str | pathlib.Path,
-    out_path: str | pathlib.Path | None = None,
-) -> dict[str, Any]:
-    """Run one chaos campaign end to end; returns the bench payload."""
+def run_campaign(
+    spec: ChaosSpec, root: str | pathlib.Path
+) -> tuple[dict[str, Any], list[_Traffic], dict[str, Any]]:
+    """Self-host the service, drive one campaign, scrape every shard:
+    returns the results, the per-tenant traffic loops and each shard's
+    final ``/health`` payload."""
     root = pathlib.Path(root)
     supervisor = ServiceSupervisor(
         root,
@@ -612,28 +638,28 @@ def run_chaos(
     supervisor.start()
     try:
         supervisor.wait_ready()
-        results = asyncio.run(_drive(spec, root, supervisor))
+        results, traffic = asyncio.run(_drive(spec, root, supervisor))
         health = {}
         for shard in range(spec.shards):
             http = str(supervisor.router.http_socket_path(shard))
             health[f"shard-{shard}"] = scrape(http, "/health")
     finally:
         supervisor.stop()
+    return results, traffic, health
 
-    refusals = results["refusals"]
-    typed_only = refusals.get("internal", 0) == 0
-    payload = {
-        "schema": CHAOS_SCHEMA,
-        "bench": "chaos",
-        "config": spec.config_dict(),
-        "results": results,
-        "health": health,
-        "all_verified": (
-            results["sdc_blocks"] == 0
-            and results["inline_mismatches"] == 0
-            and typed_only
-        ),
-    }
+
+def all_verified(results: dict[str, Any]) -> bool:
+    """No SDC in the sweep or inline, and every refusal typed."""
+    return (
+        results["sdc_blocks"] == 0
+        and results["inline_mismatches"] == 0
+        and results["refusals"].get("internal", 0) == 0
+    )
+
+
+def write_payload(
+    payload: dict[str, Any], out_path: str | pathlib.Path | None
+) -> dict[str, Any]:
     if out_path is not None:
         pathlib.Path(out_path).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -641,4 +667,27 @@ def run_chaos(
     return payload
 
 
-__all__ = ["CHAOS_SCHEMA", "ChaosSpec", "run_chaos"]
+def run_chaos(
+    spec: ChaosSpec,
+    root: str | pathlib.Path,
+    out_path: str | pathlib.Path | None = None,
+) -> dict[str, Any]:
+    """Run one chaos campaign end to end; returns the bench payload."""
+    results, _, health = run_campaign(spec, root)
+    return write_payload({
+        "schema": CHAOS_SCHEMA,
+        "bench": "chaos",
+        "config": spec.config_dict(),
+        "results": results,
+        "health": health,
+        "all_verified": all_verified(results),
+    }, out_path)
+
+
+__all__ = [
+    "CHAOS_SCHEMA",
+    "ChaosSpec",
+    "percentile",
+    "run_campaign",
+    "run_chaos",
+]

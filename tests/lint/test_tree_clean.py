@@ -18,11 +18,10 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #:
 #: RL001  the three SplitMix64 mixer shifts in crypto/prf.py (30/27/31
 #:        are algorithm constants, not layout fields)
-#: RL002  intentional wallclock: loadgen latency/throughput measurement
-#:        (4), supervisor/client readiness + retry deadlines against
-#:        real processes in service/server.py (6), and the chaos
-#:        campaign's per-op latency + campaign wallclock in
-#:        service/chaos.py (4)
+#: RL002  intentional wallclock: supervisor/client readiness + retry
+#:        deadlines against real processes in service/server.py (6),
+#:        and the service campaign's per-op latency + campaign
+#:        wallclock in service/chaos.py (4, shared by loadgen)
 #: RL006  recovery replay in resilience/runtime.py applies quarantine
 #:        folds the journal already holds (2)
 #: RL007  service/server.py teardown: CancelledError-as-hangup in the
@@ -31,7 +30,7 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #:        just-cancelled dispatcher task in serve() (1)
 EXPECTED_SUPPRESSIONS = {
     "RL001": 3,
-    "RL002": 14,
+    "RL002": 10,
     "RL006": 2,
     "RL007": 5,
 }

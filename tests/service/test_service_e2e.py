@@ -10,6 +10,8 @@ nested tmp directories can exceed that.
 """
 
 import asyncio
+import json
+import pathlib
 import shutil
 import tempfile
 
@@ -17,11 +19,17 @@ import pytest
 
 from repro.service.endpoints import scrape
 from repro.service.errors import ShardUnavailable
-from repro.service.loadgen import LoadgenSpec, percentile, run_loadgen
+from repro.service.loadgen import (
+    BENCH_SCHEMA,
+    LoadgenSpec,
+    percentile,
+    run_loadgen,
+)
 from repro.service.router import shard_of
 from repro.service.server import ServiceClient, ServiceSupervisor
 
 SEED = 0xD00D
+REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -181,6 +189,13 @@ class TestLoadgen:
             t["quota_rejections"] for t in results["tenants"].values()
         )
         assert rejections > 0  # ~30 writes against a 10-block budget
+
+    def test_committed_bench_config_is_current(self):
+        """BENCH_service.json is the `repro loadgen --kill-shard 0`
+        payload; its config must match what that command runs today."""
+        committed = json.loads((REPO / "BENCH_service.json").read_text())
+        assert committed["schema"] == BENCH_SCHEMA
+        assert committed["config"] == LoadgenSpec(kill_shard=0).config_dict()
 
     def test_percentile_nearest_rank(self):
         samples = [float(v) for v in range(1, 101)]

@@ -246,6 +246,30 @@ class TestCrash:
         assert "points clean" in capsys.readouterr().out
 
 
+class TestEndurancePreset:
+    """``--preset endurance`` runs the crash matrix and torture with the
+    preset's own 2+2-bit dual-length widths, not an empty override."""
+
+    def test_specs_keep_the_preset_widths(self):
+        from repro.cli import _CRASH_SCHEME_KWARGS
+        from repro.persist.crashsim import CrashSimSpec
+        from repro.resilience.torture import TortureSpec
+
+        kwargs = _CRASH_SCHEME_KWARGS["endurance"]
+        for spec_cls in (CrashSimSpec, TortureSpec):
+            config = spec_cls(
+                preset="endurance", scheme_kwargs=kwargs
+            ).engine_config()
+            assert config.counter_scheme == "dual_length"
+            assert config.scheme_kwargs["base_delta_bits"] == 2
+            assert config.scheme_kwargs["extension_bits"] == 2
+
+    @pytest.mark.parametrize("command", ["crash", "torture"])
+    def test_preset_is_selectable(self, command):
+        args = build_parser().parse_args([command, "--preset", "endurance"])
+        assert args.preset == "endurance"
+
+
 class TestTorture:
     def test_bounded_campaign_exit_zero(self, capsys):
         code = main(["torture", "--limit", "2", "--ops", "8"])
