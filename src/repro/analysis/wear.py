@@ -89,13 +89,11 @@ def measure_wear(
         if total_blocks is None:
             raise ValueError("total_blocks required when scheme is a name")
         scheme = make_scheme(scheme, total_blocks)
-    demand = 0
-    for block in writebacks:
-        scheme.on_write(block)
-        demand += 1
+    blocks = list(writebacks)
+    scheme.replay(blocks)
     return WearReport(
         scheme=scheme.name,
-        demand_writes=demand,
+        demand_writes=len(blocks),
         re_encryptions=scheme.stats.re_encryptions,
         blocks_per_group=scheme.blocks_per_group,
     )

@@ -2,13 +2,16 @@
 
 A counter scheme owns the encryption counters of ``total_blocks`` 64-byte
 memory blocks, arranged in block-groups of ``blocks_per_group``.  The
-memory-encryption engine interacts with it through three operations:
+memory-encryption engine interacts with it through these operations:
 
 * :meth:`CounterScheme.counter` -- the current encryption counter of a
   block (needed to decrypt it on a read),
 * :meth:`CounterScheme.on_write` -- bump a block's counter before a write,
   returning a :class:`~repro.core.counters.events.WriteOutcome` that also
   tells the engine whether a whole group must be re-encrypted,
+* :meth:`CounterScheme.on_writes` -- the same for a run of writes, up to
+  the first that may overflow: only plain increments, so it returns bare
+  counters and records their statistics in bulk,
 * :meth:`CounterScheme.group_metadata` -- the byte serialization of one
   group's counters, which is what actually lives in DRAM, flows through
   the metadata cache, and is hashed by the Bonsai Merkle tree.
@@ -26,6 +29,8 @@ across arbitrary write interleavings for every scheme.
 from __future__ import annotations
 
 import abc
+from itertools import islice
+from typing import Sequence
 
 from repro.core.counters.events import CounterStats, WriteOutcome
 from repro.lint.contracts import BLOCK_BYTES, METADATA_BLOCK_BITS
@@ -114,6 +119,43 @@ class CounterScheme(abc.ABC):
         outcome = self._increment(block_index)
         self.stats.record(outcome, group=self.group_of(block_index))
         return outcome
+
+    def on_writes(self, blocks: Sequence[int], start: int = 0) -> list[int]:
+        """Advance ``blocks[start:]`` up to the first that may overflow.
+
+        Stops before the first block whose :meth:`may_overflow` is True
+        -- that write belongs to the exact :meth:`on_write` -- and
+        returns the counters of the blocks it advanced, so the stop
+        index is ``start + len(result)``.  Counters, scheme state and
+        statistics are exactly those of a ``may_overflow``-guarded
+        :meth:`on_write` loop; since every advanced write is a plain
+        increment, a subclass may record them as bulk counts.  Blocks
+        must be in range (the engine validates addresses).
+        """
+        counters: list[int] = []
+        for block in islice(blocks, start, None):
+            if self.may_overflow(block):
+                break
+            counters.append(self.on_write(block).counter)
+        return counters
+
+    def replay(self, blocks: Sequence[int]) -> None:
+        """Advance the counters for a whole write stream.
+
+        Plain segments go through :meth:`on_writes`, each write that may
+        overflow through :meth:`on_write`: the state and statistics of
+        an :meth:`on_write` loop over ``blocks``.
+        """
+        if blocks and not (
+            0 <= min(blocks) and max(blocks) < self.total_blocks
+        ):
+            raise IndexError("block index out of range")
+        index = 0
+        while index < len(blocks):
+            index += len(self.on_writes(blocks, index))
+            if index < len(blocks):
+                self.on_write(blocks[index])
+                index += 1
 
     # -- storage accounting ---------------------------------------------------
 

@@ -42,6 +42,9 @@ of the group.
 
 from __future__ import annotations
 
+from itertools import islice
+from typing import Sequence
+
 from repro.core.counters.base import CounterScheme
 from repro.core.counters.events import CounterEvent, WriteOutcome
 from repro.core.counters.layout import DeltaLayout
@@ -172,8 +175,7 @@ class DeltaCounters(CounterScheme):
     def _increment(self, block_index: int) -> WriteOutcome:
         group = block_index // self.blocks_per_group
         events: list[CounterEvent] = []
-        current = self._deltas[block_index]
-        tentative = current + 1
+        tentative = self._deltas[block_index] + 1
 
         # Below the base width nothing can overflow; only then ask the
         # (possibly widened) capacity test.
@@ -185,8 +187,7 @@ class DeltaCounters(CounterScheme):
             else:
                 if self.enable_reencode and self._try_reencode(group):
                     events.append(CounterEvent.RE_ENCODE)
-                    current = self._deltas[block_index]
-                    tentative = current + 1
+                    tentative = self._deltas[block_index] + 1
                 # A re-encode may have released the extension bits; claim
                 # them instead of re-encrypting when the delta still
                 # does not fit.
@@ -202,6 +203,20 @@ class DeltaCounters(CounterScheme):
                         )
                     events.append(CounterEvent.WIDEN)
 
+        counter, reset = self._bump(block_index)
+        events.append(CounterEvent.INCREMENT)
+        if reset:
+            events.append(CounterEvent.RESET)
+        return WriteOutcome(counter=counter, events=tuple(events))
+
+    def _bump(self, block_index: int) -> tuple[int, bool]:
+        """The plain increment every write that stores a fresh delta ends
+        with: the delta grows by one, the aggregates follow, and a group
+        whose deltas converged resets.  Returns the block's counter and
+        whether the group reset."""
+        group = block_index // self.blocks_per_group
+        current = self._deltas[block_index]
+        tentative = current + 1
         self._deltas[block_index] = tentative
         if tentative > self._max[group]:
             self._max[group] = tentative
@@ -210,15 +225,38 @@ class DeltaCounters(CounterScheme):
             if self._min_count[group] == 0:
                 self._recompute_aggregates(group)
         counter = self._references[group] + tentative
-        events.append(CounterEvent.INCREMENT)
         if (
             self.enable_reset
             and self._min[group] == self._max[group]
             and self._min[group] != 0
         ):
             self._do_reset(group)
-            events.append(CounterEvent.RESET)
-        return WriteOutcome(counter=counter, events=tuple(events))
+            return counter, True
+        return counter, False
+
+    def on_writes(self, blocks: Sequence[int], start: int = 0) -> list[int]:
+        """One lean loop over the list state: the exact overflow test
+        (the base-width check first, as :meth:`_increment` opens with),
+        then :meth:`_bump`; statistics as one bulk count per kind.
+
+        Not an array update: a reset fires mid-run whenever a plain bump
+        makes a group's deltas converge, and every later counter of that
+        group depends on it.
+        """
+        deltas = self._deltas
+        limit = self._delta_limit
+        bump = self._bump
+        counters: list[int] = []
+        resets = 0
+        for block in islice(blocks, start, None):
+            if deltas[block] + 1 >= limit and self.may_overflow(block):
+                break
+            counter, reset = bump(block)
+            counters.append(counter)
+            resets += reset
+        if counters:
+            self.stats.record_increments(len(counters), resets)
+        return counters
 
     # -- storage / serialization --------------------------------------------------
 

@@ -98,6 +98,17 @@ class CounterStats(RegistryView):
                 self.per_group_re_encryptions.get(group, 0) + 1
             )
 
+    def record_increments(self, count: int, resets: int = 0) -> None:
+        """Fold ``count`` plain writes into the aggregates at once.
+
+        Each is one INCREMENT and ``resets`` of them also a RESET: the
+        totals ``count`` :meth:`record` calls of those outcomes add up
+        to, as one bump per field (plain writes never re-encrypt).
+        """
+        self.writes += count
+        self.increments += count
+        self.resets += resets
+
     def merge(self, other: CounterStats) -> None:
         """Accumulate another stats object (e.g. across trace segments)."""
         self.writes += other.writes

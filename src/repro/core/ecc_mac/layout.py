@@ -19,6 +19,7 @@ single-bit data upsets without recomputing MACs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.crypto.mac import CarterWegmanMac, MAC_BITS, MAC_MASK
 from repro.ecc.hamming import HammingResult, HammingSecDed
@@ -50,6 +51,43 @@ class EccField:
             raise ValueError("mac_check must be a 7-bit value")
         if self.ct_parity not in (0, 1):
             raise ValueError("ct_parity must be 0 or 1")
+
+    @classmethod
+    def many(
+        cls,
+        macs: Sequence[int],
+        checks: Sequence[int],
+        parities: Sequence[int],
+    ) -> list["EccField"]:
+        """One field per row of three parallel columns (the batch write
+        path's constructor).
+
+        Each column is range-checked once, with the messages of
+        ``__post_init__``, instead of once per field; the fields are then
+        set as the frozen ``__init__`` sets them, with
+        ``object.__setattr__`` -- never through ``__dict__``, which would
+        give every field a real per-instance dict.
+        """
+        if not len(macs) == len(checks) == len(parities):
+            raise ValueError("columns must have equal lengths")
+        if macs and not (0 <= min(macs) and max(macs) <= MAC_MASK):
+            raise ValueError("mac must be a 56-bit value")
+        if checks and not (
+            0 <= min(checks) and max(checks) < (1 << _MAC_CHECK_BITS)
+        ):
+            raise ValueError("mac_check must be a 7-bit value")
+        if not set(parities) <= {0, 1}:
+            raise ValueError("ct_parity must be 0 or 1")
+        new = object.__new__
+        assign = object.__setattr__
+        fields = []
+        for mac, check, parity in zip(macs, checks, parities):
+            field = new(cls)
+            assign(field, "mac", mac)
+            assign(field, "mac_check", check)
+            assign(field, "ct_parity", parity)
+            fields.append(field)
+        return fields
 
     def pack(self) -> bytes:
         """Serialize to the 8 bytes the ECC chips store."""

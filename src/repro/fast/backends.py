@@ -144,6 +144,16 @@ def aes_nonce_block(counter: int, address: int, segment: int) -> bytes:
     )
 
 
+def _masked(values: Sequence[int], mask: int) -> np.ndarray:
+    """``[v & mask for v in values]`` as uint64: one numpy op when every
+    value fits 64 bits, else per value (a monolithic epoch >= 128 puts
+    a nonce at or above 2**64)."""
+    array = np.asarray(values) if len(values) else np.zeros(0, np.uint64)
+    if array.dtype.kind in "iu":
+        return array.astype(np.uint64) & np.uint64(mask)
+    return np.array([v & mask for v in values], dtype=np.uint64)
+
+
 def aes_nonce_blocks(
     counters: Sequence[int], addresses: Sequence[int]
 ) -> np.ndarray:
@@ -153,8 +163,8 @@ def aes_nonce_blocks(
     segment index varying along axis 1.
     """
     n = len(counters)
-    c = np.array([v & _COUNTER_MASK for v in counters], dtype=np.uint64)
-    a = np.array([v & _ADDRESS_MASK for v in addresses], dtype=np.uint64)
+    c = _masked(counters, _COUNTER_MASK)
+    a = _masked(addresses, _ADDRESS_MASK)
     blocks = np.zeros((n, _SEGMENTS, _AES_BLOCK), dtype=np.uint8)
     for k in range(7):
         blocks[:, :, k] = (

@@ -11,9 +11,16 @@ test suite asserts exactly that.
 
 How the write path keeps the scalar semantics while batching:
 
-* ``scheme.on_write`` runs per block, in order (counter state machines
-  are inherently sequential), but the expensive keystream, MAC and
-  ECC-lane work is deferred into per-run batches;
+* counters advance in order (counter state machines are inherently
+  sequential), a run at a time: one ``scheme.on_writes`` call advances
+  a plain segment -- every write up to the first for which
+  ``scheme.may_overflow`` is True -- and records its statistics as
+  bulk counts; that one write takes the exact per-block
+  ``scheme.on_write`` path below, and the next segment starts after
+  it.  A segment's blocks, nonces and data join parallel pending
+  columns and its groups are marked stale and dirty in bulk; the
+  expensive keystream, MAC and ECC-lane work is deferred into per-run
+  batches, whose ECC fields are built by one ``EccField.many`` call;
 * the groups touched by the run are serialized when the run commits,
   all of them in one multi-group ``counters.encode`` call.  Until then
   their ``counter_storage`` lags the scheme.  The only reader that can
@@ -39,22 +46,30 @@ How the write path keeps the scalar semantics while batching:
   per level (intermediate leaf states are unobservable -- no read can
   happen inside a write run).
 
-The read path verifies the touched groups' tree leaves in one
-``verify_leaves`` walk (distinct groups, first-touch order), decodes
-the counters of those that verified in one ``counters.decode`` call,
-batch-checks the stored MACs' Hamming bits (a block is clean exactly when its stored check bits equal the
+Queued addresses are validated when queued -- ``write_many`` and
+``read_many`` test a whole call's with one array test, falling back to
+the per-address checks (and their exact ``ValueError``) only when it
+fails -- so both paths compute blocks, groups, slots and nonces
+arithmetically.  The read path verifies the touched groups' tree
+leaves in one ``verify_leaves`` walk (distinct groups, first-touch
+order), decodes the counters of those that verified in one
+``counters.decode`` call, batch-checks the stored MACs' Hamming bits (a
+block is clean exactly when its stored check bits equal the
 ``ecc.lane`` encoding of its stored MAC), batch-verifies MACs over the
 stored ciphertexts and batch-decrypts the clean blocks; any anomaly
 (Hamming status not clean, MAC mismatch, lazily-initialized block,
 perturb hook installed) falls back to the scalar ``engine.read`` for
 that block, in queue order, so corrections, heal-writebacks, metrics
-and raised ``IntegrityError``\\ s are exactly the scalar ones.
+and raised ``IntegrityError``\\ s are exactly the scalar ones.  A run of
+clean reads is counted in one ``engine.read.total`` and one
+``engine.read.mac_check`` bump, before the next scalar read or raise.
 
 Engines with persistence attached get **group commit**: each flushed
-write run becomes *one* journal transaction -- ``begin_txn`` before the
-first ``on_write``, every stored block image and every touched group's
-metadata mirrored into it (including what a re-encryption stores, batched
-or scalar, which journals inside the same open transaction), and a
+write run becomes *one* journal transaction -- ``begin_txn`` before
+the first counter advances, every stored block image and every touched
+group's metadata mirrored into it (including what a re-encryption
+stores, batched or scalar, which journals inside the same open
+transaction), and a
 single ``commit_txn(..., writes=N)`` whose seal acknowledges the whole
 batch.  The write-ahead invariants are unchanged -- the record is the
 same physical-redo shape the scalar path seals per write, just N writes
@@ -141,17 +156,67 @@ class BatchSecureMemory:
         self._queue.append(("read", address, None))
 
     def write_many(self, writes: Iterable[tuple[int, bytes]]) -> None:
-        """Queue and flush a sequence of (address, data) writes."""
-        for address, data in writes:
-            self.queue_write(address, data)
+        """Queue and flush a sequence of (address, data) writes.
+
+        The call is validated at once; only when that fails are the
+        writes queued one by one, so the first bad write raises what
+        :meth:`queue_write` raises, with the writes before it queued.
+        """
+        writes = list(writes)
+        queued = self._checked_writes(writes)
+        if queued is None:
+            for address, data in writes:
+                self.queue_write(address, data)
+        else:
+            self._queue.extend(queued)
         self.flush()
 
     def read_many(self, addresses: Sequence[int]) -> list[ReadResult]:
-        """Flush pending work, then read ``addresses`` as one batch."""
+        """Flush pending work, then read ``addresses`` as one batch
+        (validated like :meth:`write_many`'s writes)."""
         self.flush()
-        for address in addresses:
-            self.queue_read(address)
+        if self._addresses_valid(addresses):
+            self._queue.extend(("read", address, None) for address in addresses)
+        else:
+            for address in addresses:
+                self.queue_read(address)
         return self.flush()
+
+    def _checked_writes(
+        self, writes: list[tuple[int, bytes]]
+    ) -> list[tuple[str, int, bytes | None]] | None:
+        """The queue entries of a whole call, or None unless every write
+        passes :meth:`queue_write`'s checks."""
+        try:
+            addresses = [address for address, _ in writes]
+            datas = [data for _, data in writes]
+            if set(map(len, datas)) - {BLOCK_BYTES}:
+                return None
+            queued = [
+                ("write", address, bytes(data))
+                for address, data in zip(addresses, datas)
+            ]
+        except (TypeError, ValueError):
+            return None
+        return queued if self._addresses_valid(addresses) else None
+
+    def _addresses_valid(self, addresses: Sequence[int]) -> bool:
+        """``engine._block_index``'s checks -- 64-byte aligned, inside
+        the protected region -- as one array test over a call."""
+        if not len(addresses):
+            return True
+        try:
+            array = np.array(addresses)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        if array.ndim != 1 or array.dtype.kind not in "iu":
+            return False
+        limit = self.engine.scheme.total_blocks * BLOCK_BYTES
+        return bool(
+            array.min() >= 0
+            and array.max() < limit
+            and not (array % BLOCK_BYTES).any()
+        )
 
     def flush(self) -> list[ReadResult]:
         """Run the queue through the kernels; returns queued reads' results.
@@ -269,44 +334,74 @@ class BatchSecureMemory:
         )
 
     def _run_writes(self, writes: list[tuple[int, bytes]]) -> bool:
-        """The write-run data path; True when a global re-encrypt fired."""
+        """The write-run data path; True when a global re-encrypt fired.
+
+        The run is walked as plain segments, each advanced by one
+        ``scheme.on_writes`` call, separated by single writes that may
+        overflow, which take the exact per-block path.
+        """
         engine = self.engine
         scheme = engine.scheme
+        per_group = scheme.blocks_per_group
         global_reencrypt = False
         wraps = hasattr(scheme, "epoch")
+        engine_writes = engine.counters.metric("writes")
         self._m_writes.inc(len(writes))
-        #: writes encrypted/stored lazily: (block, address, nonce, data)
-        pending: list[tuple[int, int, int, bytes]] = []
+        addresses = [address for address, _ in writes]
+        datas = [data for _, data in writes]
+        # Queued addresses were validated: aligned and in range.
+        blocks = [address // BLOCK_BYTES for address in addresses]
+        #: writes encrypted/stored lazily: blocks, addresses, nonces, data
+        pending: tuple[list[int], list[int], list[int], list[bytes]] = (
+            [], [], [], []
+        )
         #: groups whose counter_storage lags the scheme state
         stale: dict[int, None] = {}
         #: groups needing a final tree-leaf commit
         dirty: dict[int, None] = {}
-        for address, data in writes:
-            block = engine._block_index(address)
-            group = scheme.group_of(block)
-            if stale and scheme.may_overflow(block):
-                # What the scalar per-write commit would have left in
-                # storage where the overflow handlers read old counters:
-                # a group re-encryption reads only its own group, a
-                # monolithic wrap every group.
-                if wraps:
-                    lagging = list(stale)
-                elif group in stale:
-                    lagging = [group]
-                else:
-                    lagging = []
-                if lagging:
-                    engine.counter_storage.update(
-                        zip(lagging, self._serialize_groups(lagging))
-                    )
-                    for lagged in lagging:
-                        del stale[lagged]
+        start = 0
+        while True:
+            counters = scheme.on_writes(blocks, start)
+            stop = start + len(counters)
+            if counters:
+                offset = engine._nonce(0)
+                pending[0].extend(blocks[start:stop])
+                pending[1].extend(addresses[start:stop])
+                pending[2].extend([counter + offset for counter in counters])
+                pending[3].extend(datas[start:stop])
+                touched = dict.fromkeys(
+                    [block // per_group for block in blocks[start:stop]]
+                )
+                stale.update(touched)
+                dirty.update(touched)
+                engine_writes.inc(len(counters))
+            if stop == len(blocks):
+                break
+            # ``scheme.may_overflow`` is True for this write.
+            block, address = blocks[stop], addresses[stop]
+            group = block // per_group
+            # What the scalar per-write commit would have left in
+            # storage where the overflow handlers read old counters: a
+            # group re-encryption reads only its own group, a monolithic
+            # wrap every group.
+            if wraps:
+                lagging = list(stale)
+            elif group in stale:
+                lagging = [group]
+            else:
+                lagging = []
+            if lagging:
+                engine.counter_storage.update(
+                    zip(lagging, self._serialize_groups(lagging))
+                )
+                for lagged in lagging:
+                    del stale[lagged]
             outcome = scheme.on_write(block)
-            engine.counters.writes += 1
+            engine_writes.inc()
             if outcome.has(CounterEvent.GLOBAL_RE_ENCRYPT):
                 global_reencrypt = True
-                self._flush_pending(pending)
-                pending = []
+                self._flush_pending(*pending)
+                pending = ([], [], [], [])
                 engine._trace_reencrypt("engine.global_reencrypt", address)
                 with engine._probe_reencrypt:
                     self._global_reencrypt(skip_block=block)
@@ -314,8 +409,8 @@ class BatchSecureMemory:
                 stale.clear()
                 dirty.clear()
             elif outcome.reencrypted_group is not None:
-                self._flush_pending(pending)
-                pending = []
+                self._flush_pending(*pending)
+                pending = ([], [], [], [])
                 engine._trace_reencrypt(
                     "engine.group_reencrypt",
                     address,
@@ -328,67 +423,70 @@ class BatchSecureMemory:
                         skip_block=block,
                     )
                 engine.counters.group_reencryptions += 1
-            pending.append(
-                (block, address, engine._nonce(outcome.counter), data)
-            )
+            pending[0].append(block)
+            pending[1].append(address)
+            pending[2].append(engine._nonce(outcome.counter))
+            pending[3].append(datas[stop])
             stale[group] = None
             dirty[group] = None
-        self._flush_pending(pending)
+            start = stop + 1
+        self._flush_pending(*pending)
         self._m_groups.inc(len(dirty))
         if dirty:
             self._commit_groups(list(dirty))
         return global_reencrypt
 
     def _flush_pending(
-        self, pending: list[tuple[int, int, int, bytes]]
+        self,
+        blocks: list[int],
+        addresses: list[int],
+        nonces: list[int],
+        datas: list[bytes],
     ) -> None:
-        if not pending:
+        """Encrypt, tag and store parallel columns of pending writes."""
+        if not blocks:
             return
         engine = self.engine
         in_txn = engine.persist is not None and engine.persist.in_txn
-        count = len(pending)
-        addresses = [entry[1] for entry in pending]
-        nonces = [entry[2] for entry in pending]
-        data = np.frombuffer(
-            b"".join(entry[3] for entry in pending), dtype=np.uint8
-        ).reshape(count, BLOCK_BYTES)
+        count = len(blocks)
+        data = np.frombuffer(b"".join(datas), dtype=np.uint8).reshape(
+            count, BLOCK_BYTES
+        )
         ciphertexts = self.kernels.run(
             "ctr.encrypt", data, nonces, addresses, blocks=count
         )
         tags = self.kernels.run(
             "mac.tags", ciphertexts, addresses, nonces, blocks=count
         )
+        flat = ciphertexts.tobytes()
+        stored = [
+            flat[offset : offset + BLOCK_BYTES]
+            for offset in range(0, count * BLOCK_BYTES, BLOCK_BYTES)
+        ]
+        engine.ciphertexts.update(zip(blocks, stored))
         if engine.config.mac_in_ecc:
             lane = self.kernels.run(
                 "ecc.lane", tags, ciphertexts, blocks=count
             )
-            for row, entry, tag_value, check in zip(
-                ciphertexts, pending, tags.tolist(), lane.tolist()
-            ):
-                ciphertext = row.tobytes()
-                engine.ciphertexts[entry[0]] = ciphertext
-                field = EccField(
-                    mac=tag_value,
-                    mac_check=check & CHECK_MASK,
-                    ct_parity=check >> PARITY_SHIFT,
-                )
-                engine.ecc_fields[entry[0]] = field
-                if in_txn:
+            fields = EccField.many(
+                tags.tolist(),
+                (lane & CHECK_MASK).tolist(),
+                (lane >> PARITY_SHIFT).tolist(),
+            )
+            engine.ecc_fields.update(zip(blocks, fields))
+            if in_txn:
+                for block, ciphertext, field in zip(blocks, stored, fields):
                     engine.persist.record_data(
-                        entry[0],
+                        block,
                         DataImage(ciphertext=ciphertext, ecc=field.pack()),
                     )
         else:
-            for row, entry, tag_value in zip(
-                ciphertexts, pending, tags.tolist()
-            ):
-                ciphertext = row.tobytes()
-                engine.ciphertexts[entry[0]] = ciphertext
-                engine.mac_store[entry[0]] = tag_value
-                if in_txn:
+            macs = tags.tolist()
+            engine.mac_store.update(zip(blocks, macs))
+            if in_txn:
+                for block, ciphertext, mac in zip(blocks, stored, macs):
                     engine.persist.record_data(
-                        entry[0],
-                        DataImage(ciphertext=ciphertext, mac=tag_value),
+                        block, DataImage(ciphertext=ciphertext, mac=mac)
                     )
 
     # -- overflow re-encryption -------------------------------------------
@@ -501,10 +599,12 @@ class BatchSecureMemory:
             )
             for row, plain in zip(rows, decrypted):
                 plains[row] = plain.tobytes()
-        self._flush_pending([
-            (block, block * BLOCK_BYTES, nonce, plain)
-            for block, nonce, plain in zip(blocks, new_nonces, plains)
-        ])
+        self._flush_pending(
+            blocks,
+            [block * BLOCK_BYTES for block in blocks],
+            new_nonces,
+            plains,
+        )
         return True
 
     def _clean(
@@ -537,14 +637,16 @@ class BatchSecureMemory:
 
     def _flush_reads(self, addresses: list[int]) -> list[ReadResult]:
         engine = self.engine
-        scheme = engine.scheme
+        per_group = engine.scheme.blocks_per_group
         self._m_reads.inc(len(addresses))
-        blocks = [engine._block_index(address) for address in addresses]
+        # Queued addresses were validated: aligned and in range.
+        blocks = [address // BLOCK_BYTES for address in addresses]
+        block_groups = [block // per_group for block in blocks]
 
         # Per-group pre-pass, in first-touch order: one tree walk over
         # the distinct groups, then one decode of those that verified.
         # A group that fails keeps None and raises at its queue position.
-        groups = list(dict.fromkeys(scheme.group_of(block) for block in blocks))
+        groups = list(dict.fromkeys(block_groups))
         stored = [engine._stored_metadata(group) for group in groups]
         verdicts = engine.tree.verify_leaves(
             groups, [engine._pad_leaf(data) for data in stored],
@@ -565,9 +667,10 @@ class BatchSecureMemory:
         mac_in_ecc = engine.config.mac_in_ecc
         scalar_all = engine.read_perturb is not None
         scalar = ("scalar", 0, b"", 0, 0)
+        offset = engine._nonce(0)
         entries: list[tuple[str, int, bytes, int, int]] = []
-        for address, block in zip(addresses, blocks):
-            counters = group_counters[scheme.group_of(block)]
+        for block, group in zip(blocks, block_groups):
+            counters = group_counters[group]
             if counters is None:
                 entries.append(("tree", 0, b"", 0, 0))
                 continue
@@ -576,7 +679,7 @@ class BatchSecureMemory:
                 # the scalar path do that so pre-pass stays mutation-free.
                 entries.append(scalar)
                 continue
-            nonce = engine._nonce(counters[scheme.slot_of(block)])
+            nonce = counters[block - group * per_group] + offset
             ciphertext = engine.ciphertexts[block]
             if mac_in_ecc:
                 ecc = engine.ecc_fields.get(block)
@@ -626,10 +729,22 @@ class BatchSecureMemory:
                     decrypted[verify_at[row]] = plain.tobytes()
 
         # Queue-order pass: mutations and raises happen exactly where the
-        # scalar loop would have performed them.
+        # scalar loop would have performed them.  A run of clean reads is
+        # counted in one bump, before the next scalar read or raise.
         results: list[ReadResult] = []
+        clean_run = 0
         for position, entry in enumerate(entries):
             kind = entry[0]
+            if kind == "verify":
+                clean_run += 1
+                results.append(
+                    ReadResult(
+                        data=decrypted[position], outcome=CheckOutcome.CLEAN
+                    )
+                )
+                continue
+            self._count_clean_reads(clean_run)
+            clean_run = 0
             if kind == "tree":
                 engine.counters.reads += 1
                 engine._m_tree_fails.inc()
@@ -638,18 +753,16 @@ class BatchSecureMemory:
                     addresses[position],
                     "counter storage failed tree verification",
                 )
-            if kind == "scalar":
-                self._m_fallback.inc()
-                results.append(engine.read(addresses[position]))
-                continue
-            engine.counters.reads += 1
-            engine._m_mac_checks.inc()
-            results.append(
-                ReadResult(
-                    data=decrypted[position], outcome=CheckOutcome.CLEAN
-                )
-            )
+            self._m_fallback.inc()
+            results.append(engine.read(addresses[position]))
+        self._count_clean_reads(clean_run)
         return results
+
+    def _count_clean_reads(self, count: int) -> None:
+        """What ``count`` clean scalar reads add to the engine metrics."""
+        if count:
+            self.engine.counters.metric("reads").inc(count)
+            self.engine._m_mac_checks.inc(count)
 
 
 __all__ = ["BatchSecureMemory"]

@@ -163,8 +163,7 @@ class ReencryptionExperiment:
         counts = {}
         for name, builder in self.SCHEMES.items():
             scheme = builder(region_blocks)
-            for block in writebacks:
-                scheme.on_write(block)
+            scheme.replay(writebacks)
             counts[name] = scheme.stats.re_encryptions
         return Table2Row(
             app=app_profile.name,

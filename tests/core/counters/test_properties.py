@@ -78,6 +78,34 @@ class TestInvariantsPerScheme:
                 scheme.counter(b) for b in scheme.blocks_in_group(group)
             ], (name, group)
 
+    @given(writes=write_sequences)
+    @settings(max_examples=20, deadline=None)
+    def test_replay_equals_the_on_write_loop(self, name, writes):
+        """``replay`` (plain segments via ``on_writes``, overflow writes
+        via ``on_write``) leaves an ``on_write`` loop's counters and
+        statistics."""
+        replayed = make_scheme(name, 128, **SMALL_KWARGS[name])
+        replayed.replay(writes)
+        looped = make_scheme(name, 128, **SMALL_KWARGS[name])
+        for block in writes:
+            looped.on_write(block)
+        for group in range(looped.num_groups):
+            assert replayed.group_metadata(group) == looped.group_metadata(
+                group
+            ), (name, group)
+        assert replayed.stats.as_dict() == looped.stats.as_dict()
+        assert (
+            replayed.stats.per_group_re_encryptions
+            == looped.stats.per_group_re_encryptions
+        )
+
+    def test_replay_rejects_out_of_range_blocks(self, name):
+        scheme = make_scheme(name, 128, **SMALL_KWARGS[name])
+        for bad in (-1, 128):
+            with pytest.raises(IndexError):
+                scheme.replay([0, bad])
+        assert scheme.stats.writes == 0
+
     def test_stats_writes_count(self, name):
         scheme = make_scheme(name, 128, **SMALL_KWARGS[name])
         for i in range(250):

@@ -29,7 +29,11 @@ from hypothesis import strategies as st
 from repro.core.engine.config import preset
 from repro.core.engine.secure_memory import SecureMemory
 from repro.crypto.prf import splitmix64
-from repro.fast.backends import resolve_backend
+from repro.fast.backends import (
+    aes_nonce_block,
+    aes_nonce_blocks,
+    resolve_backend,
+)
 from repro.fast.batch_memory import BatchSecureMemory
 from repro.fast.kernels import (
     SAMPLE_SEED,
@@ -100,6 +104,41 @@ def test_aes_family_scalar_keystream_bit_identical(
     assert len(baseline) == length
     for name, stream in streams.items():
         assert stream == baseline, name
+
+
+#: nonces past 64 bits: a monolithic epoch >= 128 folds in at bit 57
+WIDE_NONCES = st.one_of(
+    st.integers(0, (1 << 64) - 1),
+    st.integers(128, 1 << 10).flatmap(
+        lambda epoch: U56.map(lambda counter: counter + (epoch << 57))
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(WIDE_NONCES, st.integers(0, (1 << 64) - 1)),
+        min_size=1,
+        max_size=6,
+    ),
+    wide=st.tuples(U56, st.integers(128, 1 << 10), U48),
+)
+def test_nonce_blocks_equal_the_scalar_nonce_block(rows, wide):
+    """The batched nonce blocks, masked with one numpy op when every
+    value fits 64 bits and per value otherwise, are byte-for-byte the
+    scalar ``aes_nonce_block`` -- including a nonce at or above 2**64."""
+    for batch in (rows, rows + [(wide[0] + (wide[1] << 57), wide[2])]):
+        counters = [counter for counter, _ in batch]
+        addresses = [address for _, address in batch]
+        blocks = aes_nonce_blocks(counters, addresses)
+        assert blocks.shape == (len(batch), 4, 16)
+        for row, (counter, address) in enumerate(batch):
+            for segment in range(4):
+                assert blocks[row, segment].tobytes() == aes_nonce_block(
+                    counter, address, segment
+                )
+    assert max(counters) >= 1 << 64
 
 
 @settings(max_examples=15, deadline=None)

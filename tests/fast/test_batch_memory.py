@@ -463,6 +463,200 @@ def test_may_overflow_precedes_every_reencryption(name, kwargs, writes):
             assert not _OVERFLOW_EVENTS & set(outcome.events)
 
 
+def _scheme_state(scheme):
+    """Everything ``on_writes`` must leave as the on_write loop does: the
+    serialized groups and every statistic."""
+    return (
+        [scheme.group_metadata(g) for g in range(scheme.num_groups)],
+        scheme.stats.as_dict(),
+        dict(scheme.stats.per_group_re_encryptions),
+    )
+
+
+@pytest.mark.parametrize("group_blocks", [8, 64])
+@pytest.mark.parametrize("name,kwargs", TINY_SCHEMES)
+@settings(max_examples=40, deadline=None)
+@given(
+    draws=st.lists(
+        st.tuples(
+            st.booleans(), st.one_of(st.integers(0, 7), st.integers(0, 127))
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_on_writes_equals_the_guarded_on_write_loop(
+    name, kwargs, group_blocks, draws
+):
+    """Walked as plain segments split at single may-overflow writes,
+    ``on_writes`` returns the counters, stops at the index and leaves
+    the group metadata and statistics of a ``may_overflow``-guarded
+    ``on_write`` loop.  A draw is one block or a sweep of its whole
+    group; sweeps make the deltas converge, so resets fire mid-run."""
+    writes = []
+    for sweep, block in draws:
+        if sweep:
+            first = block - block % group_blocks
+            writes.extend(range(first, first + group_blocks))
+        else:
+            writes.append(block)
+    with use_registry(MetricRegistry()):
+        bulk = make_scheme(
+            name, 128, blocks_per_group=group_blocks, **kwargs
+        )
+        loop = make_scheme(
+            name, 128, blocks_per_group=group_blocks, **kwargs
+        )
+    index = 0
+    while index < len(writes):
+        counters = bulk.on_writes(writes, index)
+        expected = []
+        stop = index
+        while stop < len(writes) and not loop.may_overflow(writes[stop]):
+            expected.append(loop.on_write(writes[stop]).counter)
+            stop += 1
+        assert counters == expected
+        assert index + len(counters) == stop
+        assert _scheme_state(bulk) == _scheme_state(loop)
+        if stop == len(writes):
+            break
+        assert bulk.on_write(writes[stop]) == loop.on_write(writes[stop])
+        index = stop + 1
+    assert _scheme_state(bulk) == _scheme_state(loop)
+
+
+def _segmented_run():
+    """A 256-write run of repeated blocks whose write 128 may overflow.
+
+    The prologue takes block 5 to the brink of its 3-bit delta; the run
+    sweeps group 1 (blocks 64..127) four times -- each full sweep makes
+    its deltas converge, so a reset fires mid-segment -- around one more
+    write of block 5, which re-encrypts group 0 mid-run.
+    """
+    prologue = [5] * 7
+    hot = [64 + (i % 64) for i in range(255)]
+    run = hot[:128] + [5] + hot[128:]
+    return prologue, run
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+def test_segmented_run_with_a_mid_run_overflow_matches_scalar(durable):
+    """One run split by ``on_writes`` into two plain segments around a
+    single may-overflow write: the batch leaves the scalar engine's
+    state, reads and metrics, and, with persistence attached, one
+    group-commit transaction that recovers to the same state."""
+    from repro.persist.config import DurabilityConfig
+    from repro.persist.store import DurableStore
+    from repro.stack import EngineStack
+
+    config = _config("combined", {"delta_bits": 3})
+    prologue, run = _segmented_run()
+    with use_registry(MetricRegistry()):
+        scheme = config.build_scheme()
+    scheme.replay(prologue)
+    may_overflow = []
+    for index, block in enumerate(run):
+        if scheme.may_overflow(block):
+            may_overflow.append(index)
+        scheme.on_write(block)
+    assert may_overflow == [128]
+    assert len(set(run)) < len(run)
+    durability = DurabilityConfig() if durable else None
+
+    def payloads(blocks, base):
+        return [
+            (block * 64, bytes((block + base + i + 3 * n) & 0xFF
+                               for i in range(64)))
+            for n, block in enumerate(blocks)
+        ]
+
+    def drive(fast):
+        registry = MetricRegistry()
+        store = DurableStore() if durable else None
+        stack = EngineStack(
+            config, KEY, fast=fast, durability=durability, store=store,
+            registry=registry,
+        )
+        stack.write_many(payloads(prologue, 0))
+        stack.write_many(payloads(run, 1))
+        reads = [
+            (result.data, result.outcome)
+            for result in stack.read_many(
+                [block * 64 for block in (5, 6, 64, 65, 127)]
+            )
+        ]
+        return _engine_state(stack.engine), reads, registry, store
+
+    scalar_state, scalar_reads, scalar_registry, scalar_store = drive(False)
+    batch_state, batch_reads, batch_registry, batch_store = drive(True)
+    assert batch_state == scalar_state
+    assert batch_reads == scalar_reads
+    scalar_totals = scalar_registry.snapshot().totals()
+    batch_totals = batch_registry.snapshot().totals()
+    for metric, value in scalar_totals.items():
+        if metric.startswith(("engine.", "counters.")):
+            assert batch_totals.get(metric) == value, metric
+    assert _reencryptions(batch_totals) == 1
+    assert batch_totals["counters.delta.reset"] == 3
+    assert batch_totals.get("fast.fallback.scalar", 0) == 0
+    if durable:
+        assert batch_totals["persist.group_commit.txns"] == 2
+        assert batch_totals["persist.group_commit.writes"] == 7 + 256
+        for fast, store in ((False, scalar_store), (True, batch_store)):
+            stack, report = EngineStack.recover(
+                store, config, KEY, fast=fast, durability=durability,
+                registry=MetricRegistry(),
+            )
+            assert report.root_verified
+            assert _engine_state(stack.engine) == scalar_state
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [3 * 64 + 1, REGION, -64],
+    ids=["misaligned", "past-the-region", "negative"],
+)
+@pytest.mark.parametrize("call", ["write_many", "read_many"])
+def test_call_validation_raises_like_the_per_address_loop(call, bad):
+    """``write_many``/``read_many`` test a call's addresses at once; a
+    bad one raises the per-address loop's ValueError, with its message,
+    and leaves the same prefix queued."""
+    addresses = [0, 64, bad, 128]
+    writes = [(address, bytes(64)) for address in addresses]
+
+    def batch():
+        return BatchSecureMemory(
+            SecureMemory(_config("combined", {}), KEY,
+                         registry=MetricRegistry())
+        )
+
+    reference = batch()
+    with pytest.raises(ValueError) as expected:
+        for address in addresses:
+            if call == "write_many":
+                reference.queue_write(address, bytes(64))
+            else:
+                reference.queue_read(address)
+    checked = batch()
+    with pytest.raises(ValueError) as raised:
+        if call == "write_many":
+            checked.write_many(writes)
+        else:
+            checked.read_many(addresses)
+    assert str(raised.value) == str(expected.value)
+    assert checked._queue == reference._queue
+    assert len(checked._queue) == 2
+
+
+def test_write_many_rejects_a_short_block_like_queue_write():
+    engine = SecureMemory(_config("combined", {}), KEY,
+                          registry=MetricRegistry())
+    batch = BatchSecureMemory(engine)
+    with pytest.raises(ValueError, match="data must be 64 bytes"):
+        batch.write_many([(0, bytes(64)), (64, bytes(63)), (128, bytes(64))])
+    assert batch._queue == [("write", 0, bytes(64))]
+
+
 #: configs whose overflow handlers re-encrypt a group, or everything,
 #: mid-run: delta, dual-length (the endurance preset), split, and a
 #: monolithic counter wrap
