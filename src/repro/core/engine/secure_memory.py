@@ -24,7 +24,7 @@ The class keeps everything addressable by *byte address* of the block
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.counters.events import CounterEvent
 from repro.core.ecc_mac.correction import (
@@ -103,6 +103,25 @@ class ReadResult:
     @property
     def clean(self) -> bool:
         return self.outcome is CheckOutcome.CLEAN and not self.corrected_bits
+
+    @classmethod
+    def clean_many(cls, datas: Iterable[bytes]) -> list[ReadResult]:
+        """One clean result per block of ``datas`` (the batch read path's
+        constructor): equal to ``ReadResult(data, CheckOutcome.CLEAN)``,
+        with the fields set as the frozen ``__init__`` sets them, by
+        ``object.__setattr__``, minus the per-call overhead."""
+        new = object.__new__
+        assign = object.__setattr__
+        clean = CheckOutcome.CLEAN
+        results = []
+        for data in datas:
+            result = new(cls)
+            assign(result, "data", data)
+            assign(result, "outcome", clean)
+            assign(result, "corrected_bits", ())
+            assign(result, "correction_checks", 0)
+            results.append(result)
+        return results
 
 
 class EngineCounters(RegistryView):

@@ -50,19 +50,31 @@ Queued addresses are validated when queued -- ``write_many`` and
 ``read_many`` test a whole call's with one array test, falling back to
 the per-address checks (and their exact ``ValueError``) only when it
 fails -- so both paths compute blocks, groups, slots and nonces
-arithmetically.  The read path verifies the touched groups' tree
-leaves in one ``verify_leaves`` walk (distinct groups, first-touch
-order), decodes the counters of those that verified in one
-``counters.decode`` call, batch-checks the stored MACs' Hamming bits (a
-block is clean exactly when its stored check bits equal the
-``ecc.lane`` encoding of its stored MAC), batch-verifies MACs over the
-stored ciphertexts and batch-decrypts the clean blocks; any anomaly
-(Hamming status not clean, MAC mismatch, lazily-initialized block,
-perturb hook installed) falls back to the scalar ``engine.read`` for
-that block, in queue order, so corrections, heal-writebacks, metrics
-and raised ``IntegrityError``\\ s are exactly the scalar ones.  A run of
-clean reads is counted in one ``engine.read.total`` and one
-``engine.read.mac_check`` bump, before the next scalar read or raise.
+arithmetically.  ``read_many`` hands a valid call straight to the read
+path, which classifies a run with arrays and visits only its
+anomalies one by one:
+
+* the touched groups (distinct, in first-touch order) are verified in
+  one ``verify_leaves`` walk and those that verified decoded in one
+  ``counters.decode`` call into a ``(groups, slots)`` matrix, from
+  which one fancy index gathers every block's counter;
+* the stored state the clean test reads -- ciphertexts, stored MACs,
+  Hamming check bits -- is gathered once per run by the helper the
+  batched re-encryption shares, with a per-block presence mask built
+  only when a whole-run key test fails;
+* a block whose group verified, whose ciphertext and MAC state are
+  stored, read without a perturb hook, is a candidate; the candidates
+  are checked in one batch (clean exactly when the stored MAC is the
+  tag of the stored ciphertext and the stored check bits equal the
+  ``ecc.lane`` encoding of the stored MAC) and the clean ones
+  decrypted in one ``ctr.encrypt``;
+* in queue order, each stretch of clean reads is emitted by
+  ``ReadResult.clean_many`` and counted in one ``engine.read.total``
+  and one ``engine.read.mac_check`` bump; then the anomaly that ends it
+  raises (a tree failure) or falls back to the scalar ``engine.read``
+  (lazy initialization, Hamming status not clean, MAC mismatch, perturb
+  hook installed), so corrections, heal-writebacks, metrics and raised
+  ``IntegrityError``\\ s are exactly the scalar ones.
 
 Engines with persistence attached get **group commit**: each flushed
 write run becomes *one* journal transaction -- ``begin_txn`` before
@@ -81,12 +93,12 @@ stay volatile heals, exactly as on the scalar path).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import operator
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.counters.events import CounterEvent
-from repro.core.ecc_mac.detection import CheckOutcome
 from repro.core.ecc_mac.layout import EccField
 from repro.core.engine.config import ConfigError
 from repro.core.engine.secure_memory import (
@@ -98,6 +110,9 @@ from repro.fast.ecc_lane import CHECK_MASK, PARITY_SHIFT
 from repro.fast.kernels import KernelTable, build_kernel_table
 from repro.lint.contracts import BLOCK_BYTES
 from repro.persist.journal import DataImage
+
+_MAC_OF = operator.attrgetter("mac")
+_CHECK_OF = operator.attrgetter("mac_check")
 
 
 class BatchSecureMemory:
@@ -173,14 +188,20 @@ class BatchSecureMemory:
 
     def read_many(self, addresses: Sequence[int]) -> list[ReadResult]:
         """Flush pending work, then read ``addresses`` as one batch
-        (validated like :meth:`write_many`'s writes)."""
+        (validated like :meth:`write_many`'s writes).
+
+        A valid call is one read run, so it goes straight to the read
+        path (one flush counted) rather than through the queue.
+        """
         self.flush()
-        if self._addresses_valid(addresses):
-            self._queue.extend(("read", address, None) for address in addresses)
-        else:
+        if not self._addresses_valid(addresses):
             for address in addresses:
                 self.queue_read(address)
-        return self.flush()
+            return self.flush()
+        if not len(addresses):
+            return []
+        self._m_flushes.inc()
+        return self._flush_reads(addresses)
 
     def _checked_writes(
         self, writes: list[tuple[int, bytes]]
@@ -269,14 +290,21 @@ class BatchSecureMemory:
             return metadata
         return [self.engine.scheme.group_metadata(g) for g in groups]
 
-    def _decode_groups(self, metadata: list[bytes]) -> list[list[int]]:
+    def _decode_groups(self, metadata: list[bytes]) -> np.ndarray:
+        """The groups' counters as one ``(groups, slots)`` matrix: int64
+        from the counter kernels; Python ints (object dtype) from the
+        scalar decoders, whose split majors can exceed 63 bits."""
         if self._has_counter_kernels:
             counters = self.kernels.run(
                 "counters.decode", metadata, blocks=len(metadata)
             )
             assert isinstance(counters, np.ndarray)
-            return counters.tolist()
-        return [self.engine.scheme.decode_metadata(m) for m in metadata]
+            return counters
+        scheme = self.engine.scheme
+        rows = [scheme.decode_metadata(data) for data in metadata]
+        return np.array(rows, dtype=object).reshape(
+            len(rows), scheme.blocks_per_group
+        )
 
     def _commit_groups(self, groups: list[int]) -> None:
         """Install the run's dirty groups: one counter encode, the
@@ -503,7 +531,7 @@ class BatchSecureMemory:
             block for block in scheme.blocks_in_group(group)
             if block != skip_block
         ]
-        (old,) = self._decode_groups([engine._stored_metadata(group)])
+        (old,) = self._decode_groups([engine._stored_metadata(group)]).tolist()
         old_nonces = [
             engine._nonce(old[scheme.slot_of(block)]) for block in blocks
         ]
@@ -525,7 +553,7 @@ class BatchSecureMemory:
         ]
         groups = list(dict.fromkeys(scheme.group_of(block) for block in blocks))
         metadata = [engine._stored_metadata(group) for group in groups]
-        decoded = dict(zip(groups, self._decode_groups(metadata)))
+        decoded = dict(zip(groups, self._decode_groups(metadata).tolist()))
         old_nonces = [
             engine._nonce(
                 decoded[scheme.group_of(block)][scheme.slot_of(block)],
@@ -558,44 +586,24 @@ class BatchSecureMemory:
         corrections and raises are then exactly the scalar engine's.
         """
         engine = self.engine
-        mac_in_ecc = engine.config.mac_in_ecc
+        written, held, messages, macs, checks = self._stored_columns(blocks)
+        if (written & ~held).any():
+            return False  # a stored ciphertext without its stored MAC
         zero_nonce = engine._nonce(0)
-        #: rows with a stored ciphertext, and their stored MAC state
-        rows: list[int] = []
-        macs: list[int] = []
-        checks: list[int] = []
-        for row, block in enumerate(blocks):
-            if block not in engine.ciphertexts:
-                if old_nonces[row] != zero_nonce:
-                    return False
-                continue
-            if mac_in_ecc:
-                ecc = engine.ecc_fields.get(block)
-                if ecc is None:
-                    return False
-                macs.append(ecc.mac)
-                checks.append(ecc.mac_check)
-            else:
-                stored = engine.mac_store.get(block)
-                if stored is None:
-                    return False
-                macs.append(stored)
-                checks.append(0)
-            rows.append(row)
+        if any(
+            old_nonces[row] != zero_nonce
+            for row in np.flatnonzero(~written).tolist()
+        ):
+            return False
         plains = [bytes(BLOCK_BYTES)] * len(blocks)
+        rows = np.flatnonzero(held).tolist()
         if rows:
-            count = len(rows)
-            messages = np.frombuffer(
-                b"".join(engine.ciphertexts[blocks[row]] for row in rows),
-                dtype=np.uint8,
-            ).reshape(count, BLOCK_BYTES)
             addresses = [blocks[row] * BLOCK_BYTES for row in rows]
             nonces = [old_nonces[row] for row in rows]
-            clean = self._clean(messages, addresses, nonces, macs, checks)
-            if not clean.all():
+            if not self._clean(messages, addresses, nonces, macs, checks).all():
                 return False
             decrypted = self.kernels.run(
-                "ctr.encrypt", messages, nonces, addresses, blocks=count
+                "ctr.encrypt", messages, nonces, addresses, blocks=len(rows)
             )
             for row, plain in zip(rows, decrypted):
                 plains[row] = plain.tobytes()
@@ -607,13 +615,65 @@ class BatchSecureMemory:
         )
         return True
 
+    def _stored_columns(
+        self, blocks: list[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The stored state the clean test reads, gathered once per batch.
+
+        Returns ``(written, held, messages, macs, checks)``: ``written``
+        marks the blocks with a stored ciphertext, ``held`` those that
+        also have their stored MAC (the ECC field with MAC-in-ECC, else
+        the MAC store's tag); ``messages`` (``(rows, 64)`` uint8),
+        ``macs`` and ``checks`` are the held rows' stored ciphertexts,
+        MACs and Hamming check bits (0 without MAC-in-ECC).  A mask is
+        built per block only when a whole-batch key test fails.
+        """
+        engine = self.engine
+        count = len(blocks)
+        wanted = set(blocks)
+        ciphertexts = engine.ciphertexts
+        mac_in_ecc = engine.config.mac_in_ecc
+        store: dict[int, Any] = (
+            engine.ecc_fields if mac_in_ecc else engine.mac_store
+        )
+        if ciphertexts.keys() >= wanted:
+            written = np.ones(count, dtype=bool)
+        else:
+            written = np.fromiter(
+                map(ciphertexts.__contains__, blocks), dtype=bool, count=count
+            )
+        if store.keys() >= wanted:
+            held = written.copy()
+        else:
+            held = written & np.fromiter(
+                map(store.__contains__, blocks), dtype=bool, count=count
+            )
+        rows = blocks if held.all() else [
+            block for block, ok in zip(blocks, held.tolist()) if ok
+        ]
+        messages = np.frombuffer(
+            b"".join(map(ciphertexts.__getitem__, rows)), dtype=np.uint8
+        ).reshape(len(rows), BLOCK_BYTES)
+        stored = list(map(store.__getitem__, rows))
+        if mac_in_ecc:
+            macs = np.fromiter(
+                map(_MAC_OF, stored), dtype=np.uint64, count=len(rows)
+            )
+            checks = np.fromiter(
+                map(_CHECK_OF, stored), dtype=np.uint8, count=len(rows)
+            )
+        else:
+            macs = np.array(stored, dtype=np.uint64)
+            checks = np.zeros(len(rows), dtype=np.uint8)
+        return written, held, messages, macs, checks
+
     def _clean(
         self,
         messages: np.ndarray,
         addresses: list[int],
         nonces: list[int],
-        macs: list[int],
-        checks: list[int],
+        macs: np.ndarray,
+        checks: np.ndarray,
     ) -> np.ndarray:
         """The read path's clean test over one batch, mutation-free: the
         stored MAC is the tag of the ciphertext under ``nonces`` and,
@@ -621,131 +681,114 @@ class BatchSecureMemory:
         encoding of the stored MAC (exactly when SEC-DED decodes CLEAN).
         """
         count = len(addresses)
-        stored_macs = np.array(macs, dtype=np.uint64)
         tags = self.kernels.run(
             "mac.tags", messages, addresses, nonces, blocks=count
         )
-        clean = tags == stored_macs
+        clean = tags == macs
         if self.engine.config.mac_in_ecc:
-            lane = self.kernels.run(
-                "ecc.lane", stored_macs, messages, blocks=count
-            )
-            clean &= (lane & CHECK_MASK) == np.array(checks, dtype=np.uint8)
+            lane = self.kernels.run("ecc.lane", macs, messages, blocks=count)
+            clean &= (lane & CHECK_MASK) == checks
         return clean
 
     # -- read path ---------------------------------------------------------
 
-    def _flush_reads(self, addresses: list[int]) -> list[ReadResult]:
+    def _flush_reads(self, addresses: Sequence[int]) -> list[ReadResult]:
+        """One read run, classified per run: the clean blocks are
+        verified and decrypted in batches and emitted as clean
+        stretches; only the anomalies are visited one by one."""
         engine = self.engine
-        per_group = engine.scheme.blocks_per_group
-        self._m_reads.inc(len(addresses))
+        count = len(addresses)
+        self._m_reads.inc(count)
         # Queued addresses were validated: aligned and in range.
-        blocks = [address // BLOCK_BYTES for address in addresses]
-        block_groups = [block // per_group for block in blocks]
+        block_array = np.array(addresses, dtype=np.int64) // BLOCK_BYTES
+        group_array, slots = np.divmod(
+            block_array, engine.scheme.blocks_per_group
+        )
 
         # Per-group pre-pass, in first-touch order: one tree walk over
         # the distinct groups, then one decode of those that verified.
-        # A group that fails keeps None and raises at its queue position.
+        # (Deduplicated by a dict, not ``np.unique``: its sorts would
+        # page in ~450 KiB of numpy code no other engine path uses.)
+        block_groups = group_array.tolist()
         groups = list(dict.fromkeys(block_groups))
+        rank = dict(zip(groups, range(len(groups))))
         stored = [engine._stored_metadata(group) for group in groups]
-        verdicts = engine.tree.verify_leaves(
-            groups, [engine._pad_leaf(data) for data in stored],
-            self._hash_nodes,
+        verdicts = np.array(
+            engine.tree.verify_leaves(
+                groups, [engine._pad_leaf(data) for data in stored],
+                self._hash_nodes,
+            ),
+            dtype=bool,
         )
-        group_counters: dict[int, list[int] | None] = dict.fromkeys(groups)
-        verified = [i for i, ok in enumerate(verdicts) if ok]
-        if verified:
-            decoded = self._decode_groups([stored[i] for i in verified])
-            for i, counters in zip(verified, decoded):
-                group_counters[groups[i]] = counters
         self._m_groups.inc(len(groups))
+        #: per block, its group's position in ``groups``; per group, its
+        #: row among the decoded (verified) groups
+        group_at = np.fromiter(
+            map(rank.__getitem__, block_groups), dtype=np.int64, count=count
+        )
+        decoded_row = np.cumsum(verdicts) - 1
+        verified = verdicts[group_at]
 
-        # Classification pre-pass (no engine mutation): "tree" failures,
-        # scalar fallbacks, and candidates for batched verify+decrypt.
-        # A "verify" entry carries (nonce, ciphertext, stored MAC, stored
-        # Hamming check bits); the check bits are 0 without MAC-in-ECC.
-        mac_in_ecc = engine.config.mac_in_ecc
-        scalar_all = engine.read_perturb is not None
-        scalar = ("scalar", 0, b"", 0, 0)
-        offset = engine._nonce(0)
-        entries: list[tuple[str, int, bytes, int, int]] = []
-        for block, group in zip(blocks, block_groups):
-            counters = group_counters[group]
-            if counters is None:
-                entries.append(("tree", 0, b"", 0, 0))
-                continue
-            if scalar_all or block not in engine.ciphertexts:
-                # Untouched blocks lazily initialize storage on read; let
-                # the scalar path do that so pre-pass stays mutation-free.
-                entries.append(scalar)
-                continue
-            nonce = counters[block - group * per_group] + offset
-            ciphertext = engine.ciphertexts[block]
-            if mac_in_ecc:
-                ecc = engine.ecc_fields.get(block)
-                if ecc is None:
-                    entries.append(scalar)
-                else:
-                    entries.append(
-                        ("verify", nonce, ciphertext, ecc.mac, ecc.mac_check)
-                    )
-            else:
-                stored = engine.mac_store.get(block)
-                if stored is None:
-                    entries.append(scalar)
-                else:
-                    entries.append(("verify", nonce, ciphertext, stored, 0))
-
-        # Batched Hamming + MAC verification; anything not clean falls
-        # back to scalar.
-        verify_at = [i for i, e in enumerate(entries) if e[0] == "verify"]
-        decrypted: dict[int, bytes] = {}
-        if verify_at:
-            count = len(verify_at)
-            messages = np.frombuffer(
-                b"".join(entries[i][2] for i in verify_at), dtype=np.uint8
-            ).reshape(count, BLOCK_BYTES)
-            v_addresses = [addresses[i] for i in verify_at]
-            v_nonces = [entries[i][1] for i in verify_at]
-            clean = self._clean(
-                messages,
-                v_addresses,
-                v_nonces,
-                [entries[i][3] for i in verify_at],
-                [entries[i][4] for i in verify_at],
+        # Classification (no engine mutation): a candidate is a block
+        # whose group verified, with a stored ciphertext and stored MAC
+        # state, read without a perturb hook; the candidates' clean
+        # test runs as one batch.  Everything else is an anomaly: a
+        # tree failure raises at its queue position, the rest (lazily
+        # initialized blocks, corrections, raises) fall back to the
+        # scalar ``engine.read``.
+        clean = np.zeros(count, dtype=bool)
+        #: the clean blocks' plaintexts, in queue order
+        datas: list[bytes] = []
+        if engine.read_perturb is None and verdicts.any():
+            _, held, messages, macs, checks = self._stored_columns(
+                block_array.tolist()
             )
-            for row in np.flatnonzero(~clean).tolist():
-                entries[verify_at[row]] = scalar
-            clean_rows = np.flatnonzero(clean).tolist()
-            if clean_rows:
-                plains = self.kernels.run(
-                    "ctr.encrypt",
-                    messages[clean_rows],
-                    [v_nonces[row] for row in clean_rows],
-                    [v_addresses[row] for row in clean_rows],
-                    blocks=len(clean_rows),
+            candidate = held & verified
+            if not candidate.all():
+                keep = candidate[held]
+                messages, macs, checks = messages[keep], macs[keep], checks[keep]
+            rows = np.flatnonzero(candidate)
+            if len(rows):
+                decoded = self._decode_groups(
+                    [stored[i] for i in np.flatnonzero(verdicts).tolist()]
                 )
-                for row, plain in zip(clean_rows, plains):
-                    decrypted[verify_at[row]] = plain.tobytes()
+                counters = decoded[decoded_row[group_at[rows]], slots[rows]]
+                epoch_offset = engine._nonce(0)
+                nonces = [
+                    counter + epoch_offset for counter in counters.tolist()
+                ]
+                v_addresses = (block_array[rows] * BLOCK_BYTES).tolist()
+                ok = self._clean(messages, v_addresses, nonces, macs, checks)
+                clean[rows] = ok
+                if not ok.all():
+                    kept = np.flatnonzero(ok).tolist()
+                    messages = messages[ok]
+                    nonces = [nonces[row] for row in kept]
+                    v_addresses = [v_addresses[row] for row in kept]
+                if nonces:
+                    flat = self.kernels.run(
+                        "ctr.encrypt", messages, nonces, v_addresses,
+                        blocks=len(nonces),
+                    ).tobytes()
+                    datas = [
+                        flat[offset : offset + BLOCK_BYTES]
+                        for offset in range(0, len(flat), BLOCK_BYTES)
+                    ]
 
-        # Queue-order pass: mutations and raises happen exactly where the
-        # scalar loop would have performed them.  A run of clean reads is
-        # counted in one bump, before the next scalar read or raise.
+        # Queue-order pass over the anomalies alone: the stretch of
+        # clean reads before each is emitted and counted in bulk, then
+        # the anomaly's mutation or raise happens exactly where the
+        # scalar loop would have performed it.
         results: list[ReadResult] = []
-        clean_run = 0
-        for position, entry in enumerate(entries):
-            kind = entry[0]
-            if kind == "verify":
-                clean_run += 1
-                results.append(
-                    ReadResult(
-                        data=decrypted[position], outcome=CheckOutcome.CLEAN
-                    )
-                )
-                continue
-            self._count_clean_reads(clean_run)
-            clean_run = 0
-            if kind == "tree":
+        emitted = start = 0
+        for position in np.flatnonzero(~clean).tolist() + [count]:
+            stretch = datas[emitted : emitted + position - start]
+            results.extend(ReadResult.clean_many(stretch))
+            self._count_clean_reads(len(stretch))
+            emitted += len(stretch)
+            if position == count:
+                break
+            if not verified[position]:
                 engine.counters.reads += 1
                 engine._m_tree_fails.inc()
                 raise IntegrityError(
@@ -755,7 +798,7 @@ class BatchSecureMemory:
                 )
             self._m_fallback.inc()
             results.append(engine.read(addresses[position]))
-        self._count_clean_reads(clean_run)
+            start = position + 1
         return results
 
     def _count_clean_reads(self, count: int) -> None:

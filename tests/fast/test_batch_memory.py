@@ -19,8 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.counters import CounterEvent, make_scheme
+from repro.core.ecc_mac.detection import CheckOutcome
 from repro.core.engine.config import EngineConfig, preset
-from repro.core.engine.secure_memory import IntegrityError, SecureMemory
+from repro.core.engine.secure_memory import (
+    IntegrityError,
+    ReadResult,
+    SecureMemory,
+)
 from repro.fast import BatchSecureMemory, KernelDivergence
 from repro.fast.kernels import KernelPair, KernelTable
 from repro.obs.metrics import MetricRegistry, use_registry
@@ -100,8 +105,7 @@ def _run_scalar(config, ops):
             if op[0] == "write":
                 engine.write(op[1] * 64, op[2])
             else:
-                result = engine.read(op[1] * 64)
-                reads.append((result.data, result.outcome))
+                reads.append(engine.read(op[1] * 64))
         state = _engine_state(engine)
     return state, reads, registry.snapshot().totals()
 
@@ -118,9 +122,7 @@ def _run_batch(config, ops, mode, chunk=17):
                     batch.queue_write(op[1] * 64, op[2])
                 else:
                     batch.queue_read(op[1] * 64)
-            reads.extend(
-                (result.data, result.outcome) for result in batch.flush()
-            )
+            reads.extend(batch.flush())
         state = _engine_state(engine)
     totals = registry.snapshot().totals()
     scoped = {
@@ -285,11 +287,7 @@ def test_batch_fault_correction_falls_back_bit_identically():
             engine.ciphertexts[0] = bytes(corrupted)
             results = [io["read"](0), io["read"](64)]
             state = _engine_state(engine)
-        return (
-            [(r.data, r.outcome) for r in results],
-            state,
-            registry.snapshot().totals(),
-        )
+        return results, state, registry.snapshot().totals()
 
     def scalar(engine):
         return {"write": engine.write, "read": engine.read}
@@ -736,6 +734,27 @@ def test_overflow_of_group_dirtied_earlier_in_the_same_run(
     assert scalar_calls == []  # ... all of them batched
 
 
+def test_wrap_with_no_other_stored_block_matches_scalar():
+    """Monolithic wraps while the wrapping block is the only one stored:
+    each batched global re-encryption decodes no group at all."""
+    config = _config("mac_in_ecc", {"counter_bits": 1})
+    writes = [(0, bytes([n]) * 64) for n in range(9)]
+
+    def run(batched):
+        registry = MetricRegistry()
+        with use_registry(registry):
+            engine = SecureMemory(config, KEY)
+            if batched:
+                BatchSecureMemory(engine, mode="paranoid").write_many(writes)
+            else:
+                for address, data in writes:
+                    engine.write(address, data)
+        return _engine_state(engine), engine.scheme.epoch
+
+    assert run(batched=True) == run(batched=False)
+    assert run(batched=True)[1] == 4
+
+
 # -- non-clean re-encryptions go to the scalar handlers --------------------
 
 
@@ -1003,7 +1022,7 @@ def test_ecc_lane_read_faults_fall_back_bit_identically(flips):
                     results = batch.read_many(addresses)
                 else:
                     results = [engine.read(address) for address in addresses]
-                outcome = [(r.data, r.outcome) for r in results]
+                outcome = results
             except IntegrityError as error:  # the raise itself must match
                 outcome = (type(error).__name__, str(error))
             return outcome, _engine_state(engine), registry.snapshot().totals()
@@ -1015,3 +1034,179 @@ def test_ecc_lane_read_faults_fall_back_bit_identically(flips):
     for name, value in scalar_totals.items():
         if name.startswith("engine."):
             assert batch_totals.get(name) == value, name
+
+
+# -- per-run read classification --------------------------------------------
+
+
+def test_clean_many_equals_the_dataclass_constructor():
+    datas = [bytes([n]) * 64 for n in range(3)]
+    built = ReadResult.clean_many(datas)
+    expected = [ReadResult(data, CheckOutcome.CLEAN) for data in datas]
+    assert built == expected
+    assert [hash(r) for r in built] == [hash(r) for r in expected]
+    assert [repr(r) for r in built] == [repr(r) for r in expected]
+    assert all(r.clean for r in built)
+    assert ReadResult.clean_many([]) == []
+
+
+#: id -> (preset, scheme overrides, hammered writes of block 0 before the
+#: run's blocks are written).  ``wrapped`` is a 1-bit monolithic counter
+#: taken through 128 epoch wraps, so its nonces reach 2**64.
+READ_RUN_CONFIGS = {
+    "bmt_baseline": ("bmt_baseline", {}, 0),
+    "combined": ("combined", {}, 0),
+    "wrapped": ("mac_in_ecc", {"counter_bits": 1}, 256),
+}
+
+#: the run's blocks: slots 0..5 of groups 0..3 are written, 6 and 7 not
+_READ_SLOTS = 8
+_WRITTEN_SLOTS = 6
+
+
+def _read_block(group, slot):
+    return group * 64 + slot
+
+
+@st.composite
+def _read_runs(draw):
+    """A read run over four groups with anomalies to install first."""
+    pool = st.tuples(st.integers(0, 3), st.integers(0, _READ_SLOTS - 1))
+    written = st.tuples(st.integers(0, 3), st.integers(0, _WRITTEN_SLOTS - 1))
+    return {
+        "run": draw(st.lists(pool, min_size=1, max_size=48)),
+        "data_flips": draw(
+            st.lists(
+                st.tuples(written, st.sets(st.integers(0, 511), min_size=1,
+                                           max_size=2)),
+                max_size=2,
+            )
+        ),
+        "ecc_flips": draw(
+            st.lists(
+                st.tuples(written, st.sets(st.integers(0, 63), min_size=1,
+                                           max_size=2)),
+                max_size=2,
+            )
+        ),
+        "missing_mac": draw(st.none() | written),
+        "tampered_group": draw(st.none() | st.integers(0, 3)),
+        "perturb": draw(st.none() | written),
+    }
+
+
+def _install_anomalies(engine, case):
+    """Apply ``case``'s faults and tampers; returns the blocks whose
+    stored state the read path cannot take as clean (None: all)."""
+    #: block -> the bits left flipped (a bit flipped twice is restored)
+    data_bits: dict[int, set[int]] = {}
+    ecc_bits: dict[int, set[int]] = {}
+    for (group, slot), positions in case["data_flips"]:
+        block = _read_block(group, slot)
+        engine.flip_data_bits(block * 64, positions)
+        data_bits[block] = data_bits.get(block, set()) ^ positions
+    if engine.config.mac_in_ecc:
+        for (group, slot), positions in case["ecc_flips"]:
+            block = _read_block(group, slot)
+            engine.flip_ecc_bits(block * 64, positions)
+            ecc_bits[block] = ecc_bits.get(block, set()) ^ positions
+    # The ciphertext parity bit (63) is not part of the read check.
+    suspect = {block for block, bits in data_bits.items() if bits}
+    suspect |= {block for block, bits in ecc_bits.items() if bits - {63}}
+    if case["missing_mac"] is not None:
+        block = _read_block(*case["missing_mac"])
+        store = engine.ecc_fields if engine.config.mac_in_ecc else engine.mac_store
+        del store[block]
+        suspect.add(block)
+    if case["tampered_group"] is not None:
+        group = case["tampered_group"]
+        stored = bytearray(engine._stored_metadata(group))
+        stored[-1] ^= 0x80
+        engine.corrupt_counter_storage(group, bytes(stored))
+    if case["perturb"] is not None:
+        target = _read_block(*case["perturb"]) * 64
+
+        def perturb(address, ciphertext, ecc):
+            if address == target:
+                ciphertext = bytes([ciphertext[0] ^ 4]) + ciphertext[1:]
+            return ciphertext, ecc
+
+        engine.read_perturb = perturb
+        return None
+    return suspect
+
+
+@pytest.mark.parametrize("case_id", list(READ_RUN_CONFIGS))
+@settings(max_examples=30, deadline=None)
+@given(case=_read_runs())
+def test_read_run_matches_the_scalar_read_loop(case_id, case):
+    """One ``read_many`` call over clean blocks mixed with every anomaly
+    -- lazy initialization, corrections, ECC-field flips, a missing MAC,
+    a tree failure mid-run, a perturb hook -- returns the scalar loop's
+    results or raise, leaves its state and metrics, and falls back to
+    the scalar read exactly for the reads whose stored state is not
+    clean when the run starts."""
+    name, scheme_kwargs, hammer = READ_RUN_CONFIGS[case_id]
+    config = _config(name, scheme_kwargs)
+    addresses = [_read_block(*pair) * 64 for pair in case["run"]]
+    written = [
+        _read_block(group, slot)
+        for group in range(4)
+        for slot in range(_WRITTEN_SLOTS)
+    ]
+
+    def drive(batched):
+        registry = MetricRegistry()
+        with use_registry(registry):
+            engine = SecureMemory(config, KEY)
+            for _ in range(hammer):
+                engine.write(0, bytes(64))
+            for block in written:
+                engine.write(block * 64, bytes([block % 256]) * 64)
+            if hammer:
+                assert engine._nonce(0) >= 1 << 64
+            suspect = _install_anomalies(engine, case)
+            batch = BatchSecureMemory(engine, mode="fast")
+            results = []
+            try:
+                if batched:
+                    results = batch.read_many(addresses)
+                else:
+                    for address in addresses:
+                        results.append(engine.read(address))
+                outcome = results
+            # A missing ECC field fails inside the scalar read itself,
+            # with an AttributeError; the batch must raise the same.
+            except (IntegrityError, AttributeError) as error:
+                outcome = (type(error).__name__, str(error),
+                           getattr(error, "kind", None))
+            state = _engine_state(engine)
+        # ``results`` of the scalar loop: the reads before a raise
+        return outcome, state, registry.snapshot().totals(), suspect, results
+
+    scalar_outcome, scalar_state, scalar_totals, suspect, done = drive(False)
+    batch_outcome, batch_state, batch_totals, _, _ = drive(True)
+    assert batch_outcome == scalar_outcome
+    assert batch_state == scalar_state
+    scoped = ("engine.", "counters.")
+    assert {
+        metric: value
+        for metric, value in batch_totals.items()
+        if metric.startswith(scoped)
+    } == {
+        metric: value
+        for metric, value in scalar_totals.items()
+        if metric.startswith(scoped)
+    }
+    # The reads the scalar loop performed, up to and including a MAC
+    # raise (a tree failure raises before any read).
+    performed = addresses
+    if isinstance(scalar_outcome, tuple):
+        performed = addresses[: len(done) + (scalar_outcome[2] != "tree")]
+    untouched = {_read_block(g, s) for g in range(4)
+                 for s in range(_WRITTEN_SLOTS, _READ_SLOTS)}
+    fallbacks = sum(
+        suspect is None or address // 64 in suspect | untouched
+        for address in performed
+    )
+    assert batch_totals.get("fast.fallback.scalar", 0) == fallbacks
