@@ -375,10 +375,11 @@ def _cmd_resilience(args) -> int:
 
 
 # Small field widths per preset so the crash workload actually exercises
-# the overflow paths (reset, re-encode, group/global re-encrypt).
+# the overflow paths (reset, re-encode, group/global re-encrypt): 2-bit
+# monolithic counters wrap within the default crash and torture runs.
 _CRASH_SCHEME_KWARGS = {
-    "bmt_baseline": (("counter_bits", 3),),
-    "mac_in_ecc": (("counter_bits", 3),),
+    "bmt_baseline": (("counter_bits", 2),),
+    "mac_in_ecc": (("counter_bits", 2),),
     "delta_only": (("delta_bits", 2),),
     "combined": (("delta_bits", 2),),
     "combined_dual": (("base_delta_bits", 2), ("extension_bits", 2)),

@@ -15,13 +15,15 @@ memory-encryption engine interacts with it through these operations:
 * :meth:`CounterScheme.group_metadata` -- the byte serialization of one
   group's counters, which is what actually lives in DRAM, flows through
   the metadata cache, and is hashed by the Bonsai Merkle tree.
+* :meth:`CounterScheme.nonce` -- the nonce a counter encrypts under.
 
 :meth:`CounterScheme.may_overflow` lets a caller ask, before a write,
 whether that write can reach the scheme's overflow path (and with it a
 group or global re-encryption).
 
 All schemes maintain the central security invariant: a block is never
-encrypted twice under the same (address, counter) nonce.  The stateful
+encrypted twice under the same (address, nonce) pair, and every nonce
+lies in the 56-bit lane the keystream and MAC layers enforce.  The stateful
 hypothesis tests in ``tests/core/test_counter_properties.py`` check this
 across arbitrary write interleavings for every scheme.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import abc
 from itertools import islice
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.core.counters.events import CounterStats, WriteOutcome
 from repro.lint.contracts import BLOCK_BYTES, METADATA_BLOCK_BITS
@@ -113,6 +115,11 @@ class CounterScheme(abc.ABC):
         answer may still resolve without re-encryption (widen,
         re-encode).
         """
+
+    def nonce(self, counter: Any) -> Any:
+        """The keystream/MAC nonce of ``counter`` (an int or an int64
+        array): the counter itself, unless the scheme has an epoch."""
+        return counter
 
     def on_write(self, block_index: int) -> WriteOutcome:
         """Advance a block's counter for a write and record statistics."""

@@ -5,16 +5,22 @@ One full-width counter (56 bits by default, matching Intel SGX [3]) per
 "would never overflow during the lifetime of a machine" -- but costs ~11%
 of protected capacity, which is exactly the overhead Section 4 attacks.
 
-If a counter *does* wrap (reachable in tests with tiny widths), the only
-sound response is a global re-encryption under a fresh key; we model it as
-a :data:`~repro.core.counters.events.CounterEvent.GLOBAL_RE_ENCRYPT` event
-that restarts the counter space in a new epoch.
+If a counter *does* wrap (reachable in tests with tiny widths), a
+:data:`~repro.core.counters.events.CounterEvent.GLOBAL_RE_ENCRYPT` event
+restarts the counter space in a new *epoch*, packed above the counter in
+the one 56-bit nonce lane: ``nonce = epoch << counter_bits | counter``,
+a split counter whose major is one global value.  A wrap whose epoch
+would leave the lane is refused before any state changes -- at the
+default 56 bits, the first (2**56 writes to one block).
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.core.counters.base import CounterScheme
 from repro.core.counters.events import CounterEvent, WriteOutcome
+from repro.crypto.ctr import NONCE_LIMIT
 from repro.util.bits import BitReader, BitWriter
 
 
@@ -30,13 +36,12 @@ class MonolithicCounters(CounterScheme):
         blocks_per_group: int = 64,
     ) -> None:
         super().__init__(total_blocks, blocks_per_group)
-        if counter_bits <= 0:
-            raise ValueError("counter_bits must be positive")
+        if counter_bits <= 0 or 1 << counter_bits > NONCE_LIMIT:
+            raise ValueError("counter_bits must be in 1..56 (nonce lane)")
         self.counter_bits = counter_bits
         self._limit = 1 << counter_bits
         self._counters = [0] * total_blocks
-        #: epoch increments on global re-encryption so nonces stay fresh
-        #: (a real system would re-key; the epoch models that key change).
+        #: global re-encryptions so far, packed above every counter
         self.epoch = 0
 
     def counter(self, block_index: int) -> int:
@@ -51,13 +56,21 @@ class MonolithicCounters(CounterScheme):
         if value < self._limit:
             self._counters[block_index] = value
             return WriteOutcome(counter=value, events=(CounterEvent.INCREMENT,))
-        # Counter exhausted: global re-encryption under a new epoch/key.
+        # Counter exhausted: global re-encryption into the next epoch.
+        if (self.epoch + 2) << self.counter_bits > NONCE_LIMIT:
+            raise OverflowError("the next epoch would leave the nonce lane")
         self.epoch += 1
         self._counters = [0] * self.total_blocks
         return WriteOutcome(
             counter=0,
             events=(CounterEvent.GLOBAL_RE_ENCRYPT,),
         )
+
+    def nonce(self, counter: Any, epoch: int | None = None) -> Any:
+        """``epoch << counter_bits | counter``, by default in the current
+        epoch: the one place the epoch meets the counter."""
+        epoch = self.epoch if epoch is None else epoch
+        return epoch << self.counter_bits | counter
 
     @property
     def bits_per_group(self) -> int:

@@ -51,14 +51,15 @@ class CheckResult:
 def check_block(
     codec: MacEccCodec,
     ciphertext: bytes,
-    field: EccField,
+    field: EccField | None,
     address: int,
     counter: int,
 ) -> CheckResult:
-    """Run the full Section 3.3 detection flow for one block."""
-    recovery = codec.recover_mac(field)
+    """Run the full Section 3.3 detection flow for one block (a
+    missing ECC field reads as uncorrectable MAC bits)."""
+    recovery = None if field is None else codec.recover_mac(field)
     computed = codec.mac.tag(ciphertext, address, counter)
-    if recovery.status is DecodeStatus.DETECTED:
+    if recovery is None or recovery.status is DecodeStatus.DETECTED:
         return CheckResult(
             outcome=CheckOutcome.MAC_UNCORRECTABLE,
             recovered_mac=None,

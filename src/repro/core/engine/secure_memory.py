@@ -316,28 +316,16 @@ class SecureMemory:
     def _stored_metadata(self, group: int) -> bytes:
         return self.counter_storage.get(group, self._initial_metadata)
 
-    def _nonce(self, counter: int, epoch: int | None = None) -> int:
-        """Epoch-qualified encryption counter.
-
-        Monolithic counters can (with test-sized widths) wrap, which the
-        scheme reports as a global re-encryption and a new *epoch*.  A
-        real system re-keys; we model the key change by folding the
-        epoch into the nonce's high bits, which keeps every (address,
-        nonce) pair unique across epochs.
-        """
-        if epoch is None:
-            epoch = getattr(self.scheme, "epoch", 0)
-        return counter + (epoch << 57)
-
     def _stored_ciphertext(self, block: int) -> bytes:
         if block in self.ciphertexts:
             return self.ciphertexts[block]
         # Untouched blocks hold the encryption of all-zeros under the
-        # current epoch's counter 0.
+        # nonce of counter 0.
         zero = b"\x00" * BLOCK_BYTES
         address = block * BLOCK_BYTES
-        ciphertext = self._cipher.encrypt(zero, self._nonce(0), address)
-        self._store_block(block, ciphertext, self._nonce(0))
+        nonce = self.scheme.nonce(0)
+        ciphertext = self._cipher.encrypt(zero, nonce, address)
+        self._store_block(block, ciphertext, nonce)
         return ciphertext
 
     def _store_block(self, block: int, ciphertext: bytes, nonce: int) -> None:
@@ -429,7 +417,7 @@ class SecureMemory:
                         skip_block=block,
                     )
                 self.counters.group_reencryptions += 1
-            nonce = self._nonce(outcome.counter)
+            nonce = self.scheme.nonce(outcome.counter)
             ciphertext = self._cipher.encrypt(data, nonce, address)
             self._store_block(block, ciphertext, nonce)
             self._commit_metadata(self.scheme.group_of(block))
@@ -458,12 +446,12 @@ class SecureMemory:
             if blk == skip_block:
                 continue  # about to be overwritten with new data anyway
             address = blk * BLOCK_BYTES
-            old_nonce = self._nonce(old_counters[slot])
+            old_nonce = self.scheme.nonce(old_counters[slot])
             ciphertext = self._verify_for_reencryption(
                 blk, address, self._stored_ciphertext(blk), old_nonce
             )
             plaintext = self._cipher.decrypt(ciphertext, old_nonce, address)
-            new_nonce = self._nonce(group_counter)
+            new_nonce = self.scheme.nonce(group_counter)
             ciphertext = self._cipher.encrypt(plaintext, new_nonce, address)
             self._store_block(blk, ciphertext, new_nonce)
 
@@ -518,13 +506,13 @@ class SecureMemory:
 
     def _global_reencrypt(self, skip_block: int) -> None:
         """Handle a monolithic counter wrap: re-encrypt *everything*
-        under the new epoch (the model of a full re-key).
+        from the previous epoch's nonces to counter 0 of the new epoch.
 
         Old counters come from the still-uncommitted serialized storage;
         every block is integrity-verified before re-encryption, as on
         the group path.
         """
-        old_epoch = getattr(self.scheme, "epoch", 1) - 1
+        old_epoch = self.scheme.epoch - 1
         decoded_cache: dict[int, list[int]] = {}
         for blk in sorted(self.ciphertexts):
             if blk == skip_block:
@@ -535,13 +523,13 @@ class SecureMemory:
                     self._stored_metadata(group)
                 )
             old_counter = decoded_cache[group][self.scheme.slot_of(blk)]
-            old_nonce = self._nonce(old_counter, epoch=old_epoch)
+            old_nonce = self.scheme.nonce(old_counter, epoch=old_epoch)
             address = blk * BLOCK_BYTES
             ciphertext = self._verify_for_reencryption(
                 blk, address, self.ciphertexts[blk], old_nonce
             )
             plaintext = self._cipher.decrypt(ciphertext, old_nonce, address)
-            new_nonce = self._nonce(0)  # counter 0, new epoch
+            new_nonce = self.scheme.nonce(0)  # counter 0, new epoch
             self._store_block(
                 blk, self._cipher.encrypt(plaintext, new_nonce, address),
                 new_nonce,
@@ -575,7 +563,7 @@ class SecureMemory:
             counter = self.scheme.decode_metadata(metadata)[
                 self.scheme.slot_of(block)
             ]
-            nonce = self._nonce(counter)
+            nonce = self.scheme.nonce(counter)
             ciphertext = self._stored_ciphertext(block)
             ecc = self.ecc_fields.get(block) if self.config.mac_in_ecc else None
             if self.read_perturb is not None:

@@ -9,6 +9,10 @@ to the block cipher").
 A 64-byte block needs four AES output blocks; we vary a 2-bit segment index
 inside the AES input so the four keystream blocks are distinct.
 
+Every keystream and MAC nonce lies in the 56-bit lane ``[0,
+NONCE_LIMIT)``; :func:`check_nonce`/:func:`check_nonces` raise on one
+outside it rather than mask it into a nonce another counter used.
+
 How the block cipher is *executed* is pluggable: ``mode`` names a
 :class:`repro.fast.backends.KeystreamBackend` (``reference`` / ``fast`` /
 ``aesni`` run the identical AES construction with different execution
@@ -21,7 +25,30 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.lint.contracts import COUNTER_NONCE_BITS
+
 MEMORY_BLOCK_SIZE = 64  # bytes; one cache line / one protected block
+
+NONCE_LIMIT = 1 << COUNTER_NONCE_BITS
+_OUT_OF_LANE = f"nonce outside the {COUNTER_NONCE_BITS}-bit nonce lane"
+
+
+def check_nonce(counter: int) -> int:
+    """``counter``; ValueError unless it lies in the nonce lane."""
+    if not 0 <= counter < NONCE_LIMIT:
+        raise ValueError(_OUT_OF_LANE)
+    return counter
+
+
+def check_nonces(counters: Sequence[int]) -> np.ndarray:
+    """``counters`` as int64; ValueError unless each is in the lane."""
+    try:
+        array = np.asarray(counters, dtype=np.int64)
+    except OverflowError:  # a Python int of 64 bits or more
+        raise ValueError(_OUT_OF_LANE) from None
+    if len(array) and not (array.min() >= 0 and array.max() < NONCE_LIMIT):
+        raise ValueError(_OUT_OF_LANE)
+    return array
 
 
 class CtrModeCipher:
@@ -56,8 +83,8 @@ class CtrModeCipher:
         the same keystream, which is exactly the weakness counter overflow
         causes and the paper's delta machinery avoids.
         """
-        if counter < 0 or address < 0:
-            raise ValueError("counter and address must be non-negative")
+        if address < 0:
+            raise ValueError("address must be non-negative")
         return self._engine.keystream(counter, address, length)
 
     def encrypt(self, plaintext: bytes, counter: int, address: int) -> bytes:
@@ -99,4 +126,5 @@ class CtrModeCipher:
         return CtrModeCipher(self._key, mode=twin_mode)
 
 
-__all__ = ["CtrModeCipher", "MEMORY_BLOCK_SIZE"]
+__all__ = ["CtrModeCipher", "MEMORY_BLOCK_SIZE", "NONCE_LIMIT",
+           "check_nonce", "check_nonces"]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.crypto.ctr import check_nonce
 from repro.crypto.gf import GF64
 from repro.crypto.prf import SplitMix64
 
@@ -97,18 +98,20 @@ class CarterWegmanMac:
     # -- nonce mask --------------------------------------------------------
 
     def _mask_value(self, address: int, counter: int) -> int:
-        if address < 0 or counter < 0:
-            raise ValueError("address and counter must be non-negative")
+        if address < 0:
+            raise ValueError("address must be non-negative")
+        check_nonce(counter)
         if self._mask_aes is not None:
+            # Nonce half: the counter with a domain-separation flag bit.
             block = (address & _MASK64).to_bytes(8, "little") + (
-                (counter & ((1 << 63) - 1)) | (1 << 63)
+                counter | 1 << 63
             ).to_bytes(8, "little")
             return int.from_bytes(
                 self._mask_aes.encrypt_block(block)[:8], "little"
             )
         assert self._mask_prf is not None
         mixed = self._mask_prf.value(address & _MASK64)
-        return self._mask_prf.value(mixed ^ (counter & _MASK64) ^ 0xA5A5A5A5A5A5A5A5)
+        return self._mask_prf.value(mixed ^ counter ^ 0xA5A5A5A5A5A5A5A5)
 
     # -- public tag API ----------------------------------------------------
 

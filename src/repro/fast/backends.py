@@ -3,8 +3,9 @@
 The engine's counter-mode construction (paper Section 2.1) is fixed: each
 64-byte block's keystream is the block cipher applied to four nonce
 blocks laid out as ``56-bit counter LE | 0x00 | 48-bit address LE |
-16-bit segment LE``.  What *varies* is how that block cipher is
-executed, and that choice is what a :class:`KeystreamBackend` names:
+16-bit segment LE``, the counter a nonce in the 56-bit lane (enforced).
+What *varies* is how that block cipher is executed, and that choice is
+what a :class:`KeystreamBackend` names:
 
 * ``reference`` -- the pure-python table AES, one block at a time.  The
   ground truth every other AES-family backend must match bit for bit.
@@ -40,15 +41,15 @@ from typing import Callable, Dict, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from repro.crypto.aes import AES128
+from repro.crypto.ctr import check_nonce, check_nonces
 from repro.crypto.prf import XorShiftKeystream
 from repro.fast.aes_batch import BatchAes128
 from repro.fast.prf_batch import BatchSplitMix64, splitmix64_batch
-from repro.lint.contracts import ADDRESS_BITS, BLOCK_BYTES, COUNTER_NONCE_BITS
+from repro.lint.contracts import ADDRESS_BITS, BLOCK_BYTES
 
 _AES_BLOCK = 16
 _SEGMENTS = BLOCK_BYTES // _AES_BLOCK
 _MASK64 = (1 << 64) - 1
-_COUNTER_MASK = (1 << COUNTER_NONCE_BITS) - 1
 _ADDRESS_MASK = (1 << ADDRESS_BITS) - 1
 _WORDS_PER_BLOCK = BLOCK_BYTES // 8
 
@@ -137,21 +138,11 @@ class AesNiEncryptor:
 def aes_nonce_block(counter: int, address: int, segment: int) -> bytes:
     """One scalar nonce block: 7-byte counter | 0 | 6-byte addr | 2-byte seg."""
     return (
-        (counter & _COUNTER_MASK).to_bytes(7, "little")
+        check_nonce(counter).to_bytes(7, "little")
         + b"\x00"
         + (address & _ADDRESS_MASK).to_bytes(6, "little")
         + segment.to_bytes(2, "little")
     )
-
-
-def _masked(values: Sequence[int], mask: int) -> np.ndarray:
-    """``[v & mask for v in values]`` as uint64: one numpy op when every
-    value fits 64 bits, else per value (a monolithic epoch >= 128 puts
-    a nonce at or above 2**64)."""
-    array = np.asarray(values) if len(values) else np.zeros(0, np.uint64)
-    if array.dtype.kind in "iu":
-        return array.astype(np.uint64) & np.uint64(mask)
-    return np.array([v & mask for v in values], dtype=np.uint64)
 
 
 def aes_nonce_blocks(
@@ -163,8 +154,8 @@ def aes_nonce_blocks(
     segment index varying along axis 1.
     """
     n = len(counters)
-    c = _masked(counters, _COUNTER_MASK)
-    a = _masked(addresses, _ADDRESS_MASK)
+    c = check_nonces(counters).astype(np.uint64)
+    a = np.asarray(addresses, dtype=np.uint64) & np.uint64(_ADDRESS_MASK)
     blocks = np.zeros((n, _SEGMENTS, _AES_BLOCK), dtype=np.uint8)
     for k in range(7):
         blocks[:, :, k] = (
@@ -216,7 +207,7 @@ class SplitmixKeystream:
         self._prf = BatchSplitMix64(self._scalar._prf)
 
     def keystream(self, counter: int, address: int, length: int) -> bytes:
-        seed = ((counter & _MASK64) << 64) | (address & _MASK64)
+        seed = (check_nonce(counter) << 64) | (address & _MASK64)
         return self._scalar.keystream(seed, length)
 
     def pads(
@@ -225,8 +216,8 @@ class SplitmixKeystream:
         n = len(counters)
         # Scalar seed = counter << 64 | address, split back into
         # high = counter, low = address inside XorShiftKeystream.
-        high = np.array([v & _MASK64 for v in counters], dtype=np.uint64)
-        low = np.array([v & _MASK64 for v in addresses], dtype=np.uint64)
+        high = check_nonces(counters).astype(np.uint64)
+        low = np.asarray(addresses, dtype=np.uint64)
         word_index = np.arange(_WORDS_PER_BLOCK, dtype=np.uint64)
         tweak = splitmix64_batch(high[:, None] ^ word_index)
         words = self._prf.value(low[:, None] ^ tweak)

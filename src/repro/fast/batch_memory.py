@@ -17,10 +17,11 @@ How the write path keeps the scalar semantics while batching:
   ``scheme.may_overflow`` is True -- and records its statistics as
   bulk counts; that one write takes the exact per-block
   ``scheme.on_write`` path below, and the next segment starts after
-  it.  A segment's blocks, nonces and data join parallel pending
+  it.  A segment's blocks, counters and data join parallel pending
   columns and its groups are marked stale and dirty in bulk; the
   expensive keystream, MAC and ECC-lane work is deferred into per-run
-  batches, whose ECC fields are built by one ``EccField.many`` call;
+  batches, with one ``scheme.nonce`` call for their nonces and one
+  ``EccField.many`` call for their ECC fields;
 * the groups touched by the run are serialized when the run commits,
   all of them in one multi-group ``counters.encode`` call.  Until then
   their ``counter_storage`` lags the scheme.  The only reader that can
@@ -291,9 +292,7 @@ class BatchSecureMemory:
         return [self.engine.scheme.group_metadata(g) for g in groups]
 
     def _decode_groups(self, metadata: list[bytes]) -> np.ndarray:
-        """The groups' counters as one ``(groups, slots)`` matrix: int64
-        from the counter kernels; Python ints (object dtype) from the
-        scalar decoders, whose split majors can exceed 63 bits."""
+        """The groups' counters as one int64 ``(groups, slots)`` matrix."""
         if self._has_counter_kernels:
             counters = self.kernels.run(
                 "counters.decode", metadata, blocks=len(metadata)
@@ -302,7 +301,7 @@ class BatchSecureMemory:
             return counters
         scheme = self.engine.scheme
         rows = [scheme.decode_metadata(data) for data in metadata]
-        return np.array(rows, dtype=object).reshape(
+        return np.array(rows, dtype=np.int64).reshape(
             len(rows), scheme.blocks_per_group
         )
 
@@ -379,7 +378,7 @@ class BatchSecureMemory:
         datas = [data for _, data in writes]
         # Queued addresses were validated: aligned and in range.
         blocks = [address // BLOCK_BYTES for address in addresses]
-        #: writes encrypted/stored lazily: blocks, addresses, nonces, data
+        #: writes encrypted/stored lazily: blocks, addresses, counters, data
         pending: tuple[list[int], list[int], list[int], list[bytes]] = (
             [], [], [], []
         )
@@ -392,10 +391,9 @@ class BatchSecureMemory:
             counters = scheme.on_writes(blocks, start)
             stop = start + len(counters)
             if counters:
-                offset = engine._nonce(0)
                 pending[0].extend(blocks[start:stop])
                 pending[1].extend(addresses[start:stop])
-                pending[2].extend([counter + offset for counter in counters])
+                pending[2].extend(counters)
                 pending[3].extend(datas[start:stop])
                 touched = dict.fromkeys(
                     [block // per_group for block in blocks[start:stop]]
@@ -411,8 +409,11 @@ class BatchSecureMemory:
             # What the scalar per-write commit would have left in
             # storage where the overflow handlers read old counters: a
             # group re-encryption reads only its own group, a monolithic
-            # wrap every group.
+            # wrap every group (and moves the epoch: the pending writes
+            # are stored first, under their epoch's nonces).
             if wraps:
+                self._flush_pending(*pending)
+                pending = ([], [], [], [])
                 lagging = list(stale)
             elif group in stale:
                 lagging = [group]
@@ -428,8 +429,6 @@ class BatchSecureMemory:
             engine_writes.inc()
             if outcome.has(CounterEvent.GLOBAL_RE_ENCRYPT):
                 global_reencrypt = True
-                self._flush_pending(*pending)
-                pending = ([], [], [], [])
                 engine._trace_reencrypt("engine.global_reencrypt", address)
                 with engine._probe_reencrypt:
                     self._global_reencrypt(skip_block=block)
@@ -453,7 +452,7 @@ class BatchSecureMemory:
                 engine.counters.group_reencryptions += 1
             pending[0].append(block)
             pending[1].append(address)
-            pending[2].append(engine._nonce(outcome.counter))
+            pending[2].append(outcome.counter)
             pending[3].append(datas[stop])
             stale[group] = None
             dirty[group] = None
@@ -468,13 +467,15 @@ class BatchSecureMemory:
         self,
         blocks: list[int],
         addresses: list[int],
-        nonces: list[int],
+        counters: list[int],
         datas: list[bytes],
     ) -> None:
-        """Encrypt, tag and store parallel columns of pending writes."""
+        """Encrypt, tag and store parallel columns of pending writes,
+        under the nonces of ``counters`` in the scheme's current epoch."""
         if not blocks:
             return
         engine = self.engine
+        nonces = engine.scheme.nonce(np.asarray(counters, dtype=np.int64))
         in_txn = engine.persist is not None and engine.persist.in_txn
         count = len(blocks)
         data = np.frombuffer(b"".join(datas), dtype=np.uint8).reshape(
@@ -531,51 +532,41 @@ class BatchSecureMemory:
             block for block in scheme.blocks_in_group(group)
             if block != skip_block
         ]
-        (old,) = self._decode_groups([engine._stored_metadata(group)]).tolist()
-        old_nonces = [
-            engine._nonce(old[scheme.slot_of(block)]) for block in blocks
-        ]
-        new_nonces = [engine._nonce(group_counter)] * len(blocks)
-        if not self._reencrypt(blocks, old_nonces, new_nonces):
+        (old,) = self._decode_groups([engine._stored_metadata(group)])
+        old_nonces = scheme.nonce(old[[scheme.slot_of(b) for b in blocks]])
+        if not self._reencrypt(blocks, old_nonces, group_counter):
             self._m_fallback.inc()
             engine._reencrypt_group(group, group_counter, skip_block)
 
     def _global_reencrypt(self, skip_block: int) -> None:
         """``engine._global_reencrypt`` as one batch when every stored
-        block is clean: the previous epoch's counters to counter 0 of
-        the new one, then one commit of every group."""
+        block is clean: the previous epoch's nonces to counter 0 of the
+        new one, then one commit of every group."""
         engine = self.engine
         scheme = engine.scheme
-        old_epoch = getattr(scheme, "epoch", 1) - 1
         blocks = [
             block for block in sorted(engine.ciphertexts)
             if block != skip_block
         ]
         groups = list(dict.fromkeys(scheme.group_of(block) for block in blocks))
         metadata = [engine._stored_metadata(group) for group in groups]
-        decoded = dict(zip(groups, self._decode_groups(metadata).tolist()))
-        old_nonces = [
-            engine._nonce(
-                decoded[scheme.group_of(block)][scheme.slot_of(block)],
-                epoch=old_epoch,
-            )
-            for block in blocks
-        ]
-        new_nonces = [engine._nonce(0)] * len(blocks)
-        if not self._reencrypt(blocks, old_nonces, new_nonces):
+        decoded = dict(zip(groups, self._decode_groups(metadata)))
+        old = [decoded[scheme.group_of(b)][scheme.slot_of(b)] for b in blocks]
+        old_nonces = scheme.nonce(
+            np.array(old, dtype=np.int64), epoch=scheme.epoch - 1
+        )
+        if not self._reencrypt(blocks, old_nonces, 0):
             self._m_fallback.inc()
             engine._global_reencrypt(skip_block)
             return
         self._commit_groups(list(range(scheme.num_groups)))
 
     def _reencrypt(
-        self,
-        blocks: list[int],
-        old_nonces: list[int],
-        new_nonces: list[int],
+        self, blocks: list[int], old_nonces: np.ndarray, new_counter: int
     ) -> bool:
-        """Move ``blocks`` from their old to their new nonces as one
-        batch; False, with nothing changed, unless every block is clean.
+        """Move ``blocks`` from their old nonces to the nonce of
+        ``new_counter`` as one batch; False, with nothing changed,
+        unless every block is clean.
 
         A stored block is clean under the read path's rule (the
         re-encryption path reads storage directly, so ``read_perturb``
@@ -589,30 +580,22 @@ class BatchSecureMemory:
         written, held, messages, macs, checks = self._stored_columns(blocks)
         if (written & ~held).any():
             return False  # a stored ciphertext without its stored MAC
-        zero_nonce = engine._nonce(0)
-        if any(
-            old_nonces[row] != zero_nonce
-            for row in np.flatnonzero(~written).tolist()
-        ):
+        if (old_nonces[~written] != engine.scheme.nonce(0)).any():
             return False
+        addresses = np.array(blocks, dtype=np.int64) * BLOCK_BYTES
         plains = [bytes(BLOCK_BYTES)] * len(blocks)
         rows = np.flatnonzero(held).tolist()
         if rows:
-            addresses = [blocks[row] * BLOCK_BYTES for row in rows]
-            nonces = [old_nonces[row] for row in rows]
-            if not self._clean(messages, addresses, nonces, macs, checks).all():
+            nonces, held_at = old_nonces[rows], addresses[rows]
+            if not self._clean(messages, held_at, nonces, macs, checks).all():
                 return False
             decrypted = self.kernels.run(
-                "ctr.encrypt", messages, nonces, addresses, blocks=len(rows)
+                "ctr.encrypt", messages, nonces, held_at, blocks=len(rows)
             )
             for row, plain in zip(rows, decrypted):
                 plains[row] = plain.tobytes()
-        self._flush_pending(
-            blocks,
-            [block * BLOCK_BYTES for block in blocks],
-            new_nonces,
-            plains,
-        )
+        counters = [new_counter] * len(blocks)
+        self._flush_pending(blocks, addresses, counters, plains)
         return True
 
     def _stored_columns(
@@ -670,8 +653,8 @@ class BatchSecureMemory:
     def _clean(
         self,
         messages: np.ndarray,
-        addresses: list[int],
-        nonces: list[int],
+        addresses: Sequence[int],
+        nonces: np.ndarray,
         macs: np.ndarray,
         checks: np.ndarray,
     ) -> np.ndarray:
@@ -752,20 +735,16 @@ class BatchSecureMemory:
                 decoded = self._decode_groups(
                     [stored[i] for i in np.flatnonzero(verdicts).tolist()]
                 )
-                counters = decoded[decoded_row[group_at[rows]], slots[rows]]
-                epoch_offset = engine._nonce(0)
-                nonces = [
-                    counter + epoch_offset for counter in counters.tolist()
-                ]
-                v_addresses = (block_array[rows] * BLOCK_BYTES).tolist()
+                nonces = engine.scheme.nonce(
+                    decoded[decoded_row[group_at[rows]], slots[rows]]
+                )
+                v_addresses = block_array[rows] * BLOCK_BYTES
                 ok = self._clean(messages, v_addresses, nonces, macs, checks)
                 clean[rows] = ok
                 if not ok.all():
-                    kept = np.flatnonzero(ok).tolist()
-                    messages = messages[ok]
-                    nonces = [nonces[row] for row in kept]
-                    v_addresses = [v_addresses[row] for row in kept]
-                if nonces:
+                    messages, nonces = messages[ok], nonces[ok]
+                    v_addresses = v_addresses[ok]
+                if len(nonces):
                     flat = self.kernels.run(
                         "ctr.encrypt", messages, nonces, v_addresses,
                         blocks=len(nonces),

@@ -165,7 +165,9 @@ def _reference_ctr_encrypt(
     ) -> np.ndarray:
         out = [
             cipher.encrypt(bytes(row), counter, address)
-            for row, counter, address in zip(data, counters, addresses)
+            for row, counter, address in zip(
+                data, map(int, counters), map(int, addresses)
+            )
         ]
         return np.frombuffer(b"".join(out), dtype=np.uint8).reshape(
             len(out), -1
@@ -186,7 +188,7 @@ def _reference_mac_tags(
             [
                 mac.tag(bytes(row), address, counter)
                 for row, address, counter in zip(
-                    messages, addresses, counters
+                    messages, map(int, addresses), map(int, counters)
                 )
             ],
             dtype=np.uint64,

@@ -15,18 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.crypto.ctr import check_nonces
 from repro.crypto.mac import MAC_MASK, CarterWegmanMac
 from repro.fast.gf_batch import BatchHornerHash
 from repro.fast.prf_batch import BatchSplitMix64
 
-_MASK64 = (1 << 64) - 1
-_COUNTER_MASK = (1 << 63) - 1
-_COUNTER_TOP = 1 << 63
+_COUNTER_TOP = np.uint64(1 << 63)
 _FAST_MASK_TWEAK = np.uint64(0xA5A5A5A5A5A5A5A5)
-
-
-def _as_u64(values: Sequence[int], mask: int = _MASK64) -> np.ndarray:
-    return np.array([v & mask for v in values], dtype=np.uint64)
 
 
 def words_le(messages: np.ndarray) -> np.ndarray:
@@ -53,23 +48,19 @@ class BatchCarterWegmanMac:
     def _mask_values(
         self, addresses: Sequence[int], counters: Sequence[int]
     ) -> np.ndarray:
-        a = _as_u64(addresses)
+        a = np.asarray(addresses, dtype=np.uint64)
+        c = check_nonces(counters).astype(np.uint64)
         if self._mask_aes is not None:
             # Scalar layout: 8-byte address LE | 8-byte (counter|top) LE.
-            c = np.array(
-                [(v & _COUNTER_MASK) | _COUNTER_TOP for v in counters],
-                dtype=np.uint64,
-            )
             blocks = np.empty((len(addresses), 16), dtype=np.uint8)
             blocks[:, :8] = a.astype("<u8")[:, None].view(np.uint8)
-            blocks[:, 8:] = c.astype("<u8")[:, None].view(np.uint8)
+            top = (c | _COUNTER_TOP).astype("<u8")
+            blocks[:, 8:] = top[:, None].view(np.uint8)
             encrypted = self._mask_aes.encrypt_blocks(blocks)
             return np.ascontiguousarray(encrypted[:, :8]).view("<u8")[:, 0]
         assert self._mask_prf is not None
         mixed = self._mask_prf.value(a)
-        return self._mask_prf.value(
-            mixed ^ _as_u64(counters) ^ _FAST_MASK_TWEAK
-        )
+        return self._mask_prf.value(mixed ^ c ^ _FAST_MASK_TWEAK)
 
     def tags(
         self,

@@ -13,10 +13,10 @@ between the engine, the ECC side-band, and the metadata encodings:
   bits), 6-bit deltas in the dual-length scheme, which frees 72 reserved
   bits used to widen one of the 4 delta-groups of 16 by 4 bits each.
 * **Nonce composition** (Sections 2.2/3.2): keystream and MAC nonces
-  pack a 48-bit block address with the (up to 56-bit) counter; the
-  write-epoch extension shifts by 57 to stay clear of the counter field,
-  and the AES nonce block caps the counter lane at 63 bits plus a
-  domain-separation flag bit.
+  pack a 48-bit block address with a counter in the one 56-bit nonce
+  lane (a monolithic scheme packs its wrap epoch above the counter
+  inside that lane); the MAC's AES mask block sets a domain-separation
+  flag bit at bit 63 of its counter half.
 
 This module is the **single source of truth**: the runtime imports its
 constants (``repro.crypto.mac``, ``repro.core.ecc_mac.layout``,
@@ -68,9 +68,7 @@ WIDEN_VALID_BITS = 1
 # -- nonce composition (Sections 2.2/3.2) ------------------------------------
 
 ADDRESS_BITS = 48  #: physical block address lane in keystream/MAC nonces
-COUNTER_NONCE_BITS = 56  #: counter lane in the fast-mode keystream nonce
-NONCE_COUNTER_BITS = 63  #: counter lane in the AES nonce block (+flag bit)
-EPOCH_SHIFT = 57  #: write-epoch extension clears the 56-bit counter lane
+COUNTER_NONCE_BITS = 56  #: the nonce lane: every keystream/MAC counter
 
 # -- machine widths (not layout, but legal everywhere) ------------------------
 
@@ -208,8 +206,6 @@ CONTRACT_CONSTANTS: dict[str, int] = {
     "RESERVED_BITS": RESERVED_BITS,
     "ADDRESS_BITS": ADDRESS_BITS,
     "COUNTER_NONCE_BITS": COUNTER_NONCE_BITS,
-    "NONCE_COUNTER_BITS": NONCE_COUNTER_BITS,
-    "EPOCH_SHIFT": EPOCH_SHIFT,
 }
 
 #: Bit widths a literal all-ones mask ``(1 << k) - 1`` may legally have
@@ -225,7 +221,6 @@ CONTRACT_WIDTHS: frozenset[int] = frozenset(
         REFERENCE_BITS,
         ADDRESS_BITS,
         COUNTER_NONCE_BITS,
-        NONCE_COUNTER_BITS,
         ECC_FIELD_BITS,
     }
 )
@@ -235,10 +230,8 @@ CONTRACT_SHIFTS: frozenset[int] = frozenset(
     {
         MAC_CHECK_SHIFT,
         CT_PARITY_SHIFT,
-        EPOCH_SHIFT,
         ADDRESS_BITS,
         MAC_BITS,
-        NONCE_COUNTER_BITS,
     }
 )
 
@@ -472,8 +465,6 @@ def validate() -> None:
         raise ValueError("widening extension must leave room for the index")
     if DELTA_GROUPS > 1 << WIDEN_INDEX_BITS:
         raise ValueError("widened-group index field too narrow")
-    if EPOCH_SHIFT <= COUNTER_NONCE_BITS:
-        raise ValueError("epoch lane overlaps the counter lane")
 
 
 validate()
@@ -504,7 +495,6 @@ __all__ = [
     "ECC_FIELD_BITS",
     "ECC_FIELD_BYTES",
     "ECC_FIELD_LAYOUT",
-    "EPOCH_SHIFT",
     "EXTENSION_BITS",
     "GENERIC_WIDTHS",
     "GROUP_BLOCKS",
@@ -517,7 +507,6 @@ __all__ = [
     "MAC_CHECK_SHIFT",
     "MAC_MASK",
     "METADATA_BLOCK_BITS",
-    "NONCE_COUNTER_BITS",
     "REFERENCE_BITS",
     "RESERVED_BITS",
     "WIDEN_INDEX_BITS",

@@ -1,5 +1,6 @@
 """Monolithic (SGX-style) counters."""
 
+import numpy as np
 import pytest
 
 from repro.core.counters import CounterEvent, MonolithicCounters
@@ -54,6 +55,52 @@ class TestOverflow:
             assert not scheme.on_write(1).has(
                 CounterEvent.GLOBAL_RE_ENCRYPT
             )
+
+
+class TestNonceLane:
+    """The epoch packs above the counter inside the 56-bit nonce lane."""
+
+    def test_nonce_packs_the_epoch_above_the_counter(self):
+        scheme = MonolithicCounters(64, counter_bits=2)
+        assert scheme.nonce(3) == 3
+        for _ in range(4):
+            scheme.on_write(0)  # the fourth write wraps
+        assert scheme.epoch == 1
+        assert scheme.nonce(1) == 0b101
+        assert scheme.nonce(1, epoch=0) == 1
+        counters = np.array([0, 3], dtype=np.int64)
+        assert scheme.nonce(counters).tolist() == [0b100, 0b111]
+
+    def test_full_width_wrap_is_refused_with_state_unchanged(self):
+        """At the default 56 bits the first wrap would need epoch 1 at
+        bit 56: refused, before the counters, the epoch or the
+        statistics move."""
+        scheme = MonolithicCounters(64)
+        scheme._counters[7] = (1 << 56) - 1
+        scheme.on_write(8)
+        before = (list(scheme._counters), scheme.epoch, scheme.stats.writes)
+        assert scheme.may_overflow(7)
+        with pytest.raises(OverflowError, match="nonce lane"):
+            scheme.on_write(7)
+        after = (list(scheme._counters), scheme.epoch, scheme.stats.writes)
+        assert after == before
+        assert scheme.nonce((1 << 56) - 1) == (1 << 56) - 1
+
+    def test_last_epoch_of_a_narrow_counter_is_refused(self):
+        scheme = MonolithicCounters(64, counter_bits=54)
+        scheme.epoch = 2  # epoch 3 still fits: 4 << 54 == 2**56
+        scheme._counters[0] = (1 << 54) - 1
+        assert scheme.on_write(0).has(CounterEvent.GLOBAL_RE_ENCRYPT)
+        assert scheme.nonce((1 << 54) - 1) == (1 << 56) - 1
+        scheme._counters[0] = (1 << 54) - 1
+        with pytest.raises(OverflowError):
+            scheme.on_write(0)
+        assert scheme.epoch == 3
+
+    def test_counter_wider_than_the_lane_is_rejected(self):
+        MonolithicCounters(64, counter_bits=56)
+        with pytest.raises(ValueError, match="nonce lane"):
+            MonolithicCounters(64, counter_bits=57)
 
 
 class TestStorage:

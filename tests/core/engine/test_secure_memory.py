@@ -266,12 +266,12 @@ class TestKeyHandling:
 class TestGlobalReencryption:
     """Monolithic counter wrap: the whole memory re-keys (new epoch)."""
 
-    def _tiny_counter_memory(self, key48, name="combined_tiny"):
+    def _tiny_counter_memory(self, key48, mode="splitmix"):
         return SecureMemory(
             preset(
                 "mac_in_ecc",
                 protected_bytes=8 * 1024,  # 128 blocks, 2 groups
-                keystream_mode="splitmix",
+                keystream_mode=mode,
                 counter_scheme="monolithic",
                 scheme_kwargs={"counter_bits": 4},  # wraps after 15 writes
             ),
@@ -299,15 +299,17 @@ class TestGlobalReencryption:
 
     def test_nonces_stay_fresh_across_epochs(self, key48):
         """Same (counter, address) in different epochs must produce
-        different ciphertexts: the epoch is folded into the nonce."""
-        memory = self._tiny_counter_memory(key48)
-        payload = b"\x11" * 64
-        seen = set()
-        for _ in range(64):  # four epochs' worth of wraps
-            memory.write(0, payload)
-            ct = memory.ciphertexts[0]
-            assert ct not in seen, "keystream reuse across epochs!"
-            seen.add(ct)
+        different ciphertexts: the epoch is packed into the nonce, inside
+        the 56-bit lane every backend keeps (AES included)."""
+        for mode in ("splitmix", "fast"):
+            memory = self._tiny_counter_memory(key48, mode)
+            payload = b"\x11" * 64
+            seen = set()
+            for _ in range(64):  # four epochs' worth of wraps
+                memory.write(0, payload)
+                ct = memory.ciphertexts[0]
+                assert ct not in seen, "keystream reuse across epochs!"
+                seen.add(ct)
 
     def test_tampered_block_blocks_global_reencryption(self, key48, rng):
         memory = self._tiny_counter_memory(key48)
@@ -316,3 +318,29 @@ class TestGlobalReencryption:
         with pytest.raises(IntegrityError):
             for _ in range(40):  # the wrap-triggering write must fail
                 memory.write(0, b"\x00" * 64)
+
+    def test_exhausted_counter_space_is_refused(self, key48):
+        """A wrap whose epoch would leave the nonce lane (at 56 bits, the
+        first) raises before the engine or the scheme changes."""
+        memory = SecureMemory(
+            preset(
+                "mac_in_ecc", protected_bytes=8 * 1024,
+                keystream_mode="splitmix",
+            ),
+            key48,
+        )
+        memory.write(64, b"\x22" * 64)
+        memory.scheme._counters[1] = (1 << 56) - 1
+
+        def state():
+            return (
+                dict(memory.ciphertexts), dict(memory.ecc_fields),
+                dict(memory.counter_storage), memory.tree.root_digest(),
+                list(memory.scheme._counters), memory.scheme.epoch,
+            )
+
+        before = state()
+        with pytest.raises(OverflowError, match="nonce lane"):
+            memory.write(64, b"\x33" * 64)
+        assert state() == before
+        assert memory.read(64).data == b"\x22" * 64

@@ -29,9 +29,11 @@ from hypothesis import strategies as st
 from repro.core.engine.config import preset
 from repro.core.engine.secure_memory import SecureMemory
 from repro.crypto.prf import splitmix64
+from repro.crypto.mac import CarterWegmanMac
 from repro.fast.backends import (
     aes_nonce_block,
     aes_nonce_blocks,
+    keystream_backends,
     resolve_backend,
 )
 from repro.fast.batch_memory import BatchSecureMemory
@@ -41,6 +43,7 @@ from repro.fast.kernels import (
     KernelPair,
     KernelTable,
 )
+from repro.fast.mac_batch import BatchCarterWegmanMac
 from repro.obs.metrics import MetricRegistry, use_registry
 
 AES_BACKENDS = ["reference", "fast", "aesni"]
@@ -106,39 +109,55 @@ def test_aes_family_scalar_keystream_bit_identical(
         assert stream == baseline, name
 
 
-#: nonces past 64 bits: a monolithic epoch >= 128 folds in at bit 57
-WIDE_NONCES = st.one_of(
-    st.integers(0, (1 << 64) - 1),
-    st.integers(128, 1 << 10).flatmap(
-        lambda epoch: U56.map(lambda counter: counter + (epoch << 57))
-    ),
-)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     rows=st.lists(
-        st.tuples(WIDE_NONCES, st.integers(0, (1 << 64) - 1)),
+        st.tuples(U56, st.integers(0, (1 << 64) - 1)),
         min_size=1,
         max_size=6,
-    ),
-    wide=st.tuples(U56, st.integers(128, 1 << 10), U48),
+    )
 )
-def test_nonce_blocks_equal_the_scalar_nonce_block(rows, wide):
-    """The batched nonce blocks, masked with one numpy op when every
-    value fits 64 bits and per value otherwise, are byte-for-byte the
-    scalar ``aes_nonce_block`` -- including a nonce at or above 2**64."""
-    for batch in (rows, rows + [(wide[0] + (wide[1] << 57), wide[2])]):
-        counters = [counter for counter, _ in batch]
-        addresses = [address for _, address in batch]
-        blocks = aes_nonce_blocks(counters, addresses)
-        assert blocks.shape == (len(batch), 4, 16)
-        for row, (counter, address) in enumerate(batch):
-            for segment in range(4):
-                assert blocks[row, segment].tobytes() == aes_nonce_block(
-                    counter, address, segment
-                )
-    assert max(counters) >= 1 << 64
+def test_nonce_blocks_equal_the_scalar_nonce_block(rows):
+    """The batched nonce blocks are byte-for-byte the scalar
+    ``aes_nonce_block``, over the whole nonce lane and any address."""
+    counters = [counter for counter, _ in rows]
+    addresses = [address for _, address in rows]
+    blocks = aes_nonce_blocks(counters, addresses)
+    assert blocks.shape == (len(rows), 4, 16)
+    for row, (counter, address) in enumerate(rows):
+        for segment in range(4):
+            assert blocks[row, segment].tobytes() == aes_nonce_block(
+                counter, address, segment
+            )
+
+
+#: nonces just outside the 56-bit lane, and far outside it
+OUT_OF_LANE = [-1, 1 << 56, (1 << 56) + 5, 1 << 63, (1 << 64) + 1]
+
+
+@pytest.mark.parametrize("name", keystream_backends())
+@pytest.mark.parametrize("nonce", OUT_OF_LANE)
+def test_out_of_lane_nonces_raise_on_every_backend(name, nonce):
+    """The lane is enforced, not masked: an out-of-lane nonce raises on
+    the scalar and the batch path of every backend's keystream and MAC,
+    even beside in-lane nonces, as a list or an array."""
+    backend = resolve_backend(name)
+    if backend.availability_error() is not None:
+        pytest.skip(backend.availability_error())
+    engine = backend.build(KEY[:16])
+    with pytest.raises(ValueError, match="nonce lane"):
+        engine.keystream(nonce, 64, 64)
+    with pytest.raises(ValueError, match="nonce lane"):
+        engine.pads([0, nonce], [0, 64])
+    mac = CarterWegmanMac(KEY[16:40], mode=name)
+    with pytest.raises(ValueError, match="nonce lane"):
+        mac.tag(bytes(64), 64, nonce)
+    messages = np.zeros((2, 64), dtype=np.uint8)
+    with pytest.raises(ValueError, match="nonce lane"):
+        BatchCarterWegmanMac(mac).tags(messages, [0, 64], [0, nonce])
+    if 0 <= nonce < 1 << 63:  # an int64 array can hold it
+        with pytest.raises(ValueError, match="nonce lane"):
+            engine.pads(np.array([0, nonce], dtype=np.int64), [0, 64])
 
 
 @settings(max_examples=15, deadline=None)

@@ -1052,7 +1052,7 @@ def test_clean_many_equals_the_dataclass_constructor():
 
 #: id -> (preset, scheme overrides, hammered writes of block 0 before the
 #: run's blocks are written).  ``wrapped`` is a 1-bit monolithic counter
-#: taken through 128 epoch wraps, so its nonces reach 2**64.
+#: taken through 128 epoch wraps, so its nonces carry an 8-bit epoch.
 READ_RUN_CONFIGS = {
     "bmt_baseline": ("bmt_baseline", {}, 0),
     "combined": ("combined", {}, 0),
@@ -1164,7 +1164,7 @@ def test_read_run_matches_the_scalar_read_loop(case_id, case):
             for block in written:
                 engine.write(block * 64, bytes([block % 256]) * 64)
             if hammer:
-                assert engine._nonce(0) >= 1 << 64
+                assert engine.scheme.epoch >= 128
             suspect = _install_anomalies(engine, case)
             batch = BatchSecureMemory(engine, mode="fast")
             results = []
@@ -1175,9 +1175,7 @@ def test_read_run_matches_the_scalar_read_loop(case_id, case):
                     for address in addresses:
                         results.append(engine.read(address))
                 outcome = results
-            # A missing ECC field fails inside the scalar read itself,
-            # with an AttributeError; the batch must raise the same.
-            except (IntegrityError, AttributeError) as error:
+            except IntegrityError as error:
                 outcome = (type(error).__name__, str(error),
                            getattr(error, "kind", None))
             state = _engine_state(engine)
@@ -1210,3 +1208,25 @@ def test_read_run_matches_the_scalar_read_loop(case_id, case):
         for address in performed
     )
     assert batch_totals.get("fast.fallback.scalar", 0) == fallbacks
+
+
+def test_missing_ecc_field_raises_integrity_error_on_both_paths():
+    """A MAC-in-ECC block whose ECC field is gone reads as uncorrectable
+    MAC bits -- the same ``IntegrityError`` from the scalar read and from
+    ``read_many`` -- not an ``AttributeError`` from the detection flow."""
+
+    def read(batched):
+        engine = SecureMemory(_config("mac_in_ecc", {}), KEY)
+        engine.write(64, bytes(range(64)))
+        del engine.ecc_fields[1]
+        with pytest.raises(IntegrityError) as info:
+            if batched:
+                BatchSecureMemory(engine).read_many([64])
+            else:
+                engine.read(64)
+        error = info.value
+        return type(error), str(error), error.kind, error.outcome
+
+    scalar = read(False)
+    assert scalar == read(True)
+    assert scalar[2:] == ("mac_bits", CheckOutcome.MAC_UNCORRECTABLE)

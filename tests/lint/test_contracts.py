@@ -44,7 +44,7 @@ class TestInternalConsistency:
 
     def test_widths_and_shifts_derive_from_constants(self):
         assert contracts.MAC_BITS in contracts.CONTRACT_WIDTHS
-        assert contracts.EPOCH_SHIFT in contracts.CONTRACT_SHIFTS
+        assert contracts.MAC_CHECK_SHIFT in contracts.CONTRACT_SHIFTS
         assert contracts.BLOCK_BYTES in contracts.CONTRACT_BYTE_SIZES
         assert contracts.GROUP_BLOCKS in contracts.CONTRACT_MODULI
 

@@ -76,7 +76,7 @@ class TestShiftsModuliBytes:
         assert "30" in out[0].message
 
     def test_accepts_contracted_and_small_shifts(self):
-        assert findings("x = (epoch << 57) | (value >> 3)\n") == []
+        assert findings("x = (tag << 56) | (value >> 3)\n") == []
 
     def test_flags_uncontracted_modulus(self):
         out = findings("x = address % 100\n")

@@ -180,8 +180,8 @@ class TestCrossSchemeSmoke:
     @pytest.mark.parametrize(
         "preset,kwargs",
         [
-            ("bmt_baseline", (("counter_bits", 3),)),
-            ("mac_in_ecc", (("counter_bits", 3),)),
+            ("bmt_baseline", (("counter_bits", 1),)),
+            ("mac_in_ecc", (("counter_bits", 1),)),
             ("combined_dual",
              (("base_delta_bits", 2), ("extension_bits", 2))),
         ],
@@ -191,5 +191,9 @@ class TestCrossSchemeSmoke:
             preset=preset, scheme_kwargs=kwargs, ops=6,
             checkpoint_interval=3,
         )
+        if dict(kwargs).get("counter_bits"):
+            # The recorded run takes a monolithic wrap: global
+            # re-encryption is among the steps the matrix crashes.
+            assert run_workload(spec).oracle.floor_epoch >= 1
         report = run_matrix(spec, stride=4)
         assert report.ok, report.format_summary()

@@ -270,6 +270,37 @@ class TestEndurancePreset:
         assert args.preset == "endurance"
 
 
+class TestMonolithicWidths:
+    """The monolithic presets' crash/torture widths wrap: every recorded
+    run takes at least one global re-encryption."""
+
+    @pytest.mark.parametrize("preset", ["bmt_baseline", "mac_in_ecc"])
+    @pytest.mark.parametrize("batch", [0, 4])
+    def test_crash_workload_wraps(self, preset, batch):
+        from repro.cli import _CRASH_SCHEME_KWARGS
+        from repro.persist.crashsim import CrashSimSpec, run_workload
+
+        spec = CrashSimSpec(
+            preset=preset,
+            scheme_kwargs=_CRASH_SCHEME_KWARGS[preset],
+            batch=batch,
+        )
+        assert run_workload(spec).oracle.floor_epoch >= 1
+
+    @pytest.mark.parametrize("preset", ["bmt_baseline", "mac_in_ecc"])
+    def test_bounded_torture_wraps(self, preset):
+        from repro.cli import _CRASH_SCHEME_KWARGS
+        from repro.resilience.torture import TortureCampaign, TortureSpec
+
+        campaign = TortureCampaign(
+            TortureSpec(
+                preset=preset, scheme_kwargs=_CRASH_SCHEME_KWARGS[preset]
+            )
+        )
+        assert campaign.run(limit=20).ok
+        assert campaign.stack.engine.scheme.epoch >= 1
+
+
 class TestTorture:
     def test_bounded_campaign_exit_zero(self, capsys):
         code = main(["torture", "--limit", "2", "--ops", "8"])
