@@ -10,10 +10,11 @@ Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to watch the
 exhibits stream by).
 """
 
-import json
 import pathlib
 
 import pytest
+
+from repro.harness.reporting import dump_json
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).parent.parent
@@ -61,10 +62,7 @@ def record_bench():
             "results": results,
             "metrics": registry.snapshot().totals(),
         }
-        path = REPO_ROOT / f"BENCH_{name}.json"
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        path = dump_json(payload, REPO_ROOT / f"BENCH_{name}.json")
         print(f"\nwrote {path}")
         return path
 

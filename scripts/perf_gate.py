@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import pathlib
 import sys
 import time
@@ -71,19 +70,20 @@ from repro.harness.parallel import (  # noqa: E402
     BenchSpec,
     _app_key,
     _payload_for,
-    _resolve_profile,
     run_bench,
 )
+from repro.harness.reporting import dump_json  # noqa: E402
 from repro.fast.backends import resolve_backend  # noqa: E402
 from repro.harness.runner import BLOCK_BYTES, WritebackFilter  # noqa: E402
 from repro.obs.metrics import MetricRegistry, use_registry  # noqa: E402
+from repro.workloads import resolve_profile  # noqa: E402
 
 DEFAULT_APPS = ("canneal", "dedup", "facesim", "ferret")
 
 
 def app_workload(app: str, spec: BenchSpec) -> list:
     """The (block, payload) write stream one app replays, both sides."""
-    app_profile = _resolve_profile(app)
+    app_profile = resolve_profile(app)
     region_blocks = spec.region_mb * 1024 * 1024 // BLOCK_BYTES
     traces = app_profile.traces(
         spec.accesses, region_blocks, spec.cores, spec.seed
@@ -448,8 +448,7 @@ def main(argv=None) -> int:
         },
         "metrics": bench_payload["metrics"],
     }
-    path = pathlib.Path(args.json_out)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path = dump_json(payload, args.json_out)
     print(f"perf_gate: wrote {path}")
     gates = (passed, aesni_passed, gc_passed, encode_passed)
     return 0 if all(gates) else 1

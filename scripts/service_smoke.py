@@ -25,11 +25,11 @@ p50/p99 + per-tenant verification), ``shard-N.metrics.json`` and
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import tempfile
 
+from repro.harness.reporting import dump_json
 from repro.service.endpoints import scrape
 from repro.service.loadgen import LoadgenSpec, run_loadgen
 from repro.service.server import ServiceSupervisor
@@ -85,12 +85,8 @@ def main(argv: list[str] | None = None) -> int:
                 http = str(supervisor.router.http_socket_path(shard))
                 health = scrape(http, "/health")
                 metrics = scrape(http, "/metrics")
-                (out / f"shard-{shard}.health.json").write_text(
-                    json.dumps(health, indent=2, sort_keys=True) + "\n"
-                )
-                (out / f"shard-{shard}.metrics.json").write_text(
-                    json.dumps(metrics, indent=2, sort_keys=True) + "\n"
-                )
+                dump_json(health, out / f"shard-{shard}.health.json")
+                dump_json(metrics, out / f"shard-{shard}.metrics.json")
                 recovery = health.get("recovery", {})
                 print(
                     f"service_smoke: shard {shard} status="

@@ -41,20 +41,14 @@ from repro.core.engine.config import PRESETS, preset
 from repro.core.engine.secure_memory import SecureMemory
 from repro.fast.backends import keystream_backends
 from repro.fast.kernels import parse_mode
-from repro.harness.parallel import (
-    TRANSPORTS,
-    BenchSpec,
-    dump_payload,
-    run_bench,
-)
+from repro.harness.parallel import BenchSpec, run_bench
 from repro.harness.study import (
     DEFAULT_KEYSTREAMS,
     DEFAULT_MODES,
     StudySpec,
-    dump_study,
     run_study,
 )
-from repro.harness.reporting import format_series, format_table
+from repro.harness.reporting import dump_json, format_series, format_table
 from repro.harness.runner import PerformanceExperiment, ReencryptionExperiment
 from repro.lint import (
     Baseline,
@@ -82,8 +76,9 @@ from repro.service.chaos import ChaosSpec, run_chaos
 from repro.service.loadgen import LoadgenSpec, run_loadgen
 from repro.service.quota import QuotaConfig
 from repro.service.server import ServiceSupervisor
-from repro.workloads.micro import MICRO_PROFILES, micro_profile
-from repro.workloads.parsec import figure8_apps, profile, table2_apps
+from repro.workloads import resolve_profile
+from repro.workloads.micro import MICRO_PROFILES
+from repro.workloads.parsec import figure8_apps, table2_apps
 
 
 def _rate(text: str) -> float:
@@ -99,13 +94,6 @@ def _kernel_mode(token: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return token
-
-
-def _resolve_profile(name):
-    """PARSEC app or microbenchmark, by name."""
-    if name in MICRO_PROFILES:
-        return micro_profile(name)
-    return profile(name)
 
 
 @contextmanager
@@ -161,7 +149,7 @@ def _cmd_table2(args) -> int:
         seed=args.seed,
     )
     rows = [
-        experiment.run_app(_resolve_profile(app)).as_row()
+        experiment.run_app(resolve_profile(app)).as_row()
         for app in args.apps
     ]
     print(
@@ -182,7 +170,7 @@ def _cmd_figure8(args) -> int:
     )
     rows = []
     for app in args.apps:
-        run = experiment.run_app(_resolve_profile(app))
+        run = experiment.run_app(resolve_profile(app))
         normalized = run.normalized()
         rows.append(
             [
@@ -216,9 +204,7 @@ def _cmd_bench(args) -> int:
         preset=args.preset,
         keystream=args.keystream,
     )
-    payload = run_bench(
-        spec, workers=args.workers, transport=args.transport
-    )
+    payload = run_bench(spec, workers=args.workers)
     rows = [
         [
             app,
@@ -246,7 +232,7 @@ def _cmd_bench(args) -> int:
         f"{metrics.get('fast.paranoid.divergence', 0)}"
     )
     if args.json_out:
-        path = dump_payload(payload, args.json_out)
+        path = dump_json(payload, args.json_out)
         print(f"wrote merged bench payload to {path}", file=sys.stderr)
     mismatches = sum(
         res["readback_mismatches"] for res in payload["results"].values()
@@ -367,9 +353,7 @@ def _cmd_resilience(args) -> int:
         artifact = report.as_dict()
         artifact["ground_truth_mismatches"] = mismatches
         artifact["sound"] = sound
-        pathlib.Path(args.json_out).write_text(
-            json.dumps(artifact, indent=2, sort_keys=True) + "\n"
-        )
+        dump_json(artifact, args.json_out)
         print(f"wrote campaign report to {args.json_out}", file=sys.stderr)
     return 0 if sound else 1
 
@@ -415,9 +399,7 @@ def _cmd_crash(args) -> int:
     report = run_matrix(spec, limit=args.limit, stride=args.stride)
     print(report.format_summary())
     if args.json_out:
-        pathlib.Path(args.json_out).write_text(
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-        )
+        dump_json(report.to_json(), args.json_out)
         print(f"wrote crash matrix to {args.json_out}", file=sys.stderr)
     return 0 if report.ok else 1
 
@@ -441,9 +423,7 @@ def _cmd_torture(args) -> int:
     report = run_torture(spec, limit=args.limit)
     print(report.format_summary())
     if args.json_out:
-        pathlib.Path(args.json_out).write_text(
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-        )
+        dump_json(report.to_json(), args.json_out)
         print(f"wrote torture report to {args.json_out}", file=sys.stderr)
     return 0 if report.ok else 1
 
@@ -632,16 +612,14 @@ def _cmd_chaos(args) -> int:
     )
     payload, status = _run_service_campaign(args, run_chaos, spec)
     if args.health_out:
-        pathlib.Path(args.health_out).write_text(
-            json.dumps(payload["health"], indent=2, sort_keys=True) + "\n"
-        )
+        dump_json(payload["health"], args.health_out)
         print(f"wrote /health snapshots to {args.health_out}",
               file=sys.stderr)
     return status
 
 
 def _cmd_trace(args) -> int:
-    app = _resolve_profile(args.app)
+    app = resolve_profile(args.app)
     records = app.trace(
         args.accesses,
         args.region_mb * 1024 * 1024 // 64,
@@ -664,9 +642,8 @@ def _cmd_study(args) -> int:
         modes=tuple(args.modes),
         workers=tuple(args.workers_list),
         presets=tuple(args.presets),
-        transport=args.transport,
     )
-    payload = run_study(spec, jobs=args.jobs)
+    payload = run_study(spec)
     rows = [
         [
             label,
@@ -701,7 +678,7 @@ def _cmd_study(args) -> int:
     for name, reason in sorted(payload["skipped_backends"].items()):
         print(f"skipped backend {name}: {reason}", file=sys.stderr)
     if args.json_out:
-        path = dump_study(payload, args.json_out)
+        path = dump_json(payload, args.json_out)
         print(f"wrote study payload to {path}", file=sys.stderr)
     summary = payload["summary"]
     failed = summary["readback_mismatches"] or not summary[
@@ -776,10 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keystream backend (reference/fast/aesni run "
                         "real AES with different execution strategies; "
                         "splitmix is the simulation PRF)")
-    p.add_argument("--transport", choices=list(TRANSPORTS), default="shm",
-                   help="how block batches reach pool workers: shm "
-                        "(zero-copy shared-memory views) or pickle; "
-                        "never changes the payload")
     p.add_argument("--json-out", metavar="FILE", default=None,
                    help="write the merged bench payload as JSON")
     p.set_defaults(func=_cmd_bench)
@@ -809,10 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N", help="worker counts to sweep")
     p.add_argument("--presets", nargs="+", default=["combined"],
                    choices=sorted(PRESETS), metavar="PRESET")
-    p.add_argument("--transport", choices=list(TRANSPORTS), default="shm",
-                   help="bench transport used by every flavor")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="post-processing pool size (default: cpu-bound)")
     p.add_argument("--json-out", metavar="FILE", default=None,
                    help="write the study payload as JSON "
                         "(e.g. BENCH_study.json)")

@@ -386,77 +386,99 @@ class BatchSecureMemory:
         stale: dict[int, None] = {}
         #: groups needing a final tree-leaf commit
         dirty: dict[int, None] = {}
-        start = 0
-        while True:
-            counters = scheme.on_writes(blocks, start)
-            stop = start + len(counters)
-            if counters:
-                pending[0].extend(blocks[start:stop])
-                pending[1].extend(addresses[start:stop])
-                pending[2].extend(counters)
-                pending[3].extend(datas[start:stop])
-                touched = dict.fromkeys(
-                    [block // per_group for block in blocks[start:stop]]
-                )
-                stale.update(touched)
-                dirty.update(touched)
-                engine_writes.inc(len(counters))
-            if stop == len(blocks):
-                break
-            # ``scheme.may_overflow`` is True for this write.
-            block, address = blocks[stop], addresses[stop]
-            group = block // per_group
-            # What the scalar per-write commit would have left in
-            # storage where the overflow handlers read old counters: a
-            # group re-encryption reads only its own group, a monolithic
-            # wrap every group (and moves the epoch: the pending writes
-            # are stored first, under their epoch's nonces).
-            if wraps:
-                self._flush_pending(*pending)
-                pending = ([], [], [], [])
-                lagging = list(stale)
-            elif group in stale:
-                lagging = [group]
-            else:
-                lagging = []
+        try:
+            start = 0
+            while True:
+                counters = scheme.on_writes(blocks, start)
+                stop = start + len(counters)
+                if counters:
+                    pending[0].extend(blocks[start:stop])
+                    pending[1].extend(addresses[start:stop])
+                    pending[2].extend(counters)
+                    pending[3].extend(datas[start:stop])
+                    touched = dict.fromkeys(
+                        [block // per_group for block in blocks[start:stop]]
+                    )
+                    stale.update(touched)
+                    dirty.update(touched)
+                    engine_writes.inc(len(counters))
+                if stop == len(blocks):
+                    break
+                # ``scheme.may_overflow`` is True for this write.
+                block, address = blocks[stop], addresses[stop]
+                group = block // per_group
+                # What the scalar per-write commit would have left in
+                # storage where the overflow handlers read old counters: a
+                # group re-encryption reads only its own group, a monolithic
+                # wrap every group (and moves the epoch: the pending writes
+                # are stored first, under their epoch's nonces).
+                if wraps:
+                    self._flush_pending(*pending)
+                    pending = ([], [], [], [])
+                    lagging = list(stale)
+                elif group in stale:
+                    lagging = [group]
+                else:
+                    lagging = []
+                if lagging:
+                    engine.counter_storage.update(
+                        zip(lagging, self._serialize_groups(lagging))
+                    )
+                    for lagged in lagging:
+                        del stale[lagged]
+                outcome = scheme.on_write(block)
+                engine_writes.inc()
+                if outcome.has(CounterEvent.GLOBAL_RE_ENCRYPT):
+                    global_reencrypt = True
+                    engine._trace_reencrypt("engine.global_reencrypt", address)
+                    with engine._probe_reencrypt:
+                        self._global_reencrypt(skip_block=block)
+                    # Storage and tree now hold every group's current state.
+                    stale.clear()
+                    dirty.clear()
+                elif outcome.reencrypted_group is not None:
+                    self._flush_pending(*pending)
+                    pending = ([], [], [], [])
+                    engine._trace_reencrypt(
+                        "engine.group_reencrypt",
+                        address,
+                        group=outcome.reencrypted_group,
+                    )
+                    with engine._probe_reencrypt:
+                        self._reencrypt_group(
+                            outcome.reencrypted_group,
+                            outcome.group_counter,
+                            skip_block=block,
+                        )
+                    engine.counters.group_reencryptions += 1
+                pending[0].append(block)
+                pending[1].append(address)
+                pending[2].append(outcome.counter)
+                pending[3].append(datas[stop])
+                stale[group] = None
+                dirty[group] = None
+                start = stop + 1
+        except BaseException:
+            # Leave what the scalar write loop leaves when a write
+            # raises: every earlier write stored under its counter, its
+            # group's metadata and tree leaf committed.
+            self._flush_pending(*pending)
+            lagging = list(stale)
             if lagging:
                 engine.counter_storage.update(
                     zip(lagging, self._serialize_groups(lagging))
                 )
-                for lagged in lagging:
-                    del stale[lagged]
-            outcome = scheme.on_write(block)
-            engine_writes.inc()
-            if outcome.has(CounterEvent.GLOBAL_RE_ENCRYPT):
-                global_reencrypt = True
-                engine._trace_reencrypt("engine.global_reencrypt", address)
-                with engine._probe_reencrypt:
-                    self._global_reencrypt(skip_block=block)
-                # Storage and tree now hold every group's current state.
-                stale.clear()
-                dirty.clear()
-            elif outcome.reencrypted_group is not None:
-                self._flush_pending(*pending)
-                pending = ([], [], [], [])
-                engine._trace_reencrypt(
-                    "engine.group_reencrypt",
-                    address,
-                    group=outcome.reencrypted_group,
+            if dirty:
+                groups = list(dirty)
+                engine.tree.update_leaves(
+                    groups,
+                    [
+                        engine._pad_leaf(engine.counter_storage[group])
+                        for group in groups
+                    ],
+                    self._hash_nodes,
                 )
-                with engine._probe_reencrypt:
-                    self._reencrypt_group(
-                        outcome.reencrypted_group,
-                        outcome.group_counter,
-                        skip_block=block,
-                    )
-                engine.counters.group_reencryptions += 1
-            pending[0].append(block)
-            pending[1].append(address)
-            pending[2].append(outcome.counter)
-            pending[3].append(datas[stop])
-            stale[group] = None
-            dirty[group] = None
-            start = stop + 1
+            raise
         self._flush_pending(*pending)
         self._m_groups.inc(len(dirty))
         if dirty:

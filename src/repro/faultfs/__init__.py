@@ -3,15 +3,16 @@
 Two halves:
 
 * :mod:`repro.faultfs.plan` -- the fault taxonomy (:class:`FaultKind`),
-  the step-armed :class:`FaultPlan` mirroring the persist layer's
-  ``CrashPlan``, the rate-based seeded :class:`FaultProfile`, and the
-  :class:`StorageFault` exception every injected fault raises;
+  the step-armed :class:`FaultPlan`, the rate-based seeded
+  :class:`FaultProfile`, and the :class:`StorageFault` exception every
+  injected fault raises;
 * :mod:`repro.faultfs.layer` -- :class:`FaultFS`, the file layer the
   service's :class:`~repro.service.storage.FileStore` routes every
-  durable mutation through.  It numbers each file operation as one
-  **step**, injects the armed fault at that step, tracks which writes
-  an ``fsync`` barrier has made durable, and can simulate power loss
-  (:meth:`FaultFS.crash`) by rolling every unsynced effect back.
+  durable mutation through, and the only place either plan is armed.
+  It numbers each file operation as one **step**, injects the armed
+  fault at that step, tracks which writes an ``fsync`` barrier has
+  made durable, and can simulate power loss (:meth:`FaultFS.crash`) by
+  rolling every unsynced effect back.
 """
 
 from repro.faultfs.layer import FaultFS, FsStep

@@ -1,14 +1,16 @@
 """The storage-fault taxonomy and its deterministic arming plans.
 
-This module mirrors the shape of :mod:`repro.persist.store`'s
-``CrashPlan``: every durable file operation is one numbered **step**,
-and a :class:`FaultPlan` arms a specific fault kind at a specific step,
-so an exhaustive matrix (``repro crash``-style) can re-run the same
-deterministic workload once per (step, kind) pair and assert recovery
-from each.  For long chaos campaigns, :class:`FaultProfile` instead
-derives a per-step fault decision from a seed with SplitMix64 -- no
-global RNG state, so two stores driven by identical op sequences see
-identical faults regardless of scheduling.
+Both plans are armed on a :class:`~repro.faultfs.layer.FaultFS`, the
+only place disk faults are injected: every durable file operation is
+one numbered **step**, and a :class:`FaultPlan` arms a specific fault
+kind at a specific step, so an exhaustive matrix (``repro crash``-style)
+can re-run the same deterministic workload once per (step, kind) pair
+and assert recovery from each.  (:mod:`repro.persist.store`'s
+``CrashPlan`` arms power loss at the in-memory store's mutation steps,
+a different step space.)  For long chaos campaigns,
+:class:`FaultProfile` instead derives a per-step fault decision from a
+seed with SplitMix64 -- no global RNG state, so two stores driven by
+identical op sequences see identical faults regardless of scheduling.
 
 Fault taxonomy (DESIGN section 14):
 

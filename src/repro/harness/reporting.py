@@ -1,4 +1,5 @@
-"""Plain-text table/series rendering in the style of the paper's exhibits.
+"""Plain-text table/series rendering in the style of the paper's exhibits,
+and the one canonical JSON form of every artifact the harnesses write.
 
 Every benchmark prints its reproduction of a table or figure through
 these helpers so outputs are uniform and diffable (EXPERIMENTS.md embeds
@@ -6,6 +7,23 @@ them verbatim).
 """
 
 from __future__ import annotations
+
+import json
+import pathlib
+from typing import Any
+
+
+def render_json(payload: Any) -> str:
+    """The canonical byte form of a JSON artifact: two-space indent,
+    sorted keys, one trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def dump_json(payload: Any, path: str | pathlib.Path) -> pathlib.Path:
+    """Write ``payload`` to ``path`` in its canonical form."""
+    path = pathlib.Path(path)
+    path.write_text(render_json(payload))
+    return path
 
 
 def format_table(title: str, headers: list, rows: list) -> str:
@@ -47,4 +65,4 @@ def _fmt(value) -> str:
     return str(value)
 
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["dump_json", "format_series", "format_table", "render_json"]

@@ -3,19 +3,19 @@
 ``repro study`` answers "which configuration is fastest, and what does
 each safety knob cost?" with one artifact.  It times the parallel bench
 (:mod:`repro.harness.parallel`) once per *flavor* -- a point in the
-``keystream backend x kernel mode x worker count x preset`` grid -- then
-post-processes the raw timings into per-group comparisons (speedups
-against the scalar ``reference`` backend, the ``aesni``-vs-``fast``
-ratio the perf gate ratchets on, cross-backend state-digest agreement)
-and emits everything as ``BENCH_study.json``.
+``keystream backend x kernel mode x worker count x preset`` grid --
+summarizes each run as it finishes, then compares the summaries per
+group (speedups against the scalar ``reference`` backend, the
+``aesni``-vs-``fast`` ratio the perf gate ratchets on, cross-backend
+state-digest agreement) and emits everything as ``BENCH_study.json``.
 
 Methodology (after the flavor-sweep study harnesses of perf-tools):
 
 * **Timing runs are sequential.**  Flavors never race each other for
   cores, so the wall-clock numbers are comparable within one payload.
-* **Post-processing is parallel.**  Summarizing a flavor (digest
-  checks, metric extraction, ratio math) is independent per flavor, so
-  it fans out over a process pool.
+* **Summaries are inline.**  Summarizing a flavor is a few dict
+  lookups (tens of microseconds), far less than starting a process
+  pool would cost.
 * **Correctness rides along.**  Every flavor's per-app state digests
   travel into the payload; AES-family backends (``reference`` /
   ``fast`` / ``aesni``) must agree bit-for-bit within a group, so a
@@ -32,10 +32,8 @@ byte-reproducible artifact.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import pathlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.fast.backends import keystream_backends, resolve_backend
 from repro.fast.kernels import parse_mode
@@ -98,7 +96,6 @@ class StudySpec:
     modes: tuple = DEFAULT_MODES
     workers: tuple = DEFAULT_WORKERS
     presets: tuple = DEFAULT_PRESETS
-    transport: str = "shm"
 
     def config_dict(self) -> dict:
         return {
@@ -111,7 +108,6 @@ class StudySpec:
             "modes": list(self.modes),
             "workers": list(self.workers),
             "presets": list(self.presets),
-            "transport": self.transport,
         }
 
     def flavors(self) -> tuple[list[Flavor], dict[str, str]]:
@@ -141,48 +137,26 @@ class StudySpec:
 
 
 def run_flavor(flavor: Flavor, spec: StudySpec) -> dict:
-    """Time one flavor's bench run; returns the raw record."""
-    bench_spec = flavor.bench_spec(spec)
+    """Time one flavor's bench run and summarize it."""
     started = time.perf_counter()
-    payload = run_bench(
-        bench_spec, workers=flavor.workers, transport=spec.transport
-    )
+    payload = run_bench(flavor.bench_spec(spec), workers=flavor.workers)
     elapsed = time.perf_counter() - started
-    return {
-        "flavor": {
-            "preset": flavor.preset,
-            "keystream": flavor.keystream,
-            "mode": flavor.mode_token,
-            "workers": flavor.workers,
-        },
-        "label": flavor.label,
-        "group": flavor.group,
-        "family": resolve_backend(flavor.keystream).family,
-        "elapsed_seconds": elapsed,
-        "payload": payload,
-    }
-
-
-def summarize_flavor(raw: dict) -> dict:
-    """Post-process one raw flavor record into its payload summary.
-
-    Pure function of the record (no shared state), so ``run_study``
-    fans these out over a process pool.
-    """
-    payload = raw["payload"]
     results = payload["results"]
     metrics = payload["metrics"]
     writebacks = sum(app["writebacks"] for app in results.values())
-    mismatches = sum(app["readback_mismatches"] for app in results.values())
-    elapsed = raw["elapsed_seconds"]
     return {
-        **raw["flavor"],
-        "family": raw["family"],
-        "group": raw["group"],
+        "preset": flavor.preset,
+        "keystream": flavor.keystream,
+        "mode": flavor.mode_token,
+        "workers": flavor.workers,
+        "family": resolve_backend(flavor.keystream).family,
+        "group": flavor.group,
         "elapsed_seconds": round(elapsed, 4),
         "writebacks": writebacks,
         "blocks_per_second": round(writebacks / elapsed, 1) if elapsed else 0.0,
-        "readback_mismatches": mismatches,
+        "readback_mismatches": sum(
+            app["readback_mismatches"] for app in results.values()
+        ),
         "state_digests": {
             app: results[app]["state_digest"] for app in sorted(results)
         },
@@ -236,26 +210,11 @@ def _compare_groups(flavors: dict[str, dict]) -> dict:
     return comparisons
 
 
-def run_study(spec: StudySpec, jobs: int | None = None) -> dict:
-    """Run the sweep: sequential timing, parallel post-processing."""
+def run_study(spec: StudySpec) -> dict:
+    """Run the sweep: one timed bench run per flavor, in sequence."""
     flavor_list, skipped = spec.flavors()
-    raw_records = [run_flavor(flavor, spec) for flavor in flavor_list]
-
-    if jobs is None:
-        jobs = min(4, multiprocessing.cpu_count())
-    if jobs > 1 and len(raw_records) > 1:
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        with context.Pool(min(jobs, len(raw_records))) as pool:
-            summaries = pool.map(summarize_flavor, raw_records)
-    else:
-        summaries = [summarize_flavor(raw) for raw in raw_records]
-
     flavors = {
-        raw["label"]: summary
-        for raw, summary in zip(raw_records, summaries)
+        flavor.label: run_flavor(flavor, spec) for flavor in flavor_list
     }
     comparisons = _compare_groups(flavors)
     agreement = all(
@@ -285,23 +244,10 @@ def run_study(spec: StudySpec, jobs: int | None = None) -> dict:
     }
 
 
-def render_study(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def dump_study(payload: dict, path: str | pathlib.Path) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.write_text(render_study(payload))
-    return path
-
-
 __all__ = [
     "STUDY_SCHEMA",
     "Flavor",
     "StudySpec",
-    "dump_study",
-    "render_study",
     "run_flavor",
     "run_study",
-    "summarize_flavor",
 ]

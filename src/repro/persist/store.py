@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.faultfs.plan import FaultKind, FaultPlan, StorageFault
-
 
 class SimulatedCrash(Exception):
     """Raised by an armed :class:`DurableStore` at its crash point."""
@@ -100,14 +98,6 @@ class DurableStore:
     step: int = 0
     #: every step taken, in order (the crash matrix enumerates this)
     trace: list[StepRecord] = field(default_factory=list)
-    #: optional disk-fault arming (ISSUE 9): at an armed step the device
-    #: *refuses* the mutation -- nothing (EIO) or a torn prefix
-    #: (ENOSPC / SHORT_WRITE) applies, and :class:`StorageFault` raises
-    #: instead of :class:`SimulatedCrash`.  Unlike a crash the process
-    #: survives: the store stays usable and the caller sees a typed
-    #: refusal it can retry.  (The service's on-disk ``FileStore``
-    #: injects at file-operation granularity via ``FaultFS`` instead.)
-    faults: FaultPlan | None = None
 
     # -- the step/crash engine ----------------------------------------------
 
@@ -120,13 +110,6 @@ class DurableStore:
             if plan.phase == "torn" and tearable and apply_torn is not None:
                 apply_torn()
             raise SimulatedCrash(step, plan.phase, label)
-        if self.faults is not None:
-            kind = self.faults.at(step)
-            if kind is not None:
-                tears = kind in (FaultKind.ENOSPC, FaultKind.SHORT_WRITE)
-                if tears and tearable and apply_torn is not None:
-                    apply_torn()
-                raise StorageFault(kind, step, f"<mem:{label}>", label)
         apply_full()
 
     # -- journal region ------------------------------------------------------

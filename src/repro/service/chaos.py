@@ -53,7 +53,6 @@ from __future__ import annotations
 import asyncio
 import collections
 import hashlib
-import json
 import pathlib
 import random
 import time
@@ -62,6 +61,7 @@ from typing import Any, ClassVar, Sequence
 
 from repro.faultfs import FaultProfile
 from repro.harness.oracle import AMBIGUOUS_OK, OK, SDC, SKIPPED, ShadowOracle
+from repro.harness.reporting import dump_json
 from repro.obs.metrics import MetricRegistry
 from repro.service.breaker import BreakerConfig
 from repro.service.endpoints import scrape
@@ -661,9 +661,7 @@ def write_payload(
     payload: dict[str, Any], out_path: str | pathlib.Path | None
 ) -> dict[str, Any]:
     if out_path is not None:
-        pathlib.Path(out_path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        dump_json(payload, out_path)
     return payload
 
 

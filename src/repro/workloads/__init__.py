@@ -36,10 +36,19 @@ from repro.workloads.patterns import (
     zipf_hot_set,
 )
 
+
+def resolve_profile(name: str) -> ParsecProfile:
+    """A PARSEC application or a microbenchmark, by name."""
+    if name in MICRO_PROFILES:
+        return micro_profile(name)
+    return profile(name)
+
+
 __all__ = [
     "PARSEC_PROFILES",
     "ParsecProfile",
     "profile",
+    "resolve_profile",
     "table2_apps",
     "figure8_apps",
     "MICRO_PROFILES",

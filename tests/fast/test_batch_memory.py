@@ -28,6 +28,7 @@ from repro.core.engine.secure_memory import (
 )
 from repro.fast import BatchSecureMemory, KernelDivergence
 from repro.fast.kernels import KernelPair, KernelTable
+from repro.harness.parallel import state_digest
 from repro.obs.metrics import MetricRegistry, use_registry
 from repro.obs.probe import probes
 
@@ -1230,3 +1231,64 @@ def test_missing_ecc_field_raises_integrity_error_on_both_paths():
     scalar = read(False)
     assert scalar == read(True)
     assert scalar[2:] == ("mac_bits", CheckOutcome.MAC_UNCORRECTABLE)
+
+
+# -- a write run that raises partway ---------------------------------------
+
+#: preset -> widths small enough that hammering one block re-encrypts
+#: its group (or, monolithic, wraps and re-encrypts every stored block)
+RAISING_RUN_CONFIGS = {
+    "combined": {"delta_bits": 2},
+    "delta_only": {"delta_bits": 2},
+    "mac_in_ecc": {"counter_bits": 2},
+    "bmt_baseline": {"counter_bits": 2},
+    "endurance": {},
+}
+
+
+def _raising_run(seed):
+    """A prologue, and a run whose writes to other groups come before and
+    between the hammering of block 0 that re-encrypts tampered group 0."""
+    rng = random.Random(seed)
+    region_blocks = REGION // 64
+    prologue = [0, 5] + [rng.randrange(64, region_blocks) for _ in range(6)]
+    lead = rng.randrange(1, 5)
+    run = [rng.randrange(64, region_blocks) for _ in range(lead)]
+    for _ in range(60):
+        if rng.random() < 0.3:
+            run.append(rng.randrange(64, region_blocks))
+        run.append(0)
+    return _payloads(prologue, 0), _payloads(run, len(prologue))
+
+
+@pytest.mark.parametrize("name", list(RAISING_RUN_CONFIGS))
+def test_write_run_that_raises_leaves_the_scalar_loop_state(name):
+    """An ``IntegrityError`` partway through ``write_many`` (the
+    re-encryption meets tampered block 5) leaves the engine as the scalar
+    write loop leaves it: every earlier write of the run stored and
+    readable, its group's metadata and tree leaf committed."""
+    config = _config(name, RAISING_RUN_CONFIGS[name])
+
+    def drive(batched, prologue, run):
+        engine = SecureMemory(config, KEY, registry=MetricRegistry())
+        batch = BatchSecureMemory(engine, mode="fast")
+        batch.write_many(prologue)
+        engine.flip_data_bits(5 * 64, range(0, 512, 8))
+        with pytest.raises(IntegrityError) as raised:
+            if batched:
+                batch.write_many(run)
+            else:
+                for address, data in run:
+                    engine.write(address, data)
+        digest = state_digest(engine)
+        reads = []
+        for address in sorted({address for address, _ in prologue + run}):
+            try:
+                reads.append(engine.read(address).data)
+            except IntegrityError as error:
+                reads.append((error.kind, str(error)))
+        return (raised.value.kind, raised.value.address), digest, reads
+
+    for seed in range(6):
+        prologue, run = _raising_run(seed)
+        assert drive(True, prologue, run) == drive(False, prologue, run), seed

@@ -6,28 +6,17 @@ never what they compute.  These tests render the canonical payload for
 N in {1, 2, 4} and compare the bytes, and pin the supporting
 invariants (no wall-clock/PID leakage, sorted-key rendering, clean
 read-backs, zero paranoid divergence).
-
-The shared-memory transport adds two contracts of its own: the shm and
-legacy-pickle paths produce the same bytes (zero-copy is a transport
-property, never a payload property), and every shm segment is unlinked
-by the end of the run -- including when a worker crashes mid-task, so
-``/dev/shm`` never accumulates leaked ``repro-bench-*`` entries.
 """
 
 from __future__ import annotations
 
 import json
-import pathlib
 
 import pytest
 
 from repro.fast.backends import resolve_backend
-from repro.harness.parallel import (
-    SHM_PREFIX,
-    BenchSpec,
-    render_payload,
-    run_bench,
-)
+from repro.harness.parallel import BenchSpec, run_bench
+from repro.harness.reporting import render_json
 
 SPEC = BenchSpec(
     apps=("stream", "gups"),
@@ -44,7 +33,7 @@ SPEC = BenchSpec(
 @pytest.fixture(scope="module")
 def rendered_by_workers():
     return {
-        workers: render_payload(run_bench(SPEC, workers=workers))
+        workers: render_json(run_bench(SPEC, workers=workers))
         for workers in (1, 2, 4)
     }
 
@@ -79,7 +68,7 @@ def test_bench_readbacks_clean_and_digests_stable(rendered_by_workers):
 
 def test_bench_rerun_same_seed_is_reproducible(rendered_by_workers):
     # A fresh run (new engines, new registries) reproduces the bytes.
-    assert render_payload(run_bench(SPEC, workers=2)) == (
+    assert render_json(run_bench(SPEC, workers=2)) == (
         rendered_by_workers[1]
     )
 
@@ -118,84 +107,6 @@ def test_bench_paranoid_mode_matches_fast_state():
 def test_bench_rejects_invalid_worker_count():
     with pytest.raises(ValueError):
         run_bench(SPEC, workers=0)
-
-
-# -- shared-memory transport contracts --------------------------------------
-
-_DEV_SHM = pathlib.Path("/dev/shm")
-
-
-def _leaked_segments():
-    if not _DEV_SHM.is_dir():
-        return []
-    return sorted(p.name for p in _DEV_SHM.glob(f"{SHM_PREFIX}*"))
-
-
-def test_shm_and_pickle_transports_byte_identical(rendered_by_workers):
-    # rendered_by_workers runs on the default (shm) transport; the
-    # legacy pickling path must produce the exact same bytes.
-    for workers in (1, 2):
-        assert (
-            render_payload(
-                run_bench(SPEC, workers=workers, transport="pickle")
-            )
-            == rendered_by_workers[1]
-        )
-
-
-def test_bench_rejects_unknown_transport():
-    with pytest.raises(ValueError):
-        run_bench(SPEC, workers=1, transport="carrier-pigeon")
-
-
-@pytest.mark.skipif(
-    not _DEV_SHM.is_dir(), reason="no /dev/shm on this platform"
-)
-@pytest.mark.parametrize("workers", [1, 2])
-def test_shm_segments_unlinked_after_run(workers):
-    before = _leaked_segments()
-    run_bench(SPEC, workers=workers, transport="shm")
-    assert _leaked_segments() == before
-
-
-@pytest.mark.skipif(
-    not _DEV_SHM.is_dir(), reason="no /dev/shm on this platform"
-)
-def test_shm_segments_unlinked_on_worker_crash(monkeypatch):
-    import repro.harness.parallel as parallel
-
-    before = _leaked_segments()
-
-    def crash(task):
-        raise RuntimeError("injected worker crash")
-
-    # The inline (workers=1) path calls the worker in-process, so the
-    # patch is guaranteed to take effect regardless of start method.
-    monkeypatch.setattr(parallel, "_worker_shm", crash)
-    with pytest.raises(RuntimeError, match="injected worker crash"):
-        run_bench(SPEC, workers=1, transport="shm")
-    assert _leaked_segments() == before
-
-
-def _crash_worker(task):
-    # Module-level so Pool can pickle it by qualified name.
-    raise RuntimeError("injected pool worker crash")
-
-
-@pytest.mark.skipif(
-    not _DEV_SHM.is_dir(), reason="no /dev/shm on this platform"
-)
-def test_shm_segments_unlinked_on_pool_worker_crash(monkeypatch):
-    import repro.harness.parallel as parallel
-
-    before = _leaked_segments()
-
-    # The worker raises inside the pool; the parent's finally must
-    # still unlink every segment.
-    monkeypatch.setattr(parallel, "_worker_shm", _crash_worker)
-    with pytest.raises(RuntimeError):
-        run_bench(SPEC, workers=2, transport="shm")
-    assert _leaked_segments() == before
 
 
 # -- backend selection flows through the bench ------------------------------

@@ -2,9 +2,8 @@
 
 Wall-clock numbers are host noise, so these tests pin everything
 *except* the timings: mode-token parsing, grid expansion and skip
-accounting, the purity of :func:`summarize_flavor` (serial and pooled
-post-processing must agree on identical raw records), cross-backend
-digest agreement, and the payload schema.
+accounting, the flavor summary, cross-backend digest agreement, and the
+payload schema.
 """
 
 from __future__ import annotations
@@ -13,14 +12,13 @@ import pytest
 
 from repro.fast.backends import resolve_backend
 from repro.fast.kernels import parse_mode
+from repro.harness.reporting import render_json
 from repro.harness.study import (
     STUDY_SCHEMA,
     Flavor,
     StudySpec,
-    render_study,
     run_flavor,
     run_study,
-    summarize_flavor,
 )
 
 SPEC = StudySpec(
@@ -90,22 +88,11 @@ class TestGrid:
         assert bench.keystream == "fast"
 
 
-@pytest.fixture(scope="module")
-def raw_records():
-    flavors, skipped = SPEC.flavors()
-    assert not skipped
-    return [run_flavor(flavor, SPEC) for flavor in flavors]
-
-
 class TestSummarize:
-    def test_pure_and_pool_safe(self, raw_records):
-        # Same record in, same summary out -- the precondition for
-        # fanning summaries over a process pool.
-        for raw in raw_records:
-            assert summarize_flavor(raw) == summarize_flavor(raw)
-
-    def test_summary_fields(self, raw_records):
-        summary = summarize_flavor(raw_records[0])
+    def test_summary_fields(self):
+        flavors, skipped = SPEC.flavors()
+        assert not skipped
+        summary = run_flavor(flavors[0], SPEC)
         assert summary["keystream"] == "reference"
         assert summary["family"] == "aes"
         assert summary["writebacks"] > 0
@@ -117,7 +104,7 @@ class TestSummarize:
 class TestRunStudy:
     @pytest.fixture(scope="class")
     def payload(self):
-        return run_study(SPEC, jobs=2)
+        return run_study(SPEC)
 
     def test_schema_and_flavor_count(self, payload):
         assert payload["schema"] == STUDY_SCHEMA
@@ -146,23 +133,10 @@ class TestRunStudy:
         # wide margin even on tiny workloads.
         assert entry["speedup_vs_reference"]["fast"] > 1.5
 
-    def test_pool_and_serial_post_processing_agree(self, payload):
-        serial = run_study(SPEC, jobs=1)
-        # Timings differ run to run; everything derived from the bench
-        # payloads must not.
-        for label, summary in payload["flavors"].items():
-            other = serial["flavors"][label]
-            for field in (
-                "keystream", "mode", "workers", "preset", "family",
-                "group", "writebacks", "readback_mismatches",
-                "state_digests", "paranoid",
-            ):
-                assert summary[field] == other[field], (label, field)
-
     def test_render_is_json_with_trailing_newline(self, payload):
         import json
 
-        text = render_study(payload)
+        text = render_json(payload)
         assert text.endswith("\n")
         assert json.loads(text)["schema"] == STUDY_SCHEMA
 
@@ -177,7 +151,7 @@ class TestSampledAndSkipped:
             modes=("sampled:8",),
             workers=(1,),
         )
-        payload = run_study(spec, jobs=1)
+        payload = run_study(spec)
         (summary,) = payload["flavors"].values()
         assert summary["mode"] == "sampled:8"
         assert summary["paranoid"]["sampled"] > 0
@@ -215,7 +189,7 @@ def test_aesni_flavor_joins_the_sweep_when_available():
         modes=("fast",),
         workers=(1,),
     )
-    payload = run_study(spec, jobs=1)
+    payload = run_study(spec)
     assert len(payload["flavors"]) == 2
     (entry,) = payload["comparisons"].values()
     assert entry["aes_family_digest_agreement"] is True
