@@ -30,6 +30,7 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
+from dataclasses import MISSING, fields, is_dataclass, replace
 
 from repro.analysis.attacks import run_all
 from repro.analysis.faults import figure3_scenarios, run_fault_matrix
@@ -42,12 +43,7 @@ from repro.core.engine.secure_memory import SecureMemory
 from repro.fast.backends import keystream_backends
 from repro.fast.kernels import parse_mode
 from repro.harness.parallel import BenchSpec, run_bench
-from repro.harness.study import (
-    DEFAULT_KEYSTREAMS,
-    DEFAULT_MODES,
-    StudySpec,
-    run_study,
-)
+from repro.harness.study import StudySpec, run_study
 from repro.harness.reporting import dump_json, format_series, format_table
 from repro.harness.runner import PerformanceExperiment, ReencryptionExperiment
 from repro.lint import (
@@ -74,7 +70,6 @@ from repro.resilience.runtime import ResilientMemory
 from repro.resilience.torture import TortureSpec, run_torture
 from repro.service.chaos import ChaosSpec, run_chaos
 from repro.service.loadgen import LoadgenSpec, run_loadgen
-from repro.service.quota import QuotaConfig
 from repro.service.server import ServiceSupervisor
 from repro.workloads import resolve_profile
 from repro.workloads.micro import MICRO_PROFILES
@@ -94,6 +89,32 @@ def _kernel_mode(token: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return token
+
+
+def _spec(cls, args):
+    """Build the harness spec ``cls`` from the flags given.
+
+    A spec-backed flag parses straight into its field (``dest``) and has
+    no default of its own (``argparse.SUPPRESS``), so a flag left out
+    keeps the spec's default.  A dataclass-valued field (loadgen's
+    ``quota``) takes the flags named after its own fields.
+    """
+    given = vars(args)
+
+    def picked(dc) -> dict:
+        return {
+            f.name: tuple(value) if isinstance(value, list) else value
+            for f in fields(dc)
+            if (value := given.get(f.name, MISSING)) is not MISSING
+        }
+
+    kwargs = picked(cls)
+    for f in fields(cls):
+        if f.name not in kwargs and f.default_factory is not MISSING:
+            default = f.default_factory()
+            if is_dataclass(default) and picked(default):
+                kwargs[f.name] = replace(default, **picked(default))
+    return cls(**kwargs)
 
 
 @contextmanager
@@ -195,15 +216,7 @@ def _cmd_figure8(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = BenchSpec(
-        apps=tuple(args.apps),
-        mode=args.mode,
-        accesses=args.accesses,
-        region_mb=args.region_mb,
-        seed=args.seed,
-        preset=args.preset,
-        keystream=args.keystream,
-    )
+    spec = _spec(BenchSpec, args)
     payload = run_bench(spec, workers=args.workers)
     rows = [
         [
@@ -217,7 +230,7 @@ def _cmd_bench(args) -> int:
     ]
     print(
         format_table(
-            f"Batched engine bench (mode={args.mode}, "
+            f"Batched engine bench (mode={spec.mode}, "
             f"workers={args.workers})",
             ["program", "writebacks", "blocks", "mismatches", "digest"],
             rows,
@@ -358,34 +371,8 @@ def _cmd_resilience(args) -> int:
     return 0 if sound else 1
 
 
-# Small field widths per preset so the crash workload actually exercises
-# the overflow paths (reset, re-encode, group/global re-encrypt): 2-bit
-# monolithic counters wrap within the default crash and torture runs.
-_CRASH_SCHEME_KWARGS = {
-    "bmt_baseline": (("counter_bits", 2),),
-    "mac_in_ecc": (("counter_bits", 2),),
-    "delta_only": (("delta_bits", 2),),
-    "combined": (("delta_bits", 2),),
-    "combined_dual": (("base_delta_bits", 2), ("extension_bits", 2)),
-    # The preset's own 2+2-bit widths: an empty tuple would wipe them.
-    "endurance": tuple(PRESETS["endurance"].scheme_kwargs.items()),
-}
-
-
 def _cmd_crash(args) -> int:
-    spec = CrashSimSpec(
-        preset=args.preset,
-        scheme_kwargs=_CRASH_SCHEME_KWARGS[args.preset],
-        group_count=args.groups,
-        workload_blocks=args.blocks,
-        ops=args.ops,
-        seed=args.seed,
-        checkpoint_interval=args.checkpoint_interval,
-        batch=args.batch,
-        resilient=args.resilient,
-        spare_blocks=args.spare_blocks,
-        ce_threshold=args.ce_threshold,
-    )
+    spec = _spec(CrashSimSpec, args)
     if args.point is not None:
         # Single-point repro mode: same arming, bit-for-bit same crash.
         try:
@@ -405,21 +392,7 @@ def _cmd_crash(args) -> int:
 
 
 def _cmd_torture(args) -> int:
-    spec = TortureSpec(
-        preset=args.preset,
-        scheme_kwargs=_CRASH_SCHEME_KWARGS[args.preset],
-        group_count=args.groups,
-        cycles=args.cycles,
-        ops_per_cycle=args.ops,
-        batch=args.batch,
-        seed=args.seed,
-        checkpoint_every=args.checkpoint_every,
-        spare_blocks=args.spare_blocks,
-        ce_threshold=args.ce_threshold,
-        transient_rate=args.transient_rate,
-        stuck_rate=args.stuck_rate,
-        burst_rate=args.burst_rate,
-    )
+    spec = _spec(TortureSpec, args)
     report = run_torture(spec, limit=args.limit)
     print(report.format_summary())
     if args.json_out:
@@ -525,20 +498,6 @@ def _cmd_serve(args) -> int:
     return 1
 
 
-def _service_spec_fields(args) -> dict:
-    """The spec fields behind the flags ``loadgen`` and ``chaos`` share."""
-    return {
-        "tenants": args.tenants,
-        "shards": args.shards,
-        "ops_per_tenant": args.ops,
-        "region_kb": args.region_kb,
-        "preset": args.preset,
-        "seed": args.seed,
-        "secret_seed": args.secret_seed,
-        "kill_shard": args.kill_shard,
-    }
-
-
 def _run_service_campaign(args, run, spec) -> tuple[dict, int]:
     """Run ``repro loadgen``/``chaos``, print one summary, and return
     the payload with the exit status."""
@@ -588,28 +547,12 @@ def _run_service_campaign(args, run, spec) -> tuple[dict, int]:
 
 
 def _cmd_loadgen(args) -> int:
-    spec = LoadgenSpec(
-        **_service_spec_fields(args),
-        keystream=args.keystream,
-        quota=QuotaConfig(
-            rate_ops=args.rate_ops,
-            burst_ops=args.burst_ops,
-            max_bytes_written=args.max_bytes,
-        ),
-    )
+    spec = _spec(LoadgenSpec, args)
     return _run_service_campaign(args, run_loadgen, spec)[1]
 
 
 def _cmd_chaos(args) -> int:
-    spec = ChaosSpec(
-        **_service_spec_fields(args),
-        fault_rate=args.fault_rate,
-        boost_rate=args.boost_rate,
-        degraded_after=args.degraded_after,
-        max_queue_depth=args.queue_depth,
-        overload_probes=args.overload_probes,
-        deadline_probes=args.deadline_probes,
-    )
+    spec = _spec(ChaosSpec, args)
     payload, status = _run_service_campaign(args, run_chaos, spec)
     if args.health_out:
         dump_json(payload["health"], args.health_out)
@@ -632,18 +575,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    spec = StudySpec(
-        apps=tuple(args.apps),
-        accesses=args.accesses,
-        region_mb=args.region_mb,
-        cores=args.cores,
-        seed=args.seed,
-        keystreams=tuple(args.keystreams),
-        modes=tuple(args.modes),
-        workers=tuple(args.workers_list),
-        presets=tuple(args.presets),
-    )
-    payload = run_study(spec)
+    payload = run_study(_spec(StudySpec, args))
     rows = [
         [
             label,
@@ -695,6 +627,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def spec_parser(name, **kwargs):
+        """A subcommand whose flags fill one harness spec: a flag without
+        an explicit default is absent from ``args`` unless given, so the
+        spec keeps its own default (see :func:`_spec`)."""
+        return sub.add_parser(
+            name, argument_default=argparse.SUPPRESS, **kwargs
+        )
+
     def common(p, default_region=32):
         p.add_argument("--region-mb", type=int, default=default_region,
                        help="protected region size in MiB")
@@ -728,28 +668,28 @@ def build_parser() -> argparse.ArgumentParser:
     obs_options(p)
     p.set_defaults(func=_cmd_figure8)
 
-    p = sub.add_parser(
+    p = spec_parser(
         "bench",
         help="parallel batched-engine benchmark (merged BENCH JSON is "
              "byte-identical for any --workers count on the same seed)",
     )
-    common(p, default_region=8)
+    p.add_argument("--region-mb", type=int,
+                   help="protected region size in MiB")
+    p.add_argument("--seed", type=int)
     p.add_argument("--apps", nargs="+", default=figure8_apps(),
                    choices=table2_apps() + sorted(MICRO_PROFILES),
                    metavar="APP")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes to shard applications across")
-    p.add_argument("--mode", type=_kernel_mode, default="fast",
+    p.add_argument("--mode", type=_kernel_mode,
                    help="kernel verification: fast, paranoid (cross-"
                         "check every kernel call against its scalar "
                         "reference) or sampled:N (1-in-N calls on a "
                         "seeded deterministic schedule)")
-    p.add_argument("--accesses", type=int, default=20_000,
+    p.add_argument("--accesses", type=int,
                    help="trace accesses per core")
-    p.add_argument("--preset", default="combined",
-                   choices=sorted(PRESETS))
+    p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--keystream", choices=list(keystream_backends()),
-                   default="splitmix",
                    help="keystream backend (reference/fast/aesni run "
                         "real AES with different execution strategies; "
                         "splitmix is the simulation PRF)")
@@ -757,31 +697,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the merged bench payload as JSON")
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser(
+    p = spec_parser(
         "study",
         help="perf-study sweep over keystream x mode x workers x preset "
              "flavors (BENCH_study.json comparison artifact)",
     )
-    p.add_argument("--apps", nargs="+", default=["stream", "gups"],
+    p.add_argument("--apps", nargs="+",
                    choices=table2_apps() + sorted(MICRO_PROFILES),
                    metavar="APP")
-    p.add_argument("--accesses", type=int, default=5_000,
+    p.add_argument("--accesses", type=int,
                    help="trace accesses per core, per flavor")
-    p.add_argument("--region-mb", type=int, default=4)
-    p.add_argument("--cores", type=int, default=2)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--region-mb", type=int)
+    p.add_argument("--cores", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--keystreams", nargs="+",
-                   default=list(DEFAULT_KEYSTREAMS),
                    choices=list(keystream_backends()), metavar="BACKEND",
                    help="keystream backends to sweep (unavailable ones "
                         "are skipped and recorded)")
-    p.add_argument("--modes", nargs="+", default=list(DEFAULT_MODES),
-                   type=_kernel_mode, metavar="MODE",
+    p.add_argument("--modes", nargs="+", type=_kernel_mode, metavar="MODE",
                    help="kernel-mode tokens: fast, paranoid, or sampled:N")
-    p.add_argument("--workers-list", nargs="+", type=int, default=[1, 2],
+    p.add_argument("--workers-list", nargs="+", type=int, dest="workers",
                    metavar="N", help="worker counts to sweep")
-    p.add_argument("--presets", nargs="+", default=["combined"],
-                   choices=sorted(PRESETS), metavar="PRESET")
+    p.add_argument("--presets", nargs="+", choices=sorted(PRESETS),
+                   metavar="PRESET")
     p.add_argument("--json-out", metavar="FILE", default=None,
                    help="write the study payload as JSON "
                         "(e.g. BENCH_study.json)")
@@ -835,31 +773,32 @@ def build_parser() -> argparse.ArgumentParser:
     obs_options(p)
     p.set_defaults(func=_cmd_resilience)
 
-    p = sub.add_parser(
+    p = spec_parser(
         "crash",
         help="crash-point injection matrix over the journaled engine "
              "(exhaustive by default; --point replays one crash)",
     )
-    p.add_argument("--preset", default="combined",
-                   choices=sorted(_CRASH_SCHEME_KWARGS))
-    p.add_argument("--ops", type=int, default=20,
+    p.add_argument("--preset", choices=sorted(PRESETS))
+    p.add_argument("--ops", type=int,
                    help="writes in the recorded workload")
-    p.add_argument("--seed", type=int, default=0xDAC2018)
-    p.add_argument("--groups", type=int, default=2,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--groups", type=int, dest="group_count",
+                   metavar="GROUPS",
                    help="counter block-groups in the protected region")
-    p.add_argument("--blocks", type=int, default=4,
+    p.add_argument("--blocks", type=int, dest="workload_blocks",
+                   metavar="BLOCKS",
                    help="distinct addresses the workload touches")
-    p.add_argument("--checkpoint-interval", type=int, default=4,
+    p.add_argument("--checkpoint-interval", type=int,
                    help="commits between epoch checkpoints")
-    p.add_argument("--batch", type=int, default=0,
+    p.add_argument("--batch", type=int,
                    help="writes per group-commit flush (0 = scalar "
                         "per-write transactions)")
     p.add_argument("--resilient", action="store_true",
                    help="compose the resilience layer into the workload "
                         "(stuck faults, journaled retirement, degrade)")
-    p.add_argument("--spare-blocks", type=int, default=1,
+    p.add_argument("--spare-blocks", type=int,
                    help="quarantine spare pool size (with --resilient)")
-    p.add_argument("--ce-threshold", type=int, default=1,
+    p.add_argument("--ce-threshold", type=int,
                    help="CEs before retirement (with --resilient)")
     p.add_argument("--point", metavar="STEP[:PHASE]", default=None,
                    help="replay a single crash point (PHASE: skip|torn) "
@@ -872,35 +811,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the matrix report as a JSON artifact")
     p.set_defaults(func=_cmd_crash)
 
-    p = sub.add_parser(
+    p = spec_parser(
         "torture",
         help="combined crash x fault campaign over the composed stack "
              "(group-commit traffic, Poisson faults, a crash-recovery "
              "cycle per cycle, shadow-model verification)",
     )
-    p.add_argument("--preset", default="combined",
-                   choices=sorted(_CRASH_SCHEME_KWARGS))
-    p.add_argument("--cycles", type=int, default=100,
+    p.add_argument("--preset", choices=sorted(PRESETS))
+    p.add_argument("--cycles", type=int,
                    help="crash-recovery cycles to run")
-    p.add_argument("--ops", type=int, default=20,
+    p.add_argument("--ops", type=int, dest="ops_per_cycle", metavar="OPS",
                    help="traffic operations per cycle")
-    p.add_argument("--batch", type=int, default=4,
+    p.add_argument("--batch", type=int,
                    help="writes per group-commit flush (0 = scalar)")
-    p.add_argument("--seed", type=int, default=0xDAC2018)
-    p.add_argument("--groups", type=int, default=2,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--groups", type=int, dest="group_count",
+                   metavar="GROUPS",
                    help="counter block-groups in the protected region")
-    p.add_argument("--checkpoint-every", type=int, default=5,
+    p.add_argument("--checkpoint-every", type=int,
                    help="cycles between explicit checkpoints (telemetry "
                         "durability cadence)")
-    p.add_argument("--spare-blocks", type=int, default=3,
+    p.add_argument("--spare-blocks", type=int,
                    help="quarantine spare pool size")
-    p.add_argument("--ce-threshold", type=int, default=1,
+    p.add_argument("--ce-threshold", type=int,
                    help="correctable errors before a block is retired")
-    p.add_argument("--transient-rate", type=_rate, default=0.04,
+    p.add_argument("--transient-rate", type=_rate,
                    help="transient SEUs per operation (Poisson rate)")
-    p.add_argument("--stuck-rate", type=_rate, default=0.01,
+    p.add_argument("--stuck-rate", type=_rate,
                    help="stuck-at cell faults per operation")
-    p.add_argument("--burst-rate", type=_rate, default=0.002,
+    p.add_argument("--burst-rate", type=_rate,
                    help="row-burst events per operation")
     p.add_argument("--limit", type=int, default=None,
                    help="bound the run to N cycles (CI smoke)")
@@ -953,49 +892,47 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master secret the per-tenant keys derive from")
     p.set_defaults(func=_cmd_serve)
 
-    def service_campaign(p, *, ops, kill_shard, kill_help, json_help):
+    def service_campaign(p, *, kill_help, json_help):
         """The flags ``loadgen`` and ``chaos`` share."""
         p.add_argument("--root", default=None,
                        help="service root (default: a temp dir, removed)")
-        p.add_argument("--tenants", type=int, default=4)
-        p.add_argument("--shards", type=int, default=2)
-        p.add_argument("--ops", type=int, default=ops,
-                       help="operations per tenant")
-        p.add_argument("--region-kb", type=int, default=16,
+        p.add_argument("--tenants", type=int)
+        p.add_argument("--shards", type=int)
+        p.add_argument("--ops", type=int, dest="ops_per_tenant",
+                       metavar="OPS", help="operations per tenant")
+        p.add_argument("--region-kb", type=int,
                        help="protected region per tenant in KiB")
-        p.add_argument("--preset", default="combined",
-                       choices=sorted(PRESETS))
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--secret-seed", type=int, default=0xDAC2018)
-        p.add_argument("--kill-shard", type=int, default=kill_shard,
-                       help=kill_help)
+        p.add_argument("--preset", choices=sorted(PRESETS))
+        p.add_argument("--seed", type=int)
+        p.add_argument("--secret-seed", type=int)
+        p.add_argument("--kill-shard", type=int, help=kill_help)
         p.add_argument("--json-out", metavar="FILE", default=None,
                        help=json_help)
 
-    p = sub.add_parser(
+    p = spec_parser(
         "loadgen",
         help="drive mixed-tenant traffic against a self-hosted service "
              "(optionally SIGKILL a shard mid-run) and verify every "
              "acknowledged write against a shadow copy",
     )
     service_campaign(
-        p, ops=200, kill_shard=None,
+        p,
         kill_help="chaos: SIGKILL this shard mid-run and restart it",
         json_help="write the BENCH_service payload as JSON",
     )
     p.add_argument("--keystream", choices=list(keystream_backends()),
-                   default="splitmix",
                    help="keystream backend every tenant is provisioned "
                         "with")
-    p.add_argument("--rate-ops", type=_rate, default=0.0,
+    p.add_argument("--rate-ops", type=_rate,
                    help="token-bucket refill rate (0 = unlimited)")
-    p.add_argument("--burst-ops", type=int, default=0,
+    p.add_argument("--burst-ops", type=int,
                    help="token-bucket burst ceiling (0 = unlimited)")
-    p.add_argument("--max-bytes", type=int, default=0,
+    p.add_argument("--max-bytes", type=int, dest="max_bytes_written",
+                   metavar="MAX_BYTES",
                    help="per-tenant lifetime write-byte budget (0 = off)")
     p.set_defaults(func=_cmd_loadgen)
 
-    p = sub.add_parser(
+    p = spec_parser(
         "chaos",
         help="full-surface resilience campaign: disk faults x shard "
              "kill x induced overload x deadline probes, verified "
@@ -1003,21 +940,22 @@ def build_parser() -> argparse.ArgumentParser:
              "refusal typed)",
     )
     service_campaign(
-        p, ops=120, kill_shard=1,
+        p,
         kill_help="SIGKILL this shard once mid-run, then restart",
         json_help="write the BENCH_chaos payload as JSON",
     )
-    p.add_argument("--fault-rate", type=float, default=0.002,
+    p.add_argument("--fault-rate", type=float,
                    help="background disk-fault rate per fs step")
-    p.add_argument("--boost-rate", type=float, default=0.35,
+    p.add_argument("--boost-rate", type=float,
                    help="boosted fault rate for the victim tenant")
-    p.add_argument("--degraded-after", type=int, default=4,
+    p.add_argument("--degraded-after", type=int,
                    help="storage faults before a tenant degrades")
-    p.add_argument("--queue-depth", type=int, default=8,
+    p.add_argument("--queue-depth", type=int, dest="max_queue_depth",
+                   metavar="QUEUE_DEPTH",
                    help="per-shard dispatch queue bound (overload)")
-    p.add_argument("--overload-probes", type=int, default=32,
+    p.add_argument("--overload-probes", type=int,
                    help="concurrent raw connections in the overload burst")
-    p.add_argument("--deadline-probes", type=int, default=8,
+    p.add_argument("--deadline-probes", type=int,
                    help="requests sent with deadline_ms=0")
     p.add_argument("--health-out", metavar="FILE", default=None,
                    help="write the final /health snapshots as JSON")

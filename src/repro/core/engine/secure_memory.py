@@ -216,7 +216,7 @@ class SecureMemory:
         #: optional resilience-plane state provider folded into durable
         #: snapshots (installed by ResilientMemory when durability is on)
         self.resilience_state: Callable[[], dict[str, Any]] | None = None
-        if durability is not None and durability.enabled:
+        if durability is not None:
             self.attach_persistence(
                 PersistenceManager(durability, registry=registry)
             )

@@ -3,9 +3,9 @@
 Every durable mutation the service performs goes through one FaultFS
 instance per store.  The layer does three jobs:
 
-* **Step numbering + injection.**  Each operation is one numbered step,
-  recorded in :attr:`FaultFS.trace`; an armed :class:`FaultPlan` or
-  :class:`FaultProfile` decides whether that step faults, and the layer
+* **Step numbering + injection.**  Each operation is one numbered step;
+  an armed :class:`FaultPlan` or :class:`FaultProfile` decides whether
+  that step faults, and the layer
   applies the kind's on-disk semantics (nothing for ``EIO``, a torn
   prefix for ``ENOSPC``/``SHORT_WRITE``, ...) before raising
   :class:`StorageFault`.
@@ -31,8 +31,10 @@ Which kinds can fire at which operations::
     unlink        EIO
 
 A kind armed at a step whose operation cannot express it (for example
-``CRASH_RENAME`` on a ``write_bytes``) injects nothing: plans are built
-from a prior run's trace, which records each step's operation.
+``CRASH_RENAME`` on a ``write_bytes``) injects nothing.  The layer keeps
+no record of its steps (a tenant's store lives as long as the service);
+a fault matrix that builds plans from a prior run records that run's
+steps, one :class:`FsStep` each, by overriding :meth:`FaultFS._next`.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ class FaultFS:
         self.stream = stream
         self.armed = armed
         self.step = 0
-        self.trace: list[FsStep] = []
         #: path -> pre-image content (None = file did not exist);
         #: cleared by fsync(path) unless the path is sticky-volatile
         self._dirty_content: dict[pathlib.Path, bytes | None] = {}
@@ -131,9 +132,6 @@ class FaultFS:
                 kind = self.profile.fault_at(self.stream, step)
         if kind is not None and kind not in _APPLICABLE.get(op, frozenset()):
             kind = None
-        self.trace.append(
-            FsStep(step, op, str(path), kind.value if kind else None)
-        )
         if kind is not None:
             self._m_injected[kind].inc()
         return step, kind

@@ -71,16 +71,37 @@ class BenchSpec:
         }
 
 
-def _app_key(app: str, seed: int) -> bytes:
+def app_key(app: str, seed: int) -> bytes:
     """48-byte engine key derived from (app, seed) alone."""
     return hashlib.sha384(f"repro.bench/{app}/{seed}".encode()).digest()
 
 
-def _payload_for(app: str, seed: int, block: int, sequence: int) -> bytes:
-    """Deterministic 64-byte block payload for one write-back."""
-    return hashlib.sha512(
-        f"{app}/{seed}/{block}/{sequence}".encode()
-    ).digest()
+def writeback_stream(
+    app: str, spec: BenchSpec
+) -> tuple[list[tuple[int, bytes]], int]:
+    """The (block, payload) write-back stream ``app`` replays under
+    ``spec``, and the instructions its traces retire.
+
+    Each payload is a deterministic 64-byte function of (app, seed,
+    block, position in the stream).  The LLC filter counts its lookups
+    in the current registry, so call this inside the run's registry
+    scope.
+    """
+    region_blocks = spec.region_mb * 1024 * 1024 // BLOCK_BYTES
+    traces = resolve_profile(app).traces(
+        spec.accesses, region_blocks, spec.cores, spec.seed
+    )
+    writebacks, instructions = WritebackFilter().filter(traces)
+    stream = [
+        (
+            block,
+            hashlib.sha512(
+                f"{app}/{spec.seed}/{block}/{sequence}".encode()
+            ).digest(),
+        )
+        for sequence, block in enumerate(writebacks)
+    ]
+    return stream, instructions
 
 
 def merge_totals(totals: list[dict[str, int]]) -> dict[str, int]:
@@ -118,34 +139,27 @@ def state_digest(engine: SecureMemory) -> str:
 def run_app(app: str, spec: BenchSpec) -> tuple[dict, dict]:
     """Run one application; returns (app results, metric totals).
 
-    The app's DRAM write-back stream is generated here, under this
-    app's registry (the LLC filter cache counts its lookups).
+    The app's write-back stream is generated here, under this app's
+    registry (the LLC filter cache counts its lookups).
     """
     registry = MetricRegistry()
     with use_registry(registry):
-        region_bytes = spec.region_mb * 1024 * 1024
-        traces = resolve_profile(app).traces(
-            spec.accesses, region_bytes // BLOCK_BYTES, spec.cores, spec.seed
-        )
-        writebacks, instructions = WritebackFilter().filter(traces)
-
+        stream, instructions = writeback_stream(app, spec)
         config = preset(
             spec.preset,
-            protected_bytes=region_bytes,
+            protected_bytes=spec.region_mb * 1024 * 1024,
             keystream_mode=spec.keystream,
         )
-        engine = SecureMemory(config, _app_key(app, spec.seed))
+        engine = SecureMemory(config, app_key(app, spec.seed))
         batch = BatchSecureMemory(engine, mode=spec.mode)
 
         payloads: dict[int, bytes] = {}
-        for start in range(0, len(writebacks), FLUSH_CHUNK):
-            chunk = writebacks[start : start + FLUSH_CHUNK]
-            writes = []
-            for offset, block in enumerate(chunk):
-                data = _payload_for(app, spec.seed, block, start + offset)
-                payloads[block] = data
-                writes.append((block * BLOCK_BYTES, data))
-            batch.write_many(writes)
+        for start in range(0, len(stream), FLUSH_CHUNK):
+            chunk = stream[start : start + FLUSH_CHUNK]
+            payloads.update(chunk)
+            batch.write_many(
+                [(block * BLOCK_BYTES, data) for block, data in chunk]
+            )
 
         mismatches = 0
         written = sorted(payloads)
@@ -160,7 +174,7 @@ def run_app(app: str, spec: BenchSpec) -> tuple[dict, dict]:
 
         app_results = {
             "instructions": instructions,
-            "writebacks": len(writebacks),
+            "writebacks": len(stream),
             "unique_blocks": len(written),
             "readback_mismatches": mismatches,
             "state_digest": state_digest(engine),
@@ -200,8 +214,10 @@ def run_bench(spec: BenchSpec, workers: int = 1) -> dict:
 __all__ = [
     "BENCH_SCHEMA",
     "BenchSpec",
+    "app_key",
     "merge_totals",
     "run_app",
     "run_bench",
     "state_digest",
+    "writeback_stream",
 ]

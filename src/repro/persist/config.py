@@ -22,7 +22,6 @@ class DurabilityConfig:
     journal record for one would otherwise carry every live block).
     """
 
-    enabled: bool = True
     #: committed write transactions between epoch checkpoints (0 = never
     #: checkpoint automatically; the journal then grows until told)
     checkpoint_interval: int = 64

@@ -51,19 +51,14 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.core.engine.config import EngineConfig, preset
+from repro.core.engine.config import PRESETS, EngineConfig, preset
 from repro.core.engine.secure_memory import IntegrityError
 from repro.harness.oracle import SDC, ZERO_BLOCK, ShadowOracle
 from repro.lint.contracts import BLOCK_BYTES
 from repro.obs.metrics import MetricRegistry
 from repro.persist.config import DurabilityConfig
 from repro.persist.recovery import RecoveryError, RecoveryReport
-from repro.persist.store import (
-    CrashPlan,
-    DurableStore,
-    SimulatedCrash,
-    StepRecord,
-)
+from repro.persist.store import CrashPlan, DurableStore, SimulatedCrash
 from repro.stack import EngineStack
 
 _DEFAULT_SEED = 0xDAC2018
@@ -74,7 +69,84 @@ WorkloadOp = tuple
 
 
 @dataclass(frozen=True)
-class CrashSimSpec:
+class StepRecord:
+    """One durable mutation as seen by the crash matrix."""
+
+    step: int
+    label: str
+    tearable: bool
+
+
+@dataclass
+class RecordingStore(DurableStore):
+    """A :class:`DurableStore` that keeps every step it takes, in order.
+
+    The crash matrix enumerates the baseline run's steps and labels each
+    point with its step; a plain store keeps no trace, so a long-lived
+    one (a service tenant's) does not grow with every write.
+    """
+
+    trace: list[StepRecord] = field(default_factory=list)
+
+    def _mutate(self, label, tearable, apply_full, apply_torn=None):
+        self.trace.append(StepRecord(self.step, label, tearable))
+        super()._mutate(label, tearable, apply_full, apply_torn)
+
+
+#: Small field widths per preset, so the crash and torture workloads
+#: actually exercise the overflow paths (reset, re-encode, group/global
+#: re-encrypt): 2-bit monolithic counters wrap within the default runs.
+STRESS_SCHEME_KWARGS: dict[str, tuple[tuple[str, Any], ...]] = {
+    "bmt_baseline": (("counter_bits", 2),),
+    "mac_in_ecc": (("counter_bits", 2),),
+    "delta_only": (("delta_bits", 2),),
+    "combined": (("delta_bits", 2),),
+    "combined_dual": (("base_delta_bits", 2), ("extension_bits", 2)),
+    # The preset's own 2+2-bit widths: an empty tuple would wipe them.
+    "endurance": tuple(PRESETS["endurance"].scheme_kwargs.items()),
+}
+
+
+@dataclass(frozen=True)
+class StressSpec:
+    """The engine a crash or torture scenario runs: a preset over a
+    region of ``group_count`` counter block-groups, with stress widths.
+
+    ``scheme_kwargs`` left ``None`` takes the preset's entry in
+    :data:`STRESS_SCHEME_KWARGS`, so every preset overflows within the
+    default workloads.
+    """
+
+    preset: str = "combined"
+    scheme_kwargs: tuple[tuple[str, Any], ...] | None = None
+    group_count: int = 2
+    seed: int = _DEFAULT_SEED
+    batch: int = 0  # writes per group-commit flush (0 = scalar)
+    spare_blocks: int = 1
+    ce_threshold: int = 1
+
+    def __post_init__(self) -> None:
+        if self.scheme_kwargs is None:
+            if self.preset not in STRESS_SCHEME_KWARGS:
+                raise ValueError(f"unknown preset {self.preset!r}")
+            object.__setattr__(
+                self, "scheme_kwargs", STRESS_SCHEME_KWARGS[self.preset]
+            )
+
+    def engine_config(self) -> EngineConfig:
+        return preset(
+            self.preset,
+            protected_bytes=self.group_count * 64 * BLOCK_BYTES,
+            scheme_kwargs=dict(self.scheme_kwargs),
+            keystream_mode="splitmix",
+        )
+
+    def to_json(self) -> dict[str, Any]:
+        return {**asdict(self), "scheme_kwargs": dict(self.scheme_kwargs)}
+
+
+@dataclass(frozen=True)
+class CrashSimSpec(StressSpec):
     """One deterministic crash-matrix scenario.
 
     The defaults are sized to finish an exhaustive matrix in seconds
@@ -91,26 +163,11 @@ class CrashSimSpec:
     spare), the second exhausts the pool and degrades.
     """
 
-    preset: str = "combined"
-    scheme_kwargs: tuple[tuple[str, Any], ...] = (("delta_bits", 2),)
-    group_count: int = 2
     workload_blocks: int = 4  # distinct addresses the workload touches
     ops: int = 20
-    seed: int = _DEFAULT_SEED
     checkpoint_interval: int = 4
     journal_capacity_records: int = 64
-    batch: int = 0  # writes per group-commit flush (0 = scalar)
     resilient: bool = False
-    spare_blocks: int = 1
-    ce_threshold: int = 1
-
-    def engine_config(self) -> EngineConfig:
-        return preset(
-            self.preset,
-            protected_bytes=self.group_count * 64 * BLOCK_BYTES,
-            scheme_kwargs=dict(self.scheme_kwargs),
-            keystream_mode="splitmix",
-        )
 
     def durability(self) -> DurabilityConfig:
         return DurabilityConfig(
@@ -125,9 +182,6 @@ class CrashSimSpec:
             "spare_blocks": self.spare_blocks,
             "ce_threshold": self.ce_threshold,
         }
-
-    def to_json(self) -> dict[str, Any]:
-        return {**asdict(self), "scheme_kwargs": dict(self.scheme_kwargs)}
 
 
 def build_workload(spec: CrashSimSpec) -> list[tuple[int, bytes]]:
@@ -165,12 +219,11 @@ def build_ops(spec: CrashSimSpec) -> list[WorkloadOp]:
 class RunState:
     """Everything one (possibly crashed) workload run leaves behind."""
 
-    store: DurableStore
+    store: RecordingStore
     #: acked values, counter floor and sealed quarantine mappings
     oracle: ShadowOracle
     inflight: list[tuple[int, bytes]]  # writes un-acked at the crash
     crash: SimulatedCrash | None
-    trace: list[StepRecord]
 
 
 def run_workload(
@@ -178,12 +231,10 @@ def run_workload(
 ) -> RunState:
     """Run the spec's workload, optionally crashing at an armed step."""
     registry = MetricRegistry()
-    store = DurableStore(plan=plan)
+    store = RecordingStore(plan=plan)
     key = bytes(range(48))
     oracle = ShadowOracle(unacked=ZERO_BLOCK)
-    state = RunState(
-        store=store, oracle=oracle, inflight=[], crash=None, trace=store.trace
-    )
+    state = RunState(store=store, oracle=oracle, inflight=[], crash=None)
     if spec.resilient:
         # The sealed floor before anything runs is the pristine map --
         # a crash during provisioning must recover exactly this.
@@ -379,10 +430,9 @@ def _check_invariants(
 def run_point(spec: CrashSimSpec, plan: CrashPlan) -> CrashPointOutcome:
     """Inject one crash point, recover, and verify the invariants."""
     state = run_workload(spec, plan=plan)
+    trace = state.store.trace
     label = (
-        state.trace[plan.step].label
-        if plan.step < len(state.trace)
-        else "<never reached>"
+        trace[plan.step].label if plan.step < len(trace) else "<never reached>"
     )
     outcome = CrashPointOutcome(
         point=point_id(plan),
@@ -483,7 +533,7 @@ def run_matrix(
     baseline = run_workload(spec, plan=None)
     if baseline.crash is not None:
         raise RuntimeError("baseline run crashed with no plan armed")
-    points = enumerate_points(baseline.trace)
+    points = enumerate_points(baseline.store.trace)
     report = CrashMatrixReport(spec=spec, total_points=len(points))
     selected = points[::stride]
     if limit is not None:
@@ -497,7 +547,11 @@ __all__ = [
     "CrashMatrixReport",
     "CrashPointOutcome",
     "CrashSimSpec",
+    "RecordingStore",
     "RunState",
+    "STRESS_SCHEME_KWARGS",
+    "StepRecord",
+    "StressSpec",
     "build_ops",
     "build_workload",
     "enumerate_points",

@@ -77,15 +77,6 @@ class CheckpointSlot:
     torn: bool = False
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One durable mutation as seen by the crash matrix."""
-
-    step: int
-    label: str
-    tearable: bool
-
-
 @dataclass
 class DurableStore:
     """Journal region + shadow checkpoint slots with numbered steps."""
@@ -96,15 +87,12 @@ class DurableStore:
         default_factory=lambda: (CheckpointSlot(), CheckpointSlot())
     )
     step: int = 0
-    #: every step taken, in order (the crash matrix enumerates this)
-    trace: list[StepRecord] = field(default_factory=list)
 
     # -- the step/crash engine ----------------------------------------------
 
     def _mutate(self, label, tearable, apply_full, apply_torn=None):
         step = self.step
         self.step += 1
-        self.trace.append(StepRecord(step, label, tearable))
         plan = self.plan
         if plan is not None and plan.step == step:
             if plan.phase == "torn" and tearable and apply_torn is not None:
@@ -198,5 +186,4 @@ __all__ = [
     "DurableStore",
     "JournalSlot",
     "SimulatedCrash",
-    "StepRecord",
 ]

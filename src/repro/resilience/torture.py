@@ -60,15 +60,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.engine.config import EngineConfig, preset
 from repro.core.engine.secure_memory import IntegrityError
 from repro.harness.reporting import format_series, format_table
-from repro.lint.contracts import BLOCK_BYTES
 from repro.obs.metrics import MetricRegistry
 from repro.persist.config import DurabilityConfig
+from repro.persist.crashsim import StressSpec
 from repro.persist.recovery import RecoveryError
 from repro.persist.store import DurableStore
 from repro.resilience.campaign import FaultCampaign, FaultModel, default_models
@@ -76,7 +75,7 @@ from repro.stack import EngineStack
 
 
 @dataclass(frozen=True)
-class TortureSpec:
+class TortureSpec(StressSpec):
     """One deterministic torture scenario (pure function of ``seed``).
 
     The defaults run 100 crash-recovery cycles -- the acceptance bar --
@@ -87,17 +86,12 @@ class TortureSpec:
     every cycle ends in a crash with whatever the batch queue holds.
     """
 
-    preset: str = "combined"
-    scheme_kwargs: tuple[tuple[str, Any], ...] = (("delta_bits", 2),)
-    group_count: int = 2
+    batch: int = 4  # writes per group-commit flush
+    spare_blocks: int = 3
     cycles: int = 100
     ops_per_cycle: int = 20
-    batch: int = 4  # writes per group-commit flush
     kernel_mode: str = "fast"
-    seed: int = 0xDAC2018
     checkpoint_every: int = 5  # cycles between explicit checkpoints
-    spare_blocks: int = 3
-    ce_threshold: int = 1
     due_threshold: int = 2
     write_fraction: float = 0.45
     transient_rate: float = 0.04
@@ -105,6 +99,7 @@ class TortureSpec:
     burst_rate: float = 0.002
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.cycles < 1 or self.ops_per_cycle < 1:
             raise ValueError("cycles and ops_per_cycle must be >= 1")
         if self.batch < 1:
@@ -118,14 +113,6 @@ class TortureSpec:
         for rate in (self.transient_rate, self.stuck_rate, self.burst_rate):
             if rate < 0:
                 raise ValueError("fault rates must be >= 0")
-
-    def engine_config(self) -> EngineConfig:
-        return preset(
-            self.preset,
-            protected_bytes=self.group_count * 64 * BLOCK_BYTES,
-            scheme_kwargs=dict(self.scheme_kwargs),
-            keystream_mode="splitmix",
-        )
 
     def durability(self) -> DurabilityConfig:
         # Checkpoints fire only when the harness asks: the telemetry
@@ -150,9 +137,6 @@ class TortureSpec:
             stuck_rate=self.stuck_rate,
             burst_rate=self.burst_rate,
         )
-
-    def to_json(self) -> dict[str, Any]:
-        return {**asdict(self), "scheme_kwargs": dict(self.scheme_kwargs)}
 
 
 @dataclass

@@ -41,26 +41,22 @@ import json
 import pathlib
 
 from repro.faultfs.layer import FaultFS
-from repro.persist.store import (
-    CheckpointSlot,
-    CrashPlan,
-    DurableStore,
-    JournalSlot,
-)
+from repro.persist.store import CheckpointSlot, DurableStore, JournalSlot
 
 _SLOT_COUNT = 2
 
 
 class FileStore(DurableStore):
-    """Durable store whose journal and checkpoint slots live on disk."""
+    """Durable store whose journal and checkpoint slots live on disk.
+
+    Disk crashes and faults are armed only on its :class:`FaultFS`
+    layer (``fs``).
+    """
 
     def __init__(
-        self,
-        root: str | pathlib.Path,
-        plan: CrashPlan | None = None,
-        fs: FaultFS | None = None,
+        self, root: str | pathlib.Path, fs: FaultFS | None = None
     ) -> None:
-        super().__init__(plan=plan)
+        super().__init__()
         self.root = pathlib.Path(root)
         self.fs = fs if fs is not None else FaultFS()
         self.journal_dir = self.root / "journal"
@@ -84,60 +80,44 @@ class FileStore(DurableStore):
             base.with_suffix(".sealed"),
         )
 
-    def _will_crash(self) -> bool:
-        """Whether the *next* in-memory step is an armed crash point.
-
-        A ``CrashPlan`` models power lost at the in-memory mutation;
-        mirroring that mutation to disk first would leave the disk
-        ahead of the lost power, so the mirror is skipped and the
-        superclass raises :class:`SimulatedCrash` as before.
-        """
-        return self.plan is not None and self.plan.step == self.step
-
     # -- mirrored mutations -------------------------------------------------
 
     def journal_append(self, payload: bytes, label: str) -> int:
-        if not self._will_crash():
-            self.fs.write_bytes(self._record_path(len(self.journal)), payload)
+        self.fs.write_bytes(self._record_path(len(self.journal)), payload)
         return super().journal_append(payload, label)
 
     def journal_seal(self, index: int, label: str) -> None:
-        if not self._will_crash():
-            # Barrier order: payload durable, then the marker, then the
-            # marker's directory entry -- the ack point.
-            self.fs.fsync(self._record_path(index))
-            self.fs.touch(self._seal_path(index))
-            self.fs.fsync_dir(self.journal_dir)
+        # Barrier order: payload durable, then the marker, then the
+        # marker's directory entry -- the ack point.
+        self.fs.fsync(self._record_path(index))
+        self.fs.touch(self._seal_path(index))
+        self.fs.fsync_dir(self.journal_dir)
         super().journal_seal(index, label)
 
     def journal_truncate(self) -> None:
-        if not self._will_crash():
-            for path in sorted(self.journal_dir.iterdir()):
-                self.fs.unlink(path)
-            self.fs.fsync_dir(self.journal_dir)
+        for path in sorted(self.journal_dir.iterdir()):
+            self.fs.unlink(path)
+        self.fs.fsync_dir(self.journal_dir)
         super().journal_truncate()
 
     def checkpoint_write(self, slot: int, payload: bytes, epoch: int) -> None:
-        if not self._will_crash():
-            body, meta, seal = self._slot_paths(slot)
-            # Unseal first: a kill between the marker removal and the
-            # body landing must leave the slot invalid, never
-            # half-new-half-sealed.
-            self.fs.unlink(seal)
-            self.fs.fsync_dir(self.root)
-            staging = body.with_suffix(".tmp")
-            self.fs.write_bytes(staging, payload)
-            self.fs.fsync(staging)
-            self.fs.replace(staging, body)
-            self.fs.write_bytes(meta, json.dumps({"epoch": epoch}).encode())
-            self.fs.fsync(meta)
+        body, meta, seal = self._slot_paths(slot)
+        # Unseal first: a kill between the marker removal and the body
+        # landing must leave the slot invalid, never half-new-half-sealed.
+        self.fs.unlink(seal)
+        self.fs.fsync_dir(self.root)
+        staging = body.with_suffix(".tmp")
+        self.fs.write_bytes(staging, payload)
+        self.fs.fsync(staging)
+        self.fs.replace(staging, body)
+        self.fs.write_bytes(meta, json.dumps({"epoch": epoch}).encode())
+        self.fs.fsync(meta)
         super().checkpoint_write(slot, payload, epoch)
 
     def checkpoint_seal(self, slot: int, epoch: int) -> None:
-        if not self._will_crash():
-            _, _, seal = self._slot_paths(slot)
-            self.fs.touch(seal)
-            self.fs.fsync_dir(self.root)
+        _, _, seal = self._slot_paths(slot)
+        self.fs.touch(seal)
+        self.fs.fsync_dir(self.root)
         super().checkpoint_seal(slot, epoch)
 
 

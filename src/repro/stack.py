@@ -87,7 +87,7 @@ class EngineStack:
                 raise ValueError("config and key are required")
             registry = registry if registry is not None else get_registry()
             engine = SecureMemory(config, key, registry=registry)
-            if durability is not None and durability.enabled:
+            if durability is not None:
                 engine.attach_persistence(
                     PersistenceManager(
                         durability, store=store, registry=registry

@@ -10,10 +10,11 @@ from repro.faultfs import (
     StorageFault,
 )
 from repro.obs.metrics import MetricRegistry
+from tests.faultfs.recording import RecordingFaultFS
 
 
 def armed(step, kind):
-    return FaultFS(plan=FaultPlan.single(step, kind))
+    return RecordingFaultFS(plan=FaultPlan.single(step, kind))
 
 
 class TestInjection:
@@ -59,7 +60,7 @@ class TestInjection:
         assert fs.trace[0].injected is None
 
     def test_disarmed_layer_never_injects(self, tmp_path):
-        fs = FaultFS(
+        fs = RecordingFaultFS(
             profile=FaultProfile(seed=1, rate=1.0), armed=False
         )
         for i in range(5):
@@ -149,7 +150,7 @@ class TestObservability:
         assert totals["faultfs.rolled_back"] >= 1
 
     def test_trace_records_every_step(self, tmp_path):
-        fs = FaultFS()
+        fs = RecordingFaultFS()
         fs.write_bytes(tmp_path / "a", b"x")
         fs.fsync(tmp_path / "a")
         fs.touch(tmp_path / "b")

@@ -21,6 +21,7 @@ from repro.persist.config import DurabilityConfig
 from repro.service.storage import FileStore, load_file_store
 from repro.service.tenant import derive_key
 from repro.stack import EngineStack
+from tests.faultfs.recording import RecordingFaultFS
 
 N_WRITES = 6
 
@@ -61,7 +62,7 @@ def run_workload(root: pathlib.Path, fs: FaultFS) -> dict[int, bytes]:
 def clean_trace():
     """The step trace of one fault-free run (deterministic workload)."""
     with tempfile.TemporaryDirectory() as tmp:
-        fs = FaultFS()
+        fs = RecordingFaultFS()
         run_workload(pathlib.Path(tmp), fs)
         return fs.trace
 

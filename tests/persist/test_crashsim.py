@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.core.engine.config import PRESETS
 from repro.persist.crashsim import (
+    STRESS_SCHEME_KWARGS,
     CrashSimSpec,
     build_ops,
     build_workload,
@@ -37,15 +39,15 @@ class TestWorkloadDeterminism:
         assert build_workload(other) != build_workload(SMALL)
 
     def test_baseline_trace_is_stable(self):
-        first = run_workload(SMALL).trace
-        second = run_workload(SMALL).trace
+        first = run_workload(SMALL).store.trace
+        second = run_workload(SMALL).store.trace
         assert first == second
         assert first[0].label.startswith("checkpoint.write")  # bootstrap
 
 
 class TestPointEnumeration:
     def test_skip_everywhere_torn_on_tearable(self):
-        trace = run_workload(SMALL).trace
+        trace = run_workload(SMALL).store.trace
         points = enumerate_points(trace)
         skips = [p for p in points if p.phase == "skip"]
         torns = [p for p in points if p.phase == "torn"]
@@ -67,7 +69,7 @@ class TestSinglePoint:
     def test_point_reproduces_bit_for_bit(self):
         """`repro crash --point` twice must agree on everything -- the
         acceptance criterion for deterministic reproduction."""
-        plan = enumerate_points(run_workload(SMALL).trace)[5]
+        plan = enumerate_points(run_workload(SMALL).store.trace)[5]
         first = run_point(SMALL, plan)
         second = run_point(SMALL, plan)
         assert json.dumps(first.to_json(), sort_keys=True) == json.dumps(
@@ -125,7 +127,7 @@ class TestGroupCommitMatrix:
         assert len(faults) == 2  # one retire splice, one degrade splice
 
     def test_trace_contains_torn_group_commit_frames(self):
-        trace = run_workload(BATCHED).trace
+        trace = run_workload(BATCHED).store.trace
         frames = [r for r in trace if "group_commit=3" in r.label]
         assert frames, "no group-commit frame in the batched trace"
         torn_steps = {
@@ -164,7 +166,7 @@ class TestGroupCommitMatrix:
     def test_exhaustive_composed_matrix_is_clean(self):
         """Batching + resilience: every step skipped, every tearable
         step torn -- including the journaled retire/degrade records."""
-        trace = run_workload(COMPOSED).trace
+        trace = run_workload(COMPOSED).store.trace
         labels = [r.label for r in trace]
         assert any("res:retire" in label for label in labels)
         assert any("res:degrade" in label for label in labels)
@@ -197,3 +199,25 @@ class TestCrossSchemeSmoke:
             assert run_workload(spec).oracle.floor_epoch >= 1
         report = run_matrix(spec, stride=4)
         assert report.ok, report.format_summary()
+
+
+class TestPresetDefaults:
+    """``CrashSimSpec(preset=p)`` takes the preset's stress widths, so
+    every preset builds and runs without hand-supplied field widths."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_preset_runs_a_matrix(self, preset):
+        spec = CrashSimSpec(preset=preset)
+        assert spec.scheme_kwargs == STRESS_SCHEME_KWARGS[preset]
+        report = run_matrix(spec, limit=2)
+        assert report.run_points == 2
+        assert report.ok, report.format_summary()
+
+    def test_explicit_widths_win(self):
+        spec = CrashSimSpec(preset="combined", scheme_kwargs=())
+        assert spec.scheme_kwargs == ()
+        assert spec.to_json()["scheme_kwargs"] == {}
+
+    def test_unknown_preset_is_refused(self):
+        with pytest.raises(ValueError, match="unknown preset"):
+            CrashSimSpec(preset="nope")

@@ -11,6 +11,7 @@ from repro.persist.journal import (
     encode_record,
     scan_journal,
 )
+from repro.persist.crashsim import RecordingStore
 from repro.persist.store import CrashPlan, DurableStore, SimulatedCrash
 
 
@@ -66,7 +67,7 @@ class TestRecordFraming:
 
 class TestDurableStoreSteps:
     def test_steps_number_sequentially_and_trace(self):
-        store = DurableStore()
+        store = RecordingStore()
         store.journal_append(b"abcd", "r0")
         store.journal_seal(0, "r0")
         store.journal_truncate()

@@ -6,6 +6,7 @@ from repro.core.engine.config import preset
 from repro.core.engine.secure_memory import SecureMemory
 from repro.obs.metrics import MetricRegistry
 from repro.persist.config import DurabilityConfig
+from repro.persist.crashsim import RecordingStore
 from repro.persist.journal import TxnRecord, encode_record
 from repro.persist.manager import PersistenceManager
 from repro.persist.recovery import RecoveryError, RecoveryPhase, recover
@@ -110,7 +111,7 @@ class TestCrashedRecovery:
     def find_step(self, key48, label_prefix, occurrence=0):
         """Nth store step whose label starts with ``label_prefix`` in an
         uncrashed run of the same write sequence."""
-        store = DurableStore()
+        store = RecordingStore()
         engine, _ = durable_engine(key48, store=store, interval=4)
         for address, data in writes(6):
             engine.write(address, data)

@@ -12,6 +12,8 @@ import json
 
 import pytest
 
+from repro.core.engine.config import PRESETS
+from repro.persist.crashsim import STRESS_SCHEME_KWARGS
 from repro.resilience.torture import TortureSpec, TortureCampaign, run_torture
 
 #: Small but real: crosses several checkpoint boundaries, exhausts no
@@ -103,3 +105,12 @@ class TestCampaign:
                 "retired"
             ]
         }
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_preset_runs_a_cycle_from_its_defaults(preset):
+    spec = TortureSpec(preset=preset)
+    assert spec.scheme_kwargs == STRESS_SCHEME_KWARGS[preset]
+    report = run_torture(spec, limit=1)
+    assert report.cycles_run == 1
+    assert report.ok, report.format_summary()

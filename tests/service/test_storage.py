@@ -1,7 +1,5 @@
 """FileStore: the disk mirror of the in-memory durable store."""
 
-import pytest
-
 from repro.core.engine.config import preset
 from repro.faultfs import FaultFS, FaultKind, FaultPlan
 from repro.persist.config import DurabilityConfig
@@ -168,9 +166,7 @@ class TestBarriers:
         stack.write(0, b"A" * 64)
         stack.flush()  # genuinely durable
 
-        fs.plan = FaultPlan.single(
-            len(fs.trace), FaultKind.LOST_BEFORE_FSYNC
-        )
+        fs.plan = FaultPlan.single(fs.step, FaultKind.LOST_BEFORE_FSYNC)
         stack.write(64, b"B" * 64)
         stack.flush()  # "acks", but the record is stuck in cache
         assert stack.read(64).data == b"B" * 64  # in-memory view lies too
@@ -179,13 +175,3 @@ class TestBarriers:
         recovered, report = recover_stack(tmp_path)
         assert report.root_verified
         assert recovered.read(0).data == b"A" * 64
-
-
-class TestCrashPlanStillWorks:
-    def test_injected_crash_raises_through_subclass(self, tmp_path):
-        from repro.persist.store import CrashPlan, SimulatedCrash
-
-        store = FileStore(tmp_path, plan=CrashPlan(step=1))
-        store.journal_append(b"one", "t")  # step 0 - survives
-        with pytest.raises(SimulatedCrash):
-            store.journal_append(b"two", "t")

@@ -1,5 +1,8 @@
 """Tenant lifecycle: provision -> active -> draining -> retired."""
 
+import gc
+import types
+
 import pytest
 
 from repro.service.errors import DrainInProgress, TenantNotFound
@@ -182,3 +185,34 @@ class TestLifecycleHelpers:
         report = drain_tenants(tenants)
         assert report.count == 3
         assert all(t.state is TenantState.DRAINING for t in tenants)
+
+
+def retained_objects(*roots) -> int:
+    """How many objects ``roots`` keep alive through their instance
+    state (classes, modules and functions are not followed)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.MethodType,
+            types.BuiltinFunctionType)
+    seen: set[int] = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+class TestBoundedState:
+    def test_store_does_not_grow_with_writes(self, tmp_path):
+        """A long-lived tenant's store and fault layer keep no per-step
+        history: 16 and 64 acknowledged writes (the same checkpoint
+        phase) leave the same retained state, within a few objects."""
+        tenant = Tenant.provision(tmp_path, spec(), SEED)
+        store = tenant.stack.engine.persist.store
+        counts = []
+        for _ in range(4):
+            for i in range(16):
+                tenant.write((i % 8) * 64, bytes([i]) * 64)
+            counts.append(retained_objects(store))
+        assert counts[-1] - counts[0] < 16, counts

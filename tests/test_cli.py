@@ -1,12 +1,21 @@
 """Command-line interface."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _spec, build_parser, main
 from repro.fast.backends import keystream_backends
+from repro.harness.parallel import BenchSpec
+from repro.harness.study import StudySpec
 from repro.memsim.cpu.trace import load_trace
+from repro.persist.crashsim import CrashSimSpec
+from repro.resilience.torture import TortureSpec
+from repro.service.chaos import ChaosSpec
+from repro.service.loadgen import LoadgenSpec
+from repro.workloads.parsec import figure8_apps
 
 
 def _argument_choices(parser, command, option):
@@ -19,6 +28,73 @@ def _argument_choices(parser, command, option):
     sub = subparsers.choices[command]
     action = next(a for a in sub._actions if option in a.option_strings)
     return list(action.choices)
+
+
+#: every spec-backed subcommand and the harness spec its flags fill
+SPEC_COMMANDS = {
+    "bench": BenchSpec,
+    "study": StudySpec,
+    "crash": CrashSimSpec,
+    "torture": TortureSpec,
+    "loadgen": LoadgenSpec,
+    "chaos": ChaosSpec,
+}
+
+
+def _subparser(command):
+    parser = build_parser()
+    subparsers = next(
+        action for action in parser._actions
+        if command in (getattr(action, "choices", None) or {})
+    )
+    return subparsers.choices[command]
+
+
+class TestSpecFlags:
+    """A spec-backed flag parses straight into its spec's field and has
+    no default of its own, so the spec is the one owner of each default
+    and a renamed field cannot silently drop its flag."""
+
+    @pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))
+    def test_suppressed_flags_name_spec_fields(self, command):
+        spec = SPEC_COMMANDS[command]()
+        names = {f.name for f in dataclasses.fields(spec)}
+        for value in vars(spec).values():
+            if dataclasses.is_dataclass(value):
+                names |= {f.name for f in dataclasses.fields(value)}
+        suppressed = [
+            action.dest for action in _subparser(command)._actions
+            if action.default is argparse.SUPPRESS
+            and action.dest != "help"
+        ]
+        assert suppressed
+        assert set(suppressed) <= names, set(suppressed) - names
+
+    @pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))
+    def test_no_flags_build_the_default_spec(self, command):
+        args = build_parser().parse_args([command])
+        expected = SPEC_COMMANDS[command]()
+        if command == "bench":
+            # the figure-8 app list is the one CLI-side default
+            expected = BenchSpec(apps=tuple(figure8_apps()))
+        assert _spec(SPEC_COMMANDS[command], args) == expected
+
+    def test_flags_fill_their_fields(self):
+        args = build_parser().parse_args(
+            ["loadgen", "--ops", "7", "--max-bytes", "99", "--kill-shard",
+             "1"]
+        )
+        spec = _spec(LoadgenSpec, args)
+        assert spec.ops_per_tenant == 7
+        assert spec.kill_shard == 1
+        assert spec.quota.max_bytes_written == 99
+        assert spec.quota.rate_ops == LoadgenSpec().quota.rate_ops
+        args = build_parser().parse_args(
+            ["crash", "--preset", "endurance", "--groups", "3"]
+        )
+        assert _spec(CrashSimSpec, args) == CrashSimSpec(
+            preset="endurance", group_count=3
+        )
 
 
 class TestKeystreamRegistryLock:
@@ -251,11 +327,10 @@ class TestEndurancePreset:
     preset's own 2+2-bit dual-length widths, not an empty override."""
 
     def test_specs_keep_the_preset_widths(self):
-        from repro.cli import _CRASH_SCHEME_KWARGS
-        from repro.persist.crashsim import CrashSimSpec
+        from repro.persist.crashsim import STRESS_SCHEME_KWARGS, CrashSimSpec
         from repro.resilience.torture import TortureSpec
 
-        kwargs = _CRASH_SCHEME_KWARGS["endurance"]
+        kwargs = STRESS_SCHEME_KWARGS["endurance"]
         for spec_cls in (CrashSimSpec, TortureSpec):
             config = spec_cls(
                 preset="endurance", scheme_kwargs=kwargs
@@ -277,24 +352,27 @@ class TestMonolithicWidths:
     @pytest.mark.parametrize("preset", ["bmt_baseline", "mac_in_ecc"])
     @pytest.mark.parametrize("batch", [0, 4])
     def test_crash_workload_wraps(self, preset, batch):
-        from repro.cli import _CRASH_SCHEME_KWARGS
-        from repro.persist.crashsim import CrashSimSpec, run_workload
+        from repro.persist.crashsim import (
+            STRESS_SCHEME_KWARGS,
+            CrashSimSpec,
+            run_workload,
+        )
 
         spec = CrashSimSpec(
             preset=preset,
-            scheme_kwargs=_CRASH_SCHEME_KWARGS[preset],
+            scheme_kwargs=STRESS_SCHEME_KWARGS[preset],
             batch=batch,
         )
         assert run_workload(spec).oracle.floor_epoch >= 1
 
     @pytest.mark.parametrize("preset", ["bmt_baseline", "mac_in_ecc"])
     def test_bounded_torture_wraps(self, preset):
-        from repro.cli import _CRASH_SCHEME_KWARGS
+        from repro.persist.crashsim import STRESS_SCHEME_KWARGS
         from repro.resilience.torture import TortureCampaign, TortureSpec
 
         campaign = TortureCampaign(
             TortureSpec(
-                preset=preset, scheme_kwargs=_CRASH_SCHEME_KWARGS[preset]
+                preset=preset, scheme_kwargs=STRESS_SCHEME_KWARGS[preset]
             )
         )
         assert campaign.run(limit=20).ok
