@@ -180,7 +180,7 @@ class SecureMemory:
             key=tree_key,
             arity=config.tree_arity,
             onchip_bytes=config.onchip_tree_bytes,
-            initial_leaf=self._pad_leaf(self._initial_metadata),
+            initial_leaf=self._initial_metadata,
         )
         #: off-chip data: block index -> ciphertext bytes
         self.ciphertexts: dict[int, bytes] = {}
@@ -276,7 +276,7 @@ class SecureMemory:
         """
         self.scheme.restore_group_metadata(group, metadata)
         self.counter_storage[group] = metadata
-        self.tree.update_leaf(group, self._pad_leaf(metadata))
+        self.tree.update_leaf(group, metadata)
 
     def restore_scheme_epoch(self, scheme_epoch: int) -> None:
         """Recovery redo: reinstall the global re-encryption epoch."""
@@ -299,11 +299,6 @@ class SecureMemory:
     def mac(self) -> CarterWegmanMac:
         """The MAC (for the batch-kernel façade)."""
         return self._mac
-
-    @staticmethod
-    def _pad_leaf(metadata: bytes) -> bytes:
-        """Tree leaves hash whole group metadata (any multiple of 64B)."""
-        return metadata
 
     def _block_index(self, address: int) -> int:
         if address % BLOCK_BYTES:
@@ -356,7 +351,7 @@ class SecureMemory:
     def _commit_metadata(self, group: int) -> None:
         metadata = self.scheme.group_metadata(group)
         self.counter_storage[group] = metadata
-        self.tree.update_leaf(group, self._pad_leaf(metadata))
+        self.tree.update_leaf(group, metadata)
         if self.persist is not None and self.persist.in_txn:
             self.persist.record_meta(group, metadata)
 
@@ -555,7 +550,7 @@ class SecureMemory:
             self.counters.reads += 1
             group = self.scheme.group_of(block)
             metadata = self._stored_metadata(group)
-            if not self.tree.verify_leaf(group, self._pad_leaf(metadata)):
+            if not self.tree.verify_leaf(group, metadata):
                 self._m_tree_fails.inc()
                 raise IntegrityError(
                     "tree", address, "counter storage failed tree verification"

@@ -274,12 +274,12 @@ class BatchSecureMemory:
     # -- write path --------------------------------------------------------
 
     def _hash_nodes(
-        self, datas: Sequence[bytes], level: int, indices: Sequence[int]
-    ) -> list[int]:
+        self, rows: np.ndarray, level: int, indices: np.ndarray
+    ) -> np.ndarray:
         hashes = self.kernels.run(
-            "tree.hash", datas, level, indices, blocks=len(datas)
+            "tree.hash", rows, level, indices, blocks=len(rows)
         )
-        assert isinstance(hashes, list)
+        assert isinstance(hashes, np.ndarray)
         return hashes
 
     def _serialize_groups(self, groups: list[int]) -> list[bytes]:
@@ -311,10 +311,7 @@ class BatchSecureMemory:
         engine = self.engine
         metadata = self._serialize_groups(groups)
         engine.counter_storage.update(zip(groups, metadata))
-        engine.tree.update_leaves(
-            groups, [engine._pad_leaf(data) for data in metadata],
-            self._hash_nodes,
-        )
+        engine.tree.update_leaves(groups, metadata, self._hash_nodes)
         if engine.persist is not None and engine.persist.in_txn:
             for group, data in zip(groups, metadata):
                 engine.persist.record_meta(group, data)
@@ -472,10 +469,7 @@ class BatchSecureMemory:
                 groups = list(dirty)
                 engine.tree.update_leaves(
                     groups,
-                    [
-                        engine._pad_leaf(engine.counter_storage[group])
-                        for group in groups
-                    ],
+                    [engine.counter_storage[group] for group in groups],
                     self._hash_nodes,
                 )
             raise
@@ -718,13 +712,7 @@ class BatchSecureMemory:
         groups = list(dict.fromkeys(block_groups))
         rank = dict(zip(groups, range(len(groups))))
         stored = [engine._stored_metadata(group) for group in groups]
-        verdicts = np.array(
-            engine.tree.verify_leaves(
-                groups, [engine._pad_leaf(data) for data in stored],
-                self._hash_nodes,
-            ),
-            dtype=bool,
-        )
+        verdicts = engine.tree.verify_leaves(groups, stored, self._hash_nodes)
         self._m_groups.inc(len(groups))
         #: per block, its group's position in ``groups``; per group, its
         #: row among the decoded (verified) groups

@@ -19,14 +19,13 @@ geometry and tree key.  Calls are metered under
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core.counters.delta import DeltaCounters
-from repro.core.engine.tree import node_hashes
+from repro.core.engine.tree import node_hash, node_hash_rows, node_hashes
 from repro.crypto.ctr import CtrModeCipher
 from repro.crypto.mac import CarterWegmanMac
 from repro.ecc.hamming import HammingSecDed
@@ -34,18 +33,14 @@ from repro.ecc.parity import parity_of_bytes
 from repro.fast import ecc_lane
 from repro.fast.mac_batch import BatchCarterWegmanMac
 from repro.fast import counters_batch
-from repro.fast.prf_batch import splitmix64_inplace
 from repro.crypto.prf import splitmix64
 from repro.lint.contracts import MAC_BITS
 from repro.obs.metrics import get_registry
 
-_SEED_MASK = (1 << 64) - 1
-
-#: ``tree.hash`` batches below this many rows (or of unequal-length
-#: nodes) take the scalar loop: a numpy hash call carries ~60-90 us of
-#: fixed cost and one scalar ``node_hash`` ~8 us, so they break even at
-#: about 8 rows (DESIGN §10)
-TREE_HASH_CROSSOVER = 8
+#: ``tree.hash`` batches below this many rows take the scalar loop: the
+#: numpy chain costs ~60-95 us whatever the row count and the scalar
+#: loop ~7-10 us a row, so they break even at about 10 rows (DESIGN §10)
+TREE_HASH_CROSSOVER = 10
 
 
 class KernelDivergence(AssertionError):
@@ -215,33 +210,28 @@ def _reference_ecc_lane(
 
 def _fast_tree_hash(
     key: int,
-) -> Callable[[Sequence[bytes], int, Sequence[int]], list[int]]:
-    def hashes(
-        datas: Sequence[bytes], level: int, indices: Sequence[int]
-    ) -> list[int]:
-        if len(datas) < TREE_HASH_CROSSOVER or len(set(map(len, datas))) > 1:
-            return node_hashes(key, datas, level, indices)
-        return tree_hash_rows(key, datas, level, indices)
+) -> Callable[[np.ndarray, int, np.ndarray], np.ndarray]:
+    def hashes(rows: np.ndarray, level: int, indices: np.ndarray) -> np.ndarray:
+        if len(rows) < TREE_HASH_CROSSOVER:
+            return node_hashes(key, rows, level, indices)
+        return node_hash_rows(key, rows, level, indices)
 
     return hashes
 
 
-def tree_hash_rows(
-    key: int, datas: Sequence[bytes], level: int, indices: Sequence[int]
-) -> list[int]:
-    """``node_hash`` over equal-length nodes as one SplitMix64 chain per
-    row of an ``(n, words)`` uint64 matrix, at any row count."""
-    words = np.frombuffer(b"".join(datas), dtype="<u8").reshape(
-        len(datas), -1
-    )
-    acc = np.array(indices, dtype=np.uint64)
-    acc ^= np.uint64((key ^ (level << 48)) & _SEED_MASK)
-    scratch = np.empty_like(acc)
-    splitmix64_inplace(acc, scratch)
-    for column in words.T:
-        acc ^= column
-        splitmix64_inplace(acc, scratch)
-    return acc.tolist()
+def _reference_tree_hash(
+    key: int,
+) -> Callable[[np.ndarray, int, np.ndarray], np.ndarray]:
+    def hashes(rows: np.ndarray, level: int, indices: np.ndarray) -> np.ndarray:
+        return np.array(
+            [
+                node_hash(key, row.tobytes(), level, index)
+                for row, index in zip(rows, np.asarray(indices).tolist())
+            ],
+            dtype=np.uint64,
+        )
+
+    return hashes
 
 
 def build_kernel_table(
@@ -278,7 +268,7 @@ def build_kernel_table(
         KernelPair(
             name="tree.hash",
             fast=_fast_tree_hash(tree_key),
-            reference=functools.partial(node_hashes, tree_key),
+            reference=_reference_tree_hash(tree_key),
         ),
     ]
     if isinstance(scheme, DeltaCounters):
@@ -318,5 +308,4 @@ __all__ = [
     "TREE_HASH_CROSSOVER",
     "build_kernel_table",
     "parse_mode",
-    "tree_hash_rows",
 ]

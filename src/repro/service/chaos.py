@@ -627,7 +627,15 @@ def run_campaign(
 ) -> tuple[dict[str, Any], list[_Traffic], dict[str, Any]]:
     """Self-host the service, drive one campaign, scrape every shard:
     returns the results, the per-tenant traffic loops and each shard's
-    final ``/health`` payload."""
+    final ``/health`` payload.
+
+    The ``/health`` snapshots (``repro chaos --health-out``) are not
+    byte-stable run to run, even at one commit and seed: each tenant's
+    ``recovery`` block counts what the killed shard's journal held when
+    the SIGKILL landed, so ``discarded_unsealed``, ``redo_records``,
+    ``redo_data_blocks`` and ``root_expected`` depend on timing.  The
+    results (``acked_ops``, the verdict) are stable; no check may treat
+    those four fields as reproducible."""
     root = pathlib.Path(root)
     supervisor = ServiceSupervisor(
         root,

@@ -144,6 +144,27 @@ class TestTamperDetection:
             memory.read(0)
         assert excinfo.value.kind == "tree"
 
+    def test_malformed_tree_node_write_refused(self, key48, rng):
+        """``corrupt_tree_node`` takes one whole node at a known
+        position: anything else raises before the tree changes."""
+        memory = SecureMemory(
+            preset("combined", protected_bytes=16 * 1024 * 1024,
+                   keystream_mode="splitmix"),
+            key48,
+        )
+        data = random_block(rng)
+        memory.write(0, data)
+        before = dict(memory.tree.offchip)
+        for bad in (b"", b"\x00" * 63, b"\x00" * 65, b"\x00" * 128):
+            with pytest.raises(ValueError):
+                memory.corrupt_tree_node(1, 0, bad)
+        levels = memory.tree.geometry.level_sizes
+        for level, index in ((0, 0), (len(levels) - 1, 0), (1, levels[1])):
+            with pytest.raises(KeyError):
+                memory.corrupt_tree_node(level, index, b"\x00" * 64)
+        assert dict(memory.tree.offchip) == before
+        assert memory.read(0).data == data
+
     def test_cross_block_ciphertext_swap_detected(self, key48, rng):
         """Relocating a valid ciphertext to another address must fail
         (the MAC binds the physical address)."""

@@ -130,7 +130,6 @@ class TestTamper:
         old_leaf = leaf_bytes(1)
         tree.update_leaf(50, leaf_bytes(2))
         # Roll back every off-chip node (maximal replay power).
-        tree.offchip.clear()
         tree.offchip.update(snapshot)
         assert not tree.verify_leaf(50, old_leaf)
 
@@ -141,11 +140,22 @@ class TestTamper:
         off_snapshot = dict(tree.offchip)
         on_snapshot = dict(tree.onchip)
         tree.update_leaf(50, leaf_bytes(2))
-        tree.offchip.clear()
         tree.offchip.update(off_snapshot)
-        tree.onchip.clear()
         tree.onchip.update(on_snapshot)
         assert tree.verify_leaf(50, leaf_bytes(1))  # the attack the SRAM stops
+
+    def test_malformed_node_write_refused_before_any_change(self, tree):
+        before = dict(tree.offchip)
+        for size in (0, NODE_BYTES - 8, NODE_BYTES + 8):
+            with pytest.raises(ValueError):
+                tree.offchip[(1, 0)] = b"\x01" * size
+        for key in ((0, 0), (3, 0), (1, 512), (1, -1), 5):
+            with pytest.raises(KeyError):
+                tree.offchip[key] = b"\x01" * NODE_BYTES
+        with pytest.raises(KeyError):
+            tree.onchip[8] = b"\x01" * NODE_BYTES
+        assert dict(tree.offchip) == before
+        assert tree.verify_leaf(0, b"\x00" * 64)
 
 
 class TestDegenerateTree:

@@ -18,8 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine.tree import BonsaiMerkleTree, node_hash
-from repro.fast.kernels import tree_hash_rows
+from repro.core.engine.tree import (
+    SMALL_WALK,
+    BonsaiMerkleTree,
+    node_hash,
+    node_hash_rows,
+)
+from repro.crypto.prf import splitmix64
 
 KEY = 0x7EE_5EED
 
@@ -39,19 +44,17 @@ def _template(name: str) -> BonsaiMerkleTree:
 
 
 def _fresh(name: str) -> BonsaiMerkleTree:
-    tree = copy.copy(_template(name))
-    tree.offchip = dict(tree.offchip)
-    tree.onchip = dict(tree.onchip)
-    return tree
+    # Deep: a shallow copy would share the level arrays with the template.
+    return copy.deepcopy(_template(name))
 
 
 def _state(tree: BonsaiMerkleTree):
-    return tree.offchip, tree.onchip, tree.root_digest()
+    return dict(tree.offchip), dict(tree.onchip), tree.root_digest()
 
 
 HASHES = {
     "scalar": None,
-    "numpy": functools.partial(tree_hash_rows, KEY),  # at every row count
+    "numpy": functools.partial(node_hash_rows, KEY),  # at every row count
 }
 
 
@@ -110,7 +113,7 @@ def test_verify_leaves_equals_per_leaf_verdicts(name, hash_name, data):
     probe, contents = data.draw(_batches(name))
     indices = written + written + probe
     checked = leaves + [bytes(size)] * len(written) + contents
-    verdicts = tree.verify_leaves(indices, checked, HASHES[hash_name])
+    verdicts = tree.verify_leaves(indices, checked, HASHES[hash_name]).tolist()
     assert verdicts == [
         tree.verify_leaf(index, leaf) for index, leaf in zip(indices, checked)
     ]
@@ -147,7 +150,29 @@ def _from_scratch(tree: BonsaiMerkleTree, leaves: list[bytes]):
     raise AssertionError("unreachable")
 
 
-@pytest.mark.parametrize("name", ["all_onchip", "two_levels", "monolithic"])
+def _scalar_root(onchip: dict, top: int) -> int:
+    """``root_digest`` folded from an on-chip dict with scalar hashes."""
+    acc = splitmix64(KEY ^ 0xB0A541)
+    for index in sorted(onchip):
+        node = onchip[index]
+        value = node_hash(KEY, node, top, index) if top else node
+        acc = splitmix64(acc ^ value ^ (index << 1))
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_fresh_tree_equals_the_scalar_build(name):
+    """The vectorized build lays out every node (and the root) exactly
+    as hashing each leaf and node one by one does."""
+    tree = _template(name)
+    count, size = GEOMETRIES[name]
+    offchip, onchip = _from_scratch(tree, [bytes(size)] * count)
+    assert (dict(tree.offchip), dict(tree.onchip)) == (offchip, onchip)
+    top = len(tree.geometry.level_sizes) - 1
+    assert tree.root_digest() == _scalar_root(onchip, top)
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
 def test_update_leaves_matches_a_tree_rebuilt_from_scratch(name):
     tree = _fresh(name)
     count, size = GEOMETRIES[name]
@@ -177,3 +202,22 @@ def test_batch_checks_refuse_before_any_change(name):
         with pytest.raises(ValueError):
             method([0, 1], [bytes(size)])
     assert _state(tree) == before
+
+
+@pytest.mark.parametrize("count", [SMALL_WALK, SMALL_WALK + 8])
+def test_unequal_length_leaves_take_the_scalar_loop(count):
+    """Leaves of unequal length (a tampered counter-storage entry) make
+    no row matrix: the walk hashes them with the scalar ``node_hash``,
+    and ``hash_nodes`` sees only the interior levels."""
+    tree = _fresh("depth_64mib")
+    leaves = [bytes(64)] * (count - 1) + [bytes(128)]
+    indices = list(range(len(leaves)))
+    levels = []
+
+    def hash_nodes(rows, level, touched):
+        levels.append(level)
+        return node_hash_rows(KEY, rows, level, touched)
+
+    verdicts = tree.verify_leaves(indices, leaves, hash_nodes)
+    assert verdicts.tolist() == [True] * (count - 1) + [False]
+    assert levels == [1, 2]

@@ -18,18 +18,14 @@ from hypothesis import strategies as st
 
 from repro.core.counters import make_scheme
 from repro.core.counters.layout import DeltaLayout
-from repro.core.engine.tree import node_hash
+from repro.core.engine.tree import node_hash, node_hash_rows
 from repro.crypto.ctr import CtrModeCipher
 from repro.crypto.mac import CarterWegmanMac
 from repro.ecc.hamming import DecodeStatus, HammingSecDed
 from repro.ecc.parity import parity_of_bytes
 from repro.fast import counters_batch
 from repro.fast.ecc_lane import CHECK_MASK, PARITY_SHIFT, check_bytes
-from repro.fast.kernels import (
-    TREE_HASH_CROSSOVER,
-    build_kernel_table,
-    tree_hash_rows,
-)
+from repro.fast.kernels import TREE_HASH_CROSSOVER, build_kernel_table
 from repro.fast.mac_batch import BatchCarterWegmanMac
 from repro.lint.contracts import (
     DELTA_GROUPS,
@@ -302,7 +298,7 @@ def test_tree_hash_differential(rows, key, level, words, data):
     """The numpy chain equals ``node_hash`` at every row count, below
     the crossover too; so does the pair's fast side, which answers
     small batches with the scalar loop."""
-    datas = data.draw(
+    nodes = data.draw(
         st.lists(
             st.binary(min_size=8 * words, max_size=8 * words),
             min_size=rows,
@@ -312,25 +308,22 @@ def test_tree_hash_differential(rows, key, level, words, data):
     indices = data.draw(
         st.lists(st.integers(0, (1 << 48) - 1), min_size=rows, max_size=rows)
     )
+    matrix = np.frombuffer(b"".join(nodes), dtype="<u8").reshape(rows, words)
+    index_array = np.array(indices, dtype=np.int64)
 
     def reference(key):
         return [
             node_hash(key, node, level, index)
-            for node, index in zip(datas, indices)
+            for node, index in zip(nodes, indices)
         ]
 
-    assert tree_hash_rows(key, datas, level, indices) == reference(key)
-    assert TREE_HASH.fast(datas, level, indices) == reference(TREE_KEY)
-    assert TREE_HASH.reference(datas, level, indices) == reference(TREE_KEY)
-
-
-def test_tree_hash_unequal_rows_take_the_scalar_loop():
-    datas = [bytes(64)] * TREE_HASH_CROSSOVER + [bytes(128)]
-    indices = list(range(len(datas)))
-    assert _tree_hash_table("paranoid").run("tree.hash", datas, 0, indices) == [
-        node_hash(TREE_KEY, node, 0, index)
-        for node, index in zip(datas, indices)
-    ]
+    assert node_hash_rows(key, matrix, level, index_array).tolist() == reference(
+        key
+    )
+    for side in (TREE_HASH.fast, TREE_HASH.reference):
+        hashes = side(matrix, level, index_array)
+        assert hashes.dtype == np.uint64
+        assert hashes.tolist() == reference(TREE_KEY)
 
 
 # -- every registered KernelPair, via the table ----------------------------
@@ -371,5 +364,8 @@ def test_every_kernel_pair_agrees_through_the_table(key48):
         table.run("counters.decode", metadata)
         for rows in (1, TREE_HASH_CROSSOVER, 2 * TREE_HASH_CROSSOVER):
             table.run(
-                "tree.hash", [bytes([rows]) * 64] * rows, 2, range(rows)
+                "tree.hash",
+                np.full((rows, 8), rows, dtype=np.uint64),
+                2,
+                np.arange(rows),
             )
