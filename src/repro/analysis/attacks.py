@@ -20,8 +20,7 @@ import random
 from dataclasses import dataclass
 
 from repro.core.engine.secure_memory import IntegrityError, SecureMemory
-
-BLOCK_BYTES = 64
+from repro.lint.contracts import BLOCK_BYTES
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.lint.contracts import BLOCK_BYTES
 from repro.memsim.dram.system import DramStats
-
-BLOCK_BYTES = 64
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,8 @@ from repro.core.ecc_mac.detection import CheckOutcome, check_block
 from repro.core.ecc_mac.layout import MacEccCodec
 from repro.crypto.mac import CarterWegmanMac
 from repro.ecc.secded import BlockSecDed
+from repro.lint.contracts import BLOCK_BITS, BLOCK_BYTES
 
-BLOCK_BYTES = 64
-BLOCK_BITS = 512
 WORD_BITS = 64
 
 

@@ -28,9 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.engine.layout import MetadataLayout
-
-BLOCK_BITS = 512
-BLOCK_BYTES = 64
+from repro.lint.contracts import BLOCK_BITS, BLOCK_BYTES
 
 
 @dataclass(frozen=True)

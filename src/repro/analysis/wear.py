@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.counters import CounterScheme, make_scheme
-
-BLOCK_BYTES = 64
+from repro.lint.contracts import BLOCK_BYTES
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import pathlib
-import random
 import subprocess
 import sys
 import tempfile
@@ -64,9 +63,7 @@ from repro.persist.crashsim import (
     run_matrix,
     run_point,
 )
-from repro.resilience.campaign import FaultCampaign, default_models
-from repro.resilience.recovery import RetryPolicy
-from repro.resilience.runtime import ResilientMemory
+from repro.resilience.campaign import CampaignSpec, run_campaign
 from repro.resilience.torture import TortureSpec, run_torture
 from repro.service.chaos import ChaosSpec, run_chaos
 from repro.service.loadgen import LoadgenSpec, run_loadgen
@@ -115,6 +112,23 @@ def _spec(cls, args):
             if is_dataclass(default) and picked(default):
                 kwargs[f.name] = replace(default, **picked(default))
     return cls(**kwargs)
+
+
+def _dump(payload, path, what: str) -> None:
+    """Write ``payload`` as the JSON artifact at ``path``, if one is
+    asked for, and say so on stderr."""
+    if path:
+        dump_json(payload, path)
+        print(f"wrote {what} to {path}", file=sys.stderr)
+
+
+def _report(args, report) -> int:
+    """Print a stress harness's report (``resilience``, ``crash``,
+    ``torture``), write its ``--json-out`` artifact, and exit on its
+    verdict."""
+    print(report.format_summary())
+    _dump(report.to_json(), args.json_out, f"{args.command} report")
+    return 0 if report.ok else 1
 
 
 @contextmanager
@@ -244,9 +258,7 @@ def _cmd_bench(args) -> int:
         f"paranoid divergences: "
         f"{metrics.get('fast.paranoid.divergence', 0)}"
     )
-    if args.json_out:
-        path = dump_json(payload, args.json_out)
-        print(f"wrote merged bench payload to {path}", file=sys.stderr)
+    _dump(payload, args.json_out, "merged bench payload")
     mismatches = sum(
         res["readback_mismatches"] for res in payload["results"].values()
     )
@@ -327,48 +339,7 @@ def _cmd_attacks(args) -> int:
 
 
 def _cmd_resilience(args) -> int:
-    config = preset(
-        args.preset,
-        protected_bytes=args.region_kb * 1024,
-        keystream_mode="splitmix",
-    )
-    # Key derived from the seed so the whole run is reproducible.
-    key = bytes(random.Random(args.seed).randrange(256) for _ in range(48))
-    memory = ResilientMemory(
-        config,
-        key,
-        spare_blocks=args.spare_blocks,
-        ce_threshold=args.ce_threshold,
-        retry_policy=RetryPolicy(max_retries=args.max_retries),
-    )
-    campaign = FaultCampaign(
-        memory,
-        default_models(
-            transient_rate=args.transient_rate,
-            stuck_rate=args.stuck_rate,
-            burst_rate=args.burst_rate,
-        ),
-        seed=args.seed,
-        write_fraction=args.write_fraction,
-        scrub_interval=args.scrub_interval if config.mac_in_ecc else 0,
-    )
-    report = campaign.run(args.operations)
-    print(report.format())
-    print()
-    print(memory.log.format_summary())
-    # The final sweep re-reads every written block (and may trigger a few
-    # last retirements), so it runs after the summaries are printed.
-    mismatches = campaign.verify_all()
-    print(f"\nfinal ground-truth sweep: {mismatches} mismatches over "
-          f"{len(campaign.shadow.acked)} written blocks")
-    sound = report.reconciles() and report.sdc_total == 0 and not mismatches
-    if args.json_out:
-        artifact = report.as_dict()
-        artifact["ground_truth_mismatches"] = mismatches
-        artifact["sound"] = sound
-        dump_json(artifact, args.json_out)
-        print(f"wrote campaign report to {args.json_out}", file=sys.stderr)
-    return 0 if sound else 1
+    return _report(args, run_campaign(_spec(CampaignSpec, args)))
 
 
 def _cmd_crash(args) -> int:
@@ -383,22 +354,15 @@ def _cmd_crash(args) -> int:
         outcome = run_point(spec, plan)
         print(json.dumps(outcome.to_json(), indent=2, sort_keys=True))
         return 0 if outcome.clean else 1
-    report = run_matrix(spec, limit=args.limit, stride=args.stride)
-    print(report.format_summary())
-    if args.json_out:
-        dump_json(report.to_json(), args.json_out)
-        print(f"wrote crash matrix to {args.json_out}", file=sys.stderr)
-    return 0 if report.ok else 1
+    return _report(
+        args, run_matrix(spec, limit=args.limit, stride=args.stride)
+    )
 
 
 def _cmd_torture(args) -> int:
-    spec = _spec(TortureSpec, args)
-    report = run_torture(spec, limit=args.limit)
-    print(report.format_summary())
-    if args.json_out:
-        dump_json(report.to_json(), args.json_out)
-        print(f"wrote torture report to {args.json_out}", file=sys.stderr)
-    return 0 if report.ok else 1
+    return _report(
+        args, run_torture(_spec(TortureSpec, args), limit=args.limit)
+    )
 
 
 def _cmd_lint(args) -> int:
@@ -554,10 +518,7 @@ def _cmd_loadgen(args) -> int:
 def _cmd_chaos(args) -> int:
     spec = _spec(ChaosSpec, args)
     payload, status = _run_service_campaign(args, run_chaos, spec)
-    if args.health_out:
-        dump_json(payload["health"], args.health_out)
-        print(f"wrote /health snapshots to {args.health_out}",
-              file=sys.stderr)
+    _dump(payload["health"], args.health_out, "/health snapshots")
     return status
 
 
@@ -609,9 +570,7 @@ def _cmd_study(args) -> int:
         print(f"{group}: " + ", ".join(parts))
     for name, reason in sorted(payload["skipped_backends"].items()):
         print(f"skipped backend {name}: {reason}", file=sys.stderr)
-    if args.json_out:
-        path = dump_json(payload, args.json_out)
-        print(f"wrote study payload to {path}", file=sys.stderr)
+    _dump(payload, args.json_out, "study payload")
     summary = payload["summary"]
     failed = summary["readback_mismatches"] or not summary[
         "aes_family_digest_agreement"
@@ -626,6 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    app_choices = table2_apps() + sorted(MICRO_PROFILES)
 
     def spec_parser(name, **kwargs):
         """A subcommand whose flags fill one harness spec: a flag without
@@ -640,20 +600,44 @@ def build_parser() -> argparse.ArgumentParser:
                        help="protected region size in MiB")
         p.add_argument("--seed", type=int, default=1)
 
+    def apps(p, **kwargs):
+        p.add_argument("--apps", nargs="+", choices=app_choices,
+                       metavar="APP", **kwargs)
+
+    def json_out(p, help):
+        p.add_argument("--json-out", metavar="FILE", default=None, help=help)
+
+    #: flags that ``resilience``, ``crash`` and ``torture`` declare alike
+    stress_flags = {
+        "--groups": dict(type=int, dest="group_count", metavar="GROUPS",
+                         help="counter block-groups in the protected region"),
+        "--ce-threshold": dict(type=int, help="correctable errors before a "
+                                              "block is retired"),
+        "--transient-rate": dict(type=_rate, help="transient SEUs per "
+                                                  "operation (Poisson rate)"),
+        "--stuck-rate": dict(type=_rate,
+                             help="stuck-at cell faults per operation"),
+        "--burst-rate": dict(type=_rate,
+                             help="row-burst events per operation"),
+    }
+    fault_rates = ("--transient-rate", "--stuck-rate", "--burst-rate")
+
+    def stress(p, *names):
+        for name in names:
+            p.add_argument(name, **stress_flags[name])
+
     def obs_options(p):
         p.add_argument("--trace-out", metavar="FILE", default=None,
                        help="write a Chrome trace-event JSON (open in "
                             "Perfetto / chrome://tracing)")
         p.add_argument("--metrics-out", metavar="FILE", default=None,
                        help="write the run's metrics snapshot as JSON")
-        p.add_argument("--stats", action="store_true",
+        p.add_argument("--stats", action="store_true", default=False,
                        help="print the stats report after the exhibit")
 
     p = sub.add_parser("table2", help="re-encryption rates (Table 2)")
     common(p)
-    p.add_argument("--apps", nargs="+", default=table2_apps(),
-                   choices=table2_apps() + sorted(MICRO_PROFILES),
-                   metavar="APP")
+    apps(p, default=table2_apps())
     p.add_argument("--accesses", type=int, default=600_000,
                    help="trace accesses per core")
     obs_options(p)
@@ -661,9 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure8", help="normalized IPC (Figure 8)")
     common(p, default_region=128)
-    p.add_argument("--apps", nargs="+", default=figure8_apps(),
-                   choices=table2_apps() + sorted(MICRO_PROFILES),
-                   metavar="APP")
+    apps(p, default=figure8_apps())
     p.add_argument("--accesses", type=int, default=60_000)
     obs_options(p)
     p.set_defaults(func=_cmd_figure8)
@@ -676,9 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region-mb", type=int,
                    help="protected region size in MiB")
     p.add_argument("--seed", type=int)
-    p.add_argument("--apps", nargs="+", default=figure8_apps(),
-                   choices=table2_apps() + sorted(MICRO_PROFILES),
-                   metavar="APP")
+    apps(p, default=figure8_apps())
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes to shard applications across")
     p.add_argument("--mode", type=_kernel_mode,
@@ -693,8 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keystream backend (reference/fast/aesni run "
                         "real AES with different execution strategies; "
                         "splitmix is the simulation PRF)")
-    p.add_argument("--json-out", metavar="FILE", default=None,
-                   help="write the merged bench payload as JSON")
+    json_out(p, "write the merged bench payload as JSON")
     p.set_defaults(func=_cmd_bench)
 
     p = spec_parser(
@@ -702,9 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="perf-study sweep over keystream x mode x workers x preset "
              "flavors (BENCH_study.json comparison artifact)",
     )
-    p.add_argument("--apps", nargs="+",
-                   choices=table2_apps() + sorted(MICRO_PROFILES),
-                   metavar="APP")
+    apps(p)
     p.add_argument("--accesses", type=int,
                    help="trace accesses per core, per flavor")
     p.add_argument("--region-mb", type=int)
@@ -720,9 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N", help="worker counts to sweep")
     p.add_argument("--presets", nargs="+", choices=sorted(PRESETS),
                    metavar="PRESET")
-    p.add_argument("--json-out", metavar="FILE", default=None,
-                   help="write the study payload as JSON "
-                        "(e.g. BENCH_study.json)")
+    json_out(p, "write the study payload as JSON (e.g. BENCH_study.json)")
     p.set_defaults(func=_cmd_study)
 
     p = sub.add_parser("figure1", help="storage overhead (Figure 1)")
@@ -742,34 +717,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region-mb", type=int, default=16)
     p.set_defaults(func=_cmd_attacks)
 
-    p = sub.add_parser(
+    p = spec_parser(
         "resilience",
         help="fault campaign with retry recovery and block quarantine",
     )
-    p.add_argument("--preset", default="combined",
-                   choices=sorted(PRESETS))
-    p.add_argument("--region-kb", type=int, default=256,
+    p.add_argument("--preset", choices=sorted(PRESETS))
+    p.add_argument("--region-kb", type=int,
                    help="protected region size in KiB")
-    p.add_argument("--operations", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--spare-blocks", type=int, default=16,
+    p.add_argument("--operations", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--spare-blocks", type=int,
                    help="blocks reserved for quarantine remapping")
-    p.add_argument("--ce-threshold", type=int, default=3,
-                   help="correctable errors before a block is retired")
-    p.add_argument("--max-retries", type=int, default=2,
+    stress(p, "--ce-threshold")
+    p.add_argument("--max-retries", type=int,
                    help="re-reads before escalating to flip-and-check")
-    p.add_argument("--transient-rate", type=_rate, default=0.02,
-                   help="transient SEUs per operation (Poisson rate)")
-    p.add_argument("--stuck-rate", type=_rate, default=0.002,
-                   help="stuck-at cell faults per operation")
-    p.add_argument("--burst-rate", type=_rate, default=0.0005,
-                   help="row-burst events per operation")
-    p.add_argument("--write-fraction", type=float, default=0.25)
-    p.add_argument("--scrub-interval", type=int, default=1000,
+    stress(p, *fault_rates)
+    p.add_argument("--write-fraction", type=float)
+    p.add_argument("--scrub-interval", type=int,
                    help="operations between scrub sweeps (0 disables)")
-    p.add_argument("--json-out", metavar="FILE", default=None,
-                   help="write the campaign report (including the seed) "
-                        "as a JSON artifact")
+    json_out(p, "write the campaign report (including the seed) as a JSON "
+                "artifact")
     obs_options(p)
     p.set_defaults(func=_cmd_resilience)
 
@@ -782,9 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ops", type=int,
                    help="writes in the recorded workload")
     p.add_argument("--seed", type=int)
-    p.add_argument("--groups", type=int, dest="group_count",
-                   metavar="GROUPS",
-                   help="counter block-groups in the protected region")
+    stress(p, "--groups")
     p.add_argument("--blocks", type=int, dest="workload_blocks",
                    metavar="BLOCKS",
                    help="distinct addresses the workload touches")
@@ -807,8 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound the matrix to N points (CI smoke)")
     p.add_argument("--stride", type=int, default=1,
                    help="run every Nth point of the matrix")
-    p.add_argument("--json-out", metavar="FILE", default=None,
-                   help="write the matrix report as a JSON artifact")
+    json_out(p, "write the matrix report as a JSON artifact")
     p.set_defaults(func=_cmd_crash)
 
     p = spec_parser(
@@ -825,26 +789,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int,
                    help="writes per group-commit flush (0 = scalar)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--groups", type=int, dest="group_count",
-                   metavar="GROUPS",
-                   help="counter block-groups in the protected region")
+    stress(p, "--groups")
     p.add_argument("--checkpoint-every", type=int,
                    help="cycles between explicit checkpoints (telemetry "
                         "durability cadence)")
     p.add_argument("--spare-blocks", type=int,
                    help="quarantine spare pool size")
-    p.add_argument("--ce-threshold", type=int,
-                   help="correctable errors before a block is retired")
-    p.add_argument("--transient-rate", type=_rate,
-                   help="transient SEUs per operation (Poisson rate)")
-    p.add_argument("--stuck-rate", type=_rate,
-                   help="stuck-at cell faults per operation")
-    p.add_argument("--burst-rate", type=_rate,
-                   help="row-burst events per operation")
+    stress(p, "--ce-threshold", *fault_rates)
     p.add_argument("--limit", type=int, default=None,
                    help="bound the run to N cycles (CI smoke)")
-    p.add_argument("--json-out", metavar="FILE", default=None,
-                   help="write the torture report as a JSON artifact")
+    json_out(p, "write the torture report as a JSON artifact")
     p.set_defaults(func=_cmd_torture)
 
     p = sub.add_parser(
@@ -906,8 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--secret-seed", type=int)
         p.add_argument("--kill-shard", type=int, help=kill_help)
-        p.add_argument("--json-out", metavar="FILE", default=None,
-                       help=json_help)
+        json_out(p, json_help)
 
     p = spec_parser(
         "loadgen",
@@ -962,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser("trace", help="generate a workload trace file")
-    p.add_argument("app", choices=table2_apps() + sorted(MICRO_PROFILES))
+    p.add_argument("app", choices=app_choices)
     p.add_argument("output", help="output path (.trc.gz)")
     common(p)
     p.add_argument("--accesses", type=int, default=100_000)

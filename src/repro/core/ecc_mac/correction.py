@@ -37,9 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from repro.crypto.mac import CarterWegmanMac
-
-BLOCK_BITS = 512
-BLOCK_BYTES = 64
+from repro.lint.contracts import BLOCK_BITS, BLOCK_BYTES
 
 
 class CorrectionMethod(enum.Enum):

@@ -28,7 +28,6 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.counters.events import CounterEvent
 from repro.core.ecc_mac.correction import (
-    CorrectionMethod,
     CorrectionResult,
     FlipAndCheckCorrector,
 )
@@ -150,7 +149,6 @@ class SecureMemory:
         self,
         config: EngineConfig,
         key: bytes,
-        correction_method: CorrectionMethod = CorrectionMethod.ACCELERATED,
         registry: MetricRegistry | None = None,
         durability: DurabilityConfig | None = None,
     ) -> None:
@@ -170,7 +168,6 @@ class SecureMemory:
         self._mac = CarterWegmanMac(key[16:40], mode=config.keystream_mode)
         self._codec = MacEccCodec(self._mac)
         self._corrector = FlipAndCheckCorrector(self._mac)
-        self._correction_method = correction_method
         tree_key = int.from_bytes(key[40:48], "little")
         #: counter storage as the attacker sees it: group -> serialized bytes
         self.counter_storage: dict[int, bytes] = {}
@@ -472,11 +469,7 @@ class SecureMemory:
             if result.ok:
                 return ciphertext
             correction = self._corrector.correct(
-                ciphertext,
-                address,
-                nonce,
-                result.recovered_mac,
-                method=self._correction_method,
+                ciphertext, address, nonce, result.recovered_mac
             )
             if not correction.corrected:
                 raise IntegrityError(
@@ -623,11 +616,7 @@ class SecureMemory:
             )
         # Data MAC mismatch: attempt flip-and-check before declaring tamper.
         correction = self._corrector.correct(
-            ciphertext,
-            address,
-            nonce,
-            result.recovered_mac,
-            method=self._correction_method,
+            ciphertext, address, nonce, result.recovered_mac
         )
         if not correction.corrected:
             self._m_mac_fails.inc()

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from repro.core.counters import make_scheme
 from repro.core.engine.config import EngineConfig, preset
 from repro.core.engine.timing import EncryptionTimingBackend
+from repro.lint.contracts import BLOCK_BYTES
 from repro.memsim.cache.cache import AccessType, Cache, CacheConfig
 from repro.memsim.cpu.system import (
     PlainMemoryBackend,
@@ -29,8 +30,6 @@ from repro.memsim.cpu.system import (
 from repro.obs.metrics import MetricRegistry, use_registry
 from repro.obs.trace import EventTracer, get_tracer, use_tracer
 from repro.workloads.parsec import ParsecProfile, profile
-
-BLOCK_BYTES = 64
 
 
 def _observed(registry: MetricRegistry | None, tracer: EventTracer | None):

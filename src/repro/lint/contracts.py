@@ -48,6 +48,7 @@ ECC_FIELD_BYTES = 8
 # -- blocks and groups (Sections 3-4) ----------------------------------------
 
 BLOCK_BYTES = 64  #: one cache line / one ciphertext block
+BLOCK_BITS = BLOCK_BYTES * 8  #: data bits per block (fault-injection range)
 GROUP_BLOCKS = 64  #: blocks sharing one counter-metadata block
 GROUP_BYTES = 4096  #: 4 KB of data per group
 METADATA_BLOCK_BITS = 512  #: one 64-byte metadata block
@@ -193,6 +194,7 @@ CONTRACT_CONSTANTS: dict[str, int] = {
     "ECC_FIELD_BITS": ECC_FIELD_BITS,
     "ECC_FIELD_BYTES": ECC_FIELD_BYTES,
     "BLOCK_BYTES": BLOCK_BYTES,
+    "BLOCK_BITS": BLOCK_BITS,
     "GROUP_BLOCKS": GROUP_BLOCKS,
     "GROUP_BYTES": GROUP_BYTES,
     "METADATA_BLOCK_BITS": METADATA_BLOCK_BITS,
@@ -478,6 +480,7 @@ __all__ = [
     "TaintModel",
     "TxnModel",
     "BASE_DELTA_BITS",
+    "BLOCK_BITS",
     "BLOCK_BYTES",
     "BitField",
     "CONTRACT_BYTE_SIZES",

@@ -18,14 +18,16 @@ what a production memory system layers on top of any detector:
 
 from repro.resilience.campaign import (
     CampaignReport,
+    CampaignSpec,
     FaultCampaign,
     FaultModel,
+    FaultRates,
     FaultSpec,
     RowBurst,
     ScenarioFaultModel,
     StuckAtBit,
     TransientSEU,
-    default_models,
+    run_campaign,
 )
 from repro.resilience.errlog import ErrorLog, ErrorRecord, EventOutcome
 from repro.resilience.quarantine import BlockHealth, QuarantineMap
@@ -40,11 +42,13 @@ from repro.resilience.runtime import ResilientMemory
 __all__ = [
     "BlockHealth",
     "CampaignReport",
+    "CampaignSpec",
     "ErrorLog",
     "ErrorRecord",
     "EventOutcome",
     "FaultCampaign",
     "FaultModel",
+    "FaultRates",
     "FaultSpec",
     "QuarantineMap",
     "RecoveredRead",
@@ -56,5 +60,5 @@ __all__ = [
     "ScenarioFaultModel",
     "StuckAtBit",
     "TransientSEU",
-    "default_models",
+    "run_campaign",
 ]

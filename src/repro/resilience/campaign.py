@@ -33,14 +33,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.analysis.faults import FaultScenario
+from repro.core.engine.config import preset
 from repro.harness.oracle import SDC, ZERO_BLOCK, ShadowOracle
 from repro.harness.reporting import format_series, format_table
+from repro.lint.contracts import BLOCK_BITS, BLOCK_BYTES
 from repro.resilience.errlog import EventOutcome
-from repro.resilience.recovery import RecoveryStage
+from repro.resilience.recovery import RecoveryStage, RetryPolicy
 from repro.resilience.runtime import ResilientMemory
-
-BLOCK_BYTES = 64
-BLOCK_BITS = 512
 
 
 def poisson_draw(rng: random.Random, rate: float) -> int:
@@ -210,12 +209,51 @@ _STAGE_TO_PRIMARY = {
 }
 
 
+@dataclass(frozen=True)
+class FaultRates:
+    """Per-operation Poisson rates of the three built-in fault classes:
+    the fault mix :class:`CampaignSpec` and the torture spec share."""
+
+    transient_rate: float = 0.02
+    stuck_rate: float = 0.002
+    burst_rate: float = 0.0005
+
+    def __post_init__(self) -> None:
+        if min(self.transient_rate, self.stuck_rate, self.burst_rate) < 0:
+            raise ValueError("fault rates must be >= 0")
+
+    def models(self) -> list[FaultModel]:
+        """The standard three-class campaign mix (zero rates left out)."""
+        mix = (
+            (TransientSEU, self.transient_rate),
+            (StuckAtBit, self.stuck_rate),
+            (RowBurst, self.burst_rate),
+        )
+        return [model(rate) for model, rate in mix if rate]
+
+
+@dataclass(frozen=True)
+class CampaignSpec(FaultRates):
+    """One deterministic fault campaign (``repro resilience``): a preset
+    over ``region_kb`` KiB, keyed from ``seed``, under the fault mix."""
+
+    preset: str = "combined"
+    region_kb: int = 256
+    operations: int = 5000
+    seed: int = 1
+    spare_blocks: int = 16  # blocks reserved for quarantine remapping
+    ce_threshold: int = 3  # correctable errors before a block is retired
+    max_retries: int = 2  # re-reads before escalating to flip-and-check
+    write_fraction: float = 0.25
+    scrub_interval: int = 1000  # operations between scrub sweeps (0 = off)
+
+
 @dataclass
 class CampaignReport:
     """Everything a reliability summary needs, reconciled."""
 
-    operations: int
     seed: int
+    operations: int = 0
     injected: Counter = field(default_factory=Counter)  # model -> faults
     primary: dict[str, Counter] = field(default_factory=dict)  # model -> outcome
     due_rewrites: int = 0  # blocks software-repaired after a DUE
@@ -230,14 +268,22 @@ class CampaignReport:
     degraded_blocks: int = 0
     spares_remaining: int = 0
     capacity_blocks: int = 0
+    log_summary: str = ""  # the error log's table before the final sweep
+    ground_truth_mismatches: int = 0  # final sweep over every written block
+    written_blocks: int = 0
 
     @property
     def injected_total(self) -> int:
         return sum(self.injected.values())
 
     @property
+    def outcomes(self) -> Counter:
+        """Primary outcome -> count, over every fault model."""
+        return sum(self.primary.values(), Counter())
+
+    @property
     def primary_total(self) -> int:
-        return sum(sum(c.values()) for c in self.primary.values())
+        return sum(self.outcomes.values())
 
     def observe(self, model: str, outcome: str) -> None:
         """Record one injected fault's primary outcome."""
@@ -247,38 +293,55 @@ class CampaignReport:
         """Every injected fault terminated in exactly one primary outcome."""
         return self.injected_total == self.primary_total
 
-    def as_dict(self) -> dict:
+    @property
+    def ok(self) -> bool:
+        """Reconciled, no SDC, and the final sweep found no mismatch."""
+        return self.reconciles() and not (
+            self.sdc_total or self.ground_truth_mismatches
+        )
+
+    def _counters_json(self) -> dict:
+        """The traffic, fault and quarantine counters every report of
+        this family emits under the same keys."""
+        return {
+            "injected": dict(sorted(self.injected.items())),
+            "injected_total": self.injected_total,
+            "reads": self.reads,
+            "writes": self.writes,
+            "sdc_total": self.sdc_total,
+            "retired_blocks": self.retired_blocks,
+            "degraded_blocks": self.degraded_blocks,
+            "spares_remaining": self.spares_remaining,
+        }
+
+    def to_json(self) -> dict:
         """JSON-ready form (the ``repro resilience --json-out`` artifact).
 
         Carries the seed so any emitted result can be re-run exactly.
         """
         return {
+            **self._counters_json(),
             "operations": self.operations,
             "seed": self.seed,
-            "injected": dict(sorted(self.injected.items())),
             "primary": {
                 model: dict(sorted(counts.items()))
                 for model, counts in sorted(self.primary.items())
             },
-            "injected_total": self.injected_total,
             "primary_total": self.primary_total,
             "reconciles": self.reconciles(),
             "due_rewrites": self.due_rewrites,
-            "reads": self.reads,
-            "writes": self.writes,
-            "sdc_total": self.sdc_total,
             "cycles_spent": self.cycles_spent,
             "log_events": self.log_events,
             "ce_total": self.ce_total,
             "due_total": self.due_total,
-            "retired_blocks": self.retired_blocks,
-            "degraded_blocks": self.degraded_blocks,
-            "spares_remaining": self.spares_remaining,
             "capacity_blocks": self.capacity_blocks,
+            "ground_truth_mismatches": self.ground_truth_mismatches,
+            "sound": self.ok,
         }
 
-    def format(self) -> str:
-        """Reliability summary tables (harness/reporting style)."""
+    def format_summary(self) -> str:
+        """Reliability summary tables (harness/reporting style), the
+        error log's table, and the final sweep's verdict."""
         rows = []
         for model in sorted(self.injected):
             counts = self.primary.get(model, Counter())
@@ -286,12 +349,10 @@ class CampaignReport:
                 [model, self.injected[model]]
                 + [counts.get(label, 0) for label in PRIMARY_OUTCOMES]
             )
+        outcomes = self.outcomes
         rows.append(
             ["TOTAL", self.injected_total]
-            + [
-                sum(c.get(label, 0) for c in self.primary.values())
-                for label in PRIMARY_OUTCOMES
-            ]
+            + [outcomes.get(label, 0) for label in PRIMARY_OUTCOMES]
         )
         matrix = format_table(
             f"Fault campaign -- primary outcome per injected fault "
@@ -317,7 +378,11 @@ class CampaignReport:
                 "reconciles": "yes" if self.reconciles() else "NO",
             },
         )
-        return matrix + "\n\n" + summary
+        sweep = (
+            f"final ground-truth sweep: {self.ground_truth_mismatches} "
+            f"mismatches over {self.written_blocks} written blocks"
+        )
+        return "\n\n".join([matrix, summary, self.log_summary, sweep])
 
 
 class FaultCampaign:
@@ -405,6 +470,7 @@ class FaultCampaign:
         report.observe(model.name, _STAGE_TO_PRIMARY[rec.stage])
 
     def _traffic_op(self, report) -> None:
+        report.operations += 1
         capacity = self.memory.capacity_blocks
         for model in self.models:
             for _ in range(model.arrivals(self.rng)):
@@ -421,11 +487,10 @@ class FaultCampaign:
             self._read(address, report, "background")
 
     def run(self, operations: int) -> CampaignReport:
-        """Run the campaign; fully deterministic for a given seed."""
+        """Run the campaign and its final ground-truth sweep; fully
+        deterministic for a given seed."""
         report = CampaignReport(
-            operations=operations,
-            seed=self.seed,
-            capacity_blocks=self.memory.capacity_blocks,
+            seed=self.seed, capacity_blocks=self.memory.capacity_blocks
         )
         for op in range(operations):
             self._traffic_op(report)
@@ -441,6 +506,11 @@ class FaultCampaign:
         report.due_total = log.due_total
         report.cycles_spent = self.memory.cycle
         self._tally_quarantine(report)
+        # The sweep re-reads every written block (and may retire a few
+        # last blocks), so the log's table is taken before it.
+        report.log_summary = log.format_summary()
+        report.ground_truth_mismatches = self.verify_all()
+        report.written_blocks = len(self.shadow.acked)
         return report
 
     def _tally_quarantine(self, report) -> None:
@@ -459,32 +529,39 @@ class FaultCampaign:
         return self.shadow.verify(observed)[SDC]
 
 
-def default_models(
-    transient_rate: float = 0.02,
-    stuck_rate: float = 0.002,
-    burst_rate: float = 0.0005,
-) -> list[FaultModel]:
-    """The standard three-class campaign mix."""
-    models: list[FaultModel] = []
-    if transient_rate:
-        models.append(TransientSEU(transient_rate))
-    if stuck_rate:
-        models.append(StuckAtBit(stuck_rate))
-    if burst_rate:
-        models.append(RowBurst(burst_rate))
-    return models
+def run_campaign(spec: CampaignSpec) -> CampaignReport:
+    """One campaign from its spec: a seed-keyed :class:`ResilientMemory`
+    under the spec's fault mix, ending in the ground-truth sweep."""
+    config = preset(
+        spec.preset, protected_bytes=spec.region_kb * 1024,
+        keystream_mode="splitmix",
+    )
+    # Key derived from the seed so the whole run is reproducible.
+    key = bytes(random.Random(spec.seed).randrange(256) for _ in range(48))
+    memory = ResilientMemory(
+        config, key, spare_blocks=spec.spare_blocks,
+        ce_threshold=spec.ce_threshold,
+        retry_policy=RetryPolicy(max_retries=spec.max_retries),
+    )
+    return FaultCampaign(
+        memory, spec.models(), seed=spec.seed,
+        write_fraction=spec.write_fraction,
+        scrub_interval=spec.scrub_interval if config.mac_in_ecc else 0,
+    ).run(spec.operations)
 
 
 __all__ = [
-    "FaultCampaign",
     "CampaignReport",
+    "CampaignSpec",
+    "FaultCampaign",
     "FaultModel",
+    "FaultRates",
     "FaultSpec",
     "TransientSEU",
     "StuckAtBit",
     "RowBurst",
     "ScenarioFaultModel",
-    "default_models",
     "poisson_draw",
+    "run_campaign",
     "PRIMARY_OUTCOMES",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-BLOCK_BYTES = 64
+from repro.lint.contracts import BLOCK_BYTES
 
 
 class SparesExhausted(RuntimeError):

@@ -59,7 +59,6 @@ reported violation replays bit-for-bit.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -70,12 +69,12 @@ from repro.persist.config import DurabilityConfig
 from repro.persist.crashsim import StressSpec
 from repro.persist.recovery import RecoveryError
 from repro.persist.store import DurableStore
-from repro.resilience.campaign import FaultCampaign, FaultModel, default_models
+from repro.resilience.campaign import CampaignReport, FaultCampaign, FaultRates
 from repro.stack import EngineStack
 
 
 @dataclass(frozen=True)
-class TortureSpec(StressSpec):
+class TortureSpec(StressSpec, FaultRates):
     """One deterministic torture scenario (pure function of ``seed``).
 
     The defaults run 100 crash-recovery cycles -- the acceptance bar --
@@ -99,7 +98,8 @@ class TortureSpec(StressSpec):
     burst_rate: float = 0.002
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        StressSpec.__post_init__(self)
+        FaultRates.__post_init__(self)
         if self.cycles < 1 or self.ops_per_cycle < 1:
             raise ValueError("cycles and ops_per_cycle must be >= 1")
         if self.batch < 1:
@@ -110,9 +110,6 @@ class TortureSpec(StressSpec):
             raise ValueError("spare_blocks must be >= 0")
         if not 0 <= self.write_fraction <= 1:
             raise ValueError("write_fraction must be in [0, 1]")
-        for rate in (self.transient_rate, self.stuck_rate, self.burst_rate):
-            if rate < 0:
-                raise ValueError("fault rates must be >= 0")
 
     def durability(self) -> DurabilityConfig:
         # Checkpoints fire only when the harness asks: the telemetry
@@ -131,41 +128,18 @@ class TortureSpec(StressSpec):
             "due_threshold": self.due_threshold,
         }
 
-    def models(self) -> list[FaultModel]:
-        return default_models(
-            transient_rate=self.transient_rate,
-            stuck_rate=self.stuck_rate,
-            burst_rate=self.burst_rate,
-        )
-
 
 @dataclass
-class TortureReport:
-    """Aggregate verdict over one torture campaign."""
+class TortureReport(CampaignReport):
+    """Aggregate verdict over one torture campaign: the fault campaign's
+    counters plus the crash schedule's."""
 
-    spec: TortureSpec
+    spec: TortureSpec = field(default_factory=TortureSpec)
     cycles_run: int = 0
     recoveries: int = 0
     checkpoints: int = 0
-    writes: int = 0
-    reads: int = 0
     group_commits: int = 0
-    injected: Counter = field(default_factory=Counter)  # model -> faults
-    primary: Counter = field(default_factory=Counter)  # outcome -> count
-    due_repairs: int = 0
-    sdc_total: int = 0
-    retired_blocks: int = 0
-    degraded_blocks: int = 0
-    spares_remaining: int = 0
     violations: list[str] = field(default_factory=list)
-
-    @property
-    def injected_total(self) -> int:
-        return sum(self.injected.values())
-
-    def observe(self, model: str, outcome: str) -> None:
-        """Record one injected fault's primary outcome."""
-        self.primary[outcome] += 1
 
     @property
     def ok(self) -> bool:
@@ -173,21 +147,14 @@ class TortureReport:
 
     def to_json(self) -> dict[str, Any]:
         return {
+            **self._counters_json(),
             "spec": self.spec.to_json(),
             "cycles_run": self.cycles_run,
             "recoveries": self.recoveries,
             "checkpoints": self.checkpoints,
-            "writes": self.writes,
-            "reads": self.reads,
             "group_commits": self.group_commits,
-            "injected": dict(sorted(self.injected.items())),
-            "injected_total": self.injected_total,
-            "primary": dict(sorted(self.primary.items())),
-            "due_repairs": self.due_repairs,
-            "sdc_total": self.sdc_total,
-            "retired_blocks": self.retired_blocks,
-            "degraded_blocks": self.degraded_blocks,
-            "spares_remaining": self.spares_remaining,
+            "primary": dict(sorted(self.outcomes.items())),
+            "due_repairs": self.due_rewrites,
             "violations": list(self.violations),
             "ok": self.ok,
         }
@@ -195,7 +162,7 @@ class TortureReport:
     def format_summary(self) -> str:
         injected = format_table(
             f"Torture campaign -- fault arrivals "
-            f"({self.cycles_run} crash cycles, seed {self.spec.seed})",
+            f"({self.cycles_run} crash cycles, seed {self.seed})",
             ["fault model", "injected"],
             [[name, count] for name, count in sorted(self.injected.items())]
             + [["TOTAL", self.injected_total]],
@@ -208,9 +175,9 @@ class TortureReport:
                 "writes / reads": f"{self.writes} / {self.reads}",
                 "group commits sealed": self.group_commits,
                 "primary outcomes": ", ".join(
-                    f"{k}={v}" for k, v in sorted(self.primary.items())
+                    f"{k}={v}" for k, v in sorted(self.outcomes.items())
                 ) or "none",
-                "DUE blocks repaired": self.due_repairs,
+                "DUE blocks repaired": self.due_rewrites,
                 "blocks retired": self.retired_blocks,
                 "blocks degraded": self.degraded_blocks,
                 "spares remaining": self.spares_remaining,
@@ -254,7 +221,7 @@ class TortureCampaign(FaultCampaign):
             seed=spec.seed,
             write_fraction=spec.write_fraction,
         )
-        self.report = TortureReport(spec=spec)
+        self.report = TortureReport(seed=spec.seed, spec=spec)
         #: telemetry captured at the last explicit checkpoint
         self.checkpoint_errlog = self.stack.resilient.log.state_dict()
         self.checkpoint_health = self._health_state()
@@ -297,7 +264,7 @@ class TortureCampaign(FaultCampaign):
         # Detected-uncorrectable: data destroyed by injected physics,
         # flagged, software-repaired from the shadow -- the same
         # contract the fault campaign enforces.
-        report.due_repairs += 1
+        report.due_rewrites += 1
         report.writes += 1
         self._write(address, self.shadow.expected(address))
         self._flush_ack()

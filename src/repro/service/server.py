@@ -78,7 +78,7 @@ from repro.service.errors import (
     to_response,
 )
 from repro.service.lifecycle import drain_tenants, recover_tenants
-from repro.service.quota import QuotaConfig, TenantQuota
+from repro.service.quota import TenantQuota
 from repro.service.router import ShardRouter
 from repro.service.tenant import (
     BLOCK_BYTES,
@@ -467,17 +467,7 @@ class Shard:
                 "no new tenants accepted",
                 shard=self.shard_index,
             )
-        spec = TenantSpec(
-            tenant_id=str(request["tenant"]),
-            preset=str(request.get("preset", "combined")),
-            region_kb=int(request.get("region_kb", 64)),
-            keystream=str(request.get("keystream", "splitmix")),
-            resilience=bool(request.get("resilience", False)),
-            spare_blocks=int(request.get("spare_blocks", 4)),
-            ce_threshold=int(request.get("ce_threshold", 2)),
-            checkpoint_interval=int(request.get("checkpoint_interval", 32)),
-            quota=QuotaConfig.from_json(request.get("quota", {})),
-        )
+        spec = TenantSpec.read(request["tenant"], request)
         owner = self.router.shard_of(spec.tenant_id)
         if owner != self.shard_index:
             raise ShardUnavailable(
@@ -746,22 +736,27 @@ class ServiceSupervisor:
         # repro-lint: disable=RL002
         deadline = time.monotonic() + timeout
         for shard in self.router.shards():
-            path = self.router.socket_path(shard)
-            while True:
-                if _socket_accepts(path):
-                    break
-                if not self.alive(shard):
-                    raise ShardUnavailable(
-                        f"shard {shard} died before becoming ready",
-                        shard=shard,
-                    )
-                # repro-lint: disable=RL002
-                if time.monotonic() > deadline:
-                    raise ShardUnavailable(
-                        f"shard {shard} not ready within {timeout}s",
-                        shard=shard,
-                    )
-                time.sleep(0.02)
+            self._poll_ready(
+                shard, deadline, f"shard {shard} not ready within {timeout}s"
+            )
+
+    def _poll_ready(
+        self, shard: int, deadline: float, late: str, *, watch: bool = True
+    ) -> None:
+        """Poll ``shard``'s socket until it accepts; refuse with ``late``
+        once the deadline passes, or (with ``watch``) once the worker
+        has died."""
+        path = self.router.socket_path(shard)
+        while not _socket_accepts(path):
+            if watch and not self.alive(shard):
+                raise ShardUnavailable(
+                    f"shard {shard} died before becoming ready",
+                    shard=shard,
+                )
+            # repro-lint: disable=RL002
+            if time.monotonic() > deadline:
+                raise ShardUnavailable(late, shard=shard)
+            time.sleep(0.02)
 
     def kill_shard(self, shard: int) -> None:
         """SIGKILL a worker: the crash the durability plane exists for."""
@@ -780,15 +775,12 @@ class ServiceSupervisor:
         # Restart deadline: host process, real time.
         # repro-lint: disable=RL002
         deadline = time.monotonic() + timeout
-        path = self.router.socket_path(shard)
-        while not _socket_accepts(path):
-            # repro-lint: disable=RL002
-            if time.monotonic() > deadline:
-                raise ShardUnavailable(
-                    f"restarted shard {shard} not ready within {timeout}s",
-                    shard=shard,
-                )
-            time.sleep(0.02)
+        self._poll_ready(
+            shard,
+            deadline,
+            f"restarted shard {shard} not ready within {timeout}s",
+            watch=False,
+        )
 
     def stop(self, timeout: float = 10.0) -> None:
         """Graceful shutdown: SIGTERM (drain) every worker, then join."""

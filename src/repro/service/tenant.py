@@ -42,11 +42,12 @@ import hashlib
 import json
 import pathlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 from repro.core.engine.config import preset
 from repro.faultfs import FaultFS, FaultProfile, StorageFault
+from repro.lint.contracts import BLOCK_BYTES
 from repro.obs.metrics import MetricRegistry
 from repro.persist.config import DurabilityConfig
 from repro.persist.recovery import RecoveryReport
@@ -62,7 +63,6 @@ from repro.stack import EngineStack
 MANIFEST_SCHEMA = "repro.service.tenant/1"
 MANIFEST_NAME = "tenant.json"
 STATE_NAME = "state.json"
-BLOCK_BYTES = 64
 
 _TENANT_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
@@ -156,16 +156,23 @@ class TenantSpec:
                 f"unsupported tenant manifest schema "
                 f"{payload.get('schema')!r} (expected {MANIFEST_SCHEMA!r})"
             )
+        return cls.read(payload["tenant_id"], payload)
+
+    @classmethod
+    def read(cls, tenant_id: Any, payload: dict[str, Any]) -> "TenantSpec":
+        """Build a spec from an external mapping (a manifest or a
+        provision request).  Each field given is coerced to its default's
+        type (``int``/``bool``/``str``), so a malformed value raises
+        ``ValueError``/``TypeError``; each field left out keeps the
+        dataclass default."""
         return cls(
-            tenant_id=payload["tenant_id"],
-            preset=payload.get("preset", "combined"),
-            region_kb=int(payload.get("region_kb", 64)),
-            keystream=payload.get("keystream", "splitmix"),
-            resilience=bool(payload.get("resilience", False)),
-            spare_blocks=int(payload.get("spare_blocks", 4)),
-            ce_threshold=int(payload.get("ce_threshold", 2)),
-            checkpoint_interval=int(payload.get("checkpoint_interval", 32)),
+            tenant_id=str(tenant_id),
             quota=QuotaConfig.from_json(payload.get("quota", {})),
+            **{
+                f.name: type(f.default)(payload[f.name])
+                for f in fields(cls)
+                if f.default is not MISSING and f.name in payload
+            },
         )
 
 

@@ -61,6 +61,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
+from repro.lint.contracts import BLOCK_BYTES
 from repro.workloads.patterns import (
     PatternMix,
     sequential_stream,
@@ -69,7 +70,6 @@ from repro.workloads.patterns import (
     zipf_hot_set,
 )
 
-BLOCK_BYTES = 64
 _MB = 1024 * 1024 // BLOCK_BYTES  # blocks per MiB
 _KB = 1024 // BLOCK_BYTES  # blocks per KiB (16)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-BLOCK_BYTES = 64
+from repro.lint.contracts import BLOCK_BYTES
 
 
 class sequential_stream:

@@ -19,7 +19,7 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: RL001  the three SplitMix64 mixer shifts in crypto/prf.py (30/27/31
 #:        are algorithm constants, not layout fields)
 #: RL002  intentional wallclock: supervisor/client readiness + retry
-#:        deadlines against real processes in service/server.py (6),
+#:        deadlines against real processes in service/server.py (5),
 #:        and the service campaign's per-op latency + campaign
 #:        wallclock in service/chaos.py (4, shared by loadgen)
 #: RL006  recovery replay in resilience/runtime.py applies quarantine
@@ -30,7 +30,7 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #:        just-cancelled dispatcher task in serve() (1)
 EXPECTED_SUPPRESSIONS = {
     "RL001": 3,
-    "RL002": 10,
+    "RL002": 9,
     "RL006": 2,
     "RL007": 5,
 }

@@ -8,11 +8,11 @@ from repro.analysis.faults import figure3_scenarios
 from repro.core.engine.config import preset
 from repro.resilience.campaign import (
     FaultCampaign,
+    FaultRates,
     RowBurst,
     ScenarioFaultModel,
     StuckAtBit,
     TransientSEU,
-    default_models,
     poisson_draw,
 )
 from repro.resilience.recovery import RetryPolicy
@@ -110,7 +110,7 @@ class TestAcceptanceCampaign:
     def test_campaign_is_deterministic(self):
         _, first = self._run()
         _, second = self._run()
-        assert first.format() == second.format()
+        assert first.format_summary() == second.format_summary()
         assert first.injected == second.injected
         assert first.primary == second.primary
 
@@ -123,9 +123,9 @@ class TestMixedCampaign:
         )
         campaign = FaultCampaign(
             memory,
-            default_models(
+            FaultRates(
                 transient_rate=0.02, stuck_rate=0.005, burst_rate=0.001
-            ),
+            ).models(),
             seed=9,
             scrub_interval=500,
         )
@@ -177,7 +177,7 @@ class TestMixedCampaign:
     def test_report_format_mentions_everything(self):
         memory = _build(region=16 * 1024, spare_blocks=8)
         campaign = FaultCampaign(memory, [TransientSEU(rate=0.05)], seed=1)
-        text = campaign.run(300).format()
+        text = campaign.run(300).format_summary()
         assert "Fault campaign" in text
         assert "transient_seu" in text
         assert "Reliability summary" in text

@@ -10,6 +10,7 @@ import pytest
 from repro.obs.catalog import SERVICE_OPS, SERVICE_REJECTIONS, resolve
 from repro.service.endpoints import health_payload, metrics_payload, scrape
 from repro.service.router import shard_of
+from repro.service.tenant import TenantSpec
 from repro.service.server import (
     OPS,
     REJECTION_CODES,
@@ -58,6 +59,26 @@ class TestDispatch:
         assert response["ok"] is False
         assert response["error"]["code"] == "internal"
         assert "explode" in response["error"]["message"]
+
+    def test_provision_with_only_a_tenant_takes_the_spec_defaults(
+        self, shard
+    ):
+        tenant = owned_tenant_ids(0, 2, 1)[0]
+        response = shard.handle_request({"op": "provision", "tenant": tenant})
+        assert response["ok"], response
+        assert shard.tenants[tenant].spec == TenantSpec(tenant_id=tenant)
+
+    def test_non_integer_region_is_a_bad_request(self, shard):
+        tenant = owned_tenant_ids(0, 2, 1)[0]
+        response = shard.handle_request(
+            {"op": "provision", "tenant": tenant, "region_kb": "lots"}
+        )
+        assert response["ok"] is False
+        assert response["error"]["code"] == "internal"
+        assert "bad request for op 'provision'" in (
+            response["error"]["message"]
+        )
+        assert tenant not in shard.tenants
 
     def test_malformed_request_never_raises(self, shard):
         tenant = owned_tenant_ids(0, 2, 1)[0]

@@ -51,6 +51,18 @@ class TestSpec:
         with pytest.raises(ValueError):
             TenantSpec.from_json(payload)
 
+    def test_manifest_missing_optional_keys_takes_the_defaults(self):
+        payload = {"schema": spec().to_json()["schema"], "tenant_id": "t"}
+        assert TenantSpec.from_json(payload) == TenantSpec(tenant_id="t")
+
+    def test_read_coerces_each_field_to_its_default_type(self):
+        got = TenantSpec.read(7, {"region_kb": "8", "resilience": 1,
+                                  "spare_blocks": 2.0})
+        assert got == TenantSpec(tenant_id="7", region_kb=8,
+                                 resilience=True, spare_blocks=2)
+        with pytest.raises(ValueError):
+            TenantSpec.read("t", {"region_kb": "eight"})
+
 
 class TestKeyDerivation:
     def test_distinct_per_tenant_and_seed(self):

@@ -12,6 +12,7 @@ from repro.harness.parallel import BenchSpec
 from repro.harness.study import StudySpec
 from repro.memsim.cpu.trace import load_trace
 from repro.persist.crashsim import CrashSimSpec
+from repro.resilience.campaign import CampaignSpec
 from repro.resilience.torture import TortureSpec
 from repro.service.chaos import ChaosSpec
 from repro.service.loadgen import LoadgenSpec
@@ -34,6 +35,7 @@ def _argument_choices(parser, command, option):
 SPEC_COMMANDS = {
     "bench": BenchSpec,
     "study": StudySpec,
+    "resilience": CampaignSpec,
     "crash": CrashSimSpec,
     "torture": TortureSpec,
     "loadgen": LoadgenSpec,
