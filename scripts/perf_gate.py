@@ -108,15 +108,11 @@ def run_scalar_baseline(spec: BenchSpec) -> float:
 
 def run_batched(spec: BenchSpec, workers: int) -> tuple[float, dict]:
     started = time.perf_counter()
-    payload = run_bench(spec, workers=workers)
+    report = run_bench(spec, workers=workers)
     elapsed = time.perf_counter() - started
-    mismatches = sum(
-        result["readback_mismatches"]
-        for result in payload["results"].values()
-    )
-    if mismatches:
-        raise AssertionError(f"batched read-back mismatches: {mismatches}")
-    return elapsed, payload
+    if not report.ok:
+        raise AssertionError("batched bench failed its read-back check")
+    return elapsed, report.to_json()
 
 
 def run_aesni_probe(spec: BenchSpec, nonces: int = 4096,

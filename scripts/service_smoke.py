@@ -56,20 +56,14 @@ def main(argv: list[str] | None = None) -> int:
     # The service root lives in /tmp, not the artifact dir: AF_UNIX
     # socket paths are limited to ~104 bytes and CI workspaces are deep.
     with tempfile.TemporaryDirectory(prefix="svc-smoke-") as root:
-        payload = run_loadgen(spec, root, out / "BENCH_service.json")
-        results = payload["results"]
-        print(
-            f"service_smoke: loadgen {results['acked_ops']} ops at "
-            f"{results['throughput_ops_s']} ops/s, "
-            f"p50 {results['p50_ms']} ms, p99 {results['p99_ms']} ms, "
-            f"{results['verified_blocks']} blocks verified, "
-            f"{results['sdc_blocks']} SDC"
-        )
-        if not payload["all_verified"]:
+        report = run_loadgen(spec, root)
+        dump_json(report.to_json(), out / "BENCH_service.json")
+        print(report.format_summary())
+        if not report.ok:
             print("service_smoke: FAIL: shadow verification found "
                   "corruption", file=sys.stderr)
             return 1
-        if not results["kill_events"]:
+        if not report.to_json()["results"]["kill_events"]:
             print("service_smoke: FAIL: chaos kill never fired",
                   file=sys.stderr)
             return 1
@@ -81,6 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             supervisor.wait_ready()
             failures = []
+            recovered = 0
             for shard in range(spec.shards):
                 http = str(supervisor.router.http_socket_path(shard))
                 health = scrape(http, "/health")
@@ -88,6 +83,7 @@ def main(argv: list[str] | None = None) -> int:
                 dump_json(health, out / f"shard-{shard}.health.json")
                 dump_json(metrics, out / f"shard-{shard}.metrics.json")
                 recovery = health.get("recovery", {})
+                recovered += recovery.get("recovered", 0)
                 print(
                     f"service_smoke: shard {shard} status="
                     f"{health['status']} recovered="
@@ -100,12 +96,6 @@ def main(argv: list[str] | None = None) -> int:
                     failures.append(
                         f"shard {shard} recovery not verified"
                     )
-            recovered = sum(
-                scrape(
-                    str(supervisor.router.http_socket_path(s)), "/health"
-                )["recovery"]["recovered"]
-                for s in range(spec.shards)
-            )
             if recovered != spec.tenants:
                 failures.append(
                     f"recovered {recovered} tenants, "

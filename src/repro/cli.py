@@ -26,10 +26,11 @@ import os
 import pathlib
 import subprocess
 import sys
-import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass, replace
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from repro.analysis.attacks import run_all
 from repro.analysis.faults import figure3_scenarios, run_fault_matrix
@@ -43,7 +44,7 @@ from repro.fast.backends import keystream_backends
 from repro.fast.kernels import parse_mode
 from repro.harness.parallel import BenchSpec, run_bench
 from repro.harness.study import StudySpec, run_study
-from repro.harness.reporting import dump_json, format_series, format_table
+from repro.harness.reporting import dump_json, format_table
 from repro.harness.runner import PerformanceExperiment, ReencryptionExperiment
 from repro.lint import (
     Baseline,
@@ -80,12 +81,18 @@ def _rate(text: str) -> float:
     return value
 
 
-def _kernel_mode(token: str) -> str:
-    try:
-        parse_mode(token)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return token
+def _checked(parse: Callable[[str], Any]) -> Callable[[str], str]:
+    """An argparse ``type`` that keeps the token once ``parse`` accepts
+    it; ``parse``'s ``ValueError`` becomes a usage error."""
+
+    def check(token: str) -> str:
+        try:
+            parse(token)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return token
+
+    return check
 
 
 def _spec(cls, args):
@@ -120,15 +127,6 @@ def _dump(payload, path, what: str) -> None:
     if path:
         dump_json(payload, path)
         print(f"wrote {what} to {path}", file=sys.stderr)
-
-
-def _report(args, report) -> int:
-    """Print a stress harness's report (``resilience``, ``crash``,
-    ``torture``), write its ``--json-out`` artifact, and exit on its
-    verdict."""
-    print(report.format_summary())
-    _dump(report.to_json(), args.json_out, f"{args.command} report")
-    return 0 if report.ok else 1
 
 
 @contextmanager
@@ -229,43 +227,6 @@ def _cmd_figure8(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    spec = _spec(BenchSpec, args)
-    payload = run_bench(spec, workers=args.workers)
-    rows = [
-        [
-            app,
-            res["writebacks"],
-            res["unique_blocks"],
-            res["readback_mismatches"],
-            res["state_digest"][:12],
-        ]
-        for app, res in payload["results"].items()
-    ]
-    print(
-        format_table(
-            f"Batched engine bench (mode={spec.mode}, "
-            f"workers={args.workers})",
-            ["program", "writebacks", "blocks", "mismatches", "digest"],
-            rows,
-        )
-    )
-    metrics = payload["metrics"]
-    print(
-        f"\nkernel calls: {metrics.get('fast.kernel.calls', 0)}   "
-        f"blocks: {metrics.get('fast.kernel.blocks', 0)}   "
-        f"scalar fallbacks: {metrics.get('fast.fallback.scalar', 0)}   "
-        f"paranoid divergences: "
-        f"{metrics.get('fast.paranoid.divergence', 0)}"
-    )
-    _dump(payload, args.json_out, "merged bench payload")
-    mismatches = sum(
-        res["readback_mismatches"] for res in payload["results"].values()
-    )
-    divergences = metrics.get("fast.paranoid.divergence", 0)
-    return 0 if not mismatches and not divergences else 1
-
-
 def _cmd_figure1(args) -> int:
     rows = []
     for breakdown in figure1_breakdowns(
@@ -336,33 +297,6 @@ def _cmd_attacks(args) -> int:
         )
     )
     return 0 if all(r.defended for r in results) else 1
-
-
-def _cmd_resilience(args) -> int:
-    return _report(args, run_campaign(_spec(CampaignSpec, args)))
-
-
-def _cmd_crash(args) -> int:
-    spec = _spec(CrashSimSpec, args)
-    if args.point is not None:
-        # Single-point repro mode: same arming, bit-for-bit same crash.
-        try:
-            plan = parse_point(args.point)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            raise SystemExit(2) from err
-        outcome = run_point(spec, plan)
-        print(json.dumps(outcome.to_json(), indent=2, sort_keys=True))
-        return 0 if outcome.clean else 1
-    return _report(
-        args, run_matrix(spec, limit=args.limit, stride=args.stride)
-    )
-
-
-def _cmd_torture(args) -> int:
-    return _report(
-        args, run_torture(_spec(TortureSpec, args), limit=args.limit)
-    )
 
 
 def _cmd_lint(args) -> int:
@@ -462,66 +396,6 @@ def _cmd_serve(args) -> int:
     return 1
 
 
-def _run_service_campaign(args, run, spec) -> tuple[dict, int]:
-    """Run ``repro loadgen``/``chaos``, print one summary, and return
-    the payload with the exit status."""
-    if args.root:
-        payload = run(spec, args.root, out_path=args.json_out)
-    else:
-        prefix = f"repro-{args.command}-"
-        with tempfile.TemporaryDirectory(prefix=prefix) as root:
-            payload = run(spec, root, out_path=args.json_out)
-    results = payload["results"]
-    breaker = results["breaker"]
-    client = results["client"]
-    degraded = results["degraded"] or {}
-    print(format_table(
-        f"Service {args.command} ({spec.tenants} tenants x {spec.shards} "
-        f"shards, kill shard {spec.kill_shard}, victim "
-        f"{spec.victim_tenant()})",
-        ["refusal code", "count"],
-        [[code, count] for code, count in sorted(results["refusals"].items())]
-        or [["(none)", 0]],
-    ))
-    print()
-    print(format_series("Summary", {
-        "acked ops": results["acked_ops"],
-        "throughput ops/s": results.get("throughput_ops_s", "-"),
-        "p50 / p99 ms": f"{results['p50_ms']} / {results['p99_ms']}",
-        "verified blocks": results["verified_blocks"],
-        "ambiguous ok / skipped": f"{results['ambiguous_ok_blocks']} / "
-                                  f"{results['skipped_blocks']}",
-        "SDC blocks": results["sdc_blocks"],
-        "breaker opened / half-open / closed": f"{breaker['opened']} / "
-        f"{breaker['half_open']} / {breaker['closed']}",
-        "overload shed": f"{results['overload']['shed']}/"
-                         f"{results['overload']['probes']}",
-        "deadline refused": f"{results['deadline']['refused']}/"
-                            f"{results['deadline']['sent']}",
-        "degraded write refused / read ok": f"{degraded.get('write_refused')}"
-        f" / {degraded.get('read_ok')}",
-        "retry amplification": f"{client['amplification']}x ("
-        f"{client['sends']} sends / {results['logical_ops']} logical ops)",
-        "all_verified": payload["all_verified"],
-    }))
-    if args.json_out:
-        print(f"wrote {payload['bench']} bench payload to {args.json_out}",
-              file=sys.stderr)
-    return payload, 0 if payload["all_verified"] else 1
-
-
-def _cmd_loadgen(args) -> int:
-    spec = _spec(LoadgenSpec, args)
-    return _run_service_campaign(args, run_loadgen, spec)[1]
-
-
-def _cmd_chaos(args) -> int:
-    spec = _spec(ChaosSpec, args)
-    payload, status = _run_service_campaign(args, run_chaos, spec)
-    _dump(payload["health"], args.health_out, "/health snapshots")
-    return status
-
-
 def _cmd_trace(args) -> int:
     app = resolve_profile(args.app)
     records = app.trace(
@@ -535,47 +409,312 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_study(args) -> int:
-    payload = run_study(_spec(StudySpec, args))
-    rows = [
-        [
-            label,
-            summary["elapsed_seconds"],
-            summary["blocks_per_second"],
-            summary["readback_mismatches"],
-        ]
-        for label, summary in sorted(payload["flavors"].items())
-    ]
-    print(
-        format_table(
-            f"Perf study ({len(rows)} flavors)",
-            ["flavor", "seconds", "blocks/s", "mismatches"],
-            rows,
-        )
+def _run_spec(parser, command, args) -> int:
+    """The one handler of the spec-backed commands: build the spec from
+    the flags, run it, print the report, write its ``--json-out``
+    artifact, and exit on its verdict.  A value the spec rejects is a
+    usage error (exit 2), like a flag argparse itself rejects."""
+    try:
+        spec = _spec(command.spec, args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if getattr(args, "point", None) is not None:
+        # ``crash --point``: replay one crash, bit for bit the matrix's.
+        outcome = run_point(spec, parse_point(args.point))
+        print(json.dumps(outcome.to_json(), indent=2, sort_keys=True))
+        return 0 if outcome.clean else 1
+    report = command.run(spec, args)
+    print(report.format_summary())
+    _dump(report.to_json(), args.json_out, f"{args.command} report")
+    return 0 if report.ok else 1
+
+
+def _chaos(spec, args):
+    report = run_chaos(spec, args.root)
+    _dump(report.health, args.health_out, "/health snapshots")
+    return report
+
+
+class SpecCommand(NamedTuple):
+    """One row of the spec-command table.
+
+    ``run(spec, args)`` returns a report with ``format_summary()``,
+    ``to_json()`` and ``ok``.  A flag row without a ``default`` parses
+    straight into the spec field it names (:func:`_spec`).
+    """
+
+    spec: type
+    run: Callable[[Any, argparse.Namespace], Any]
+    help: str
+    flags: tuple[tuple[str, dict], ...]
+
+
+def _flag(name: str, **kwargs) -> tuple[str, dict]:
+    """One flag row: the arguments of ``parser.add_argument``."""
+    return name, kwargs
+
+
+def _add_flags(parser, flags) -> None:
+    for name, kwargs in flags:
+        parser.add_argument(name, **kwargs)
+
+
+def _app_choices() -> list[str]:
+    return table2_apps() + sorted(MICRO_PROFILES)
+
+
+def _apps(**kwargs) -> tuple[str, dict]:
+    return _flag("--apps", nargs="+", choices=_app_choices(), metavar="APP",
+                 **kwargs)
+
+
+def _json_out(help: str) -> tuple[str, dict]:
+    return _flag("--json-out", metavar="FILE", default=None, help=help)
+
+
+OBS_FLAGS = (
+    _flag("--trace-out", metavar="FILE", default=None,
+          help="write a Chrome trace-event JSON (open in "
+               "Perfetto / chrome://tracing)"),
+    _flag("--metrics-out", metavar="FILE", default=None,
+          help="write the run's metrics snapshot as JSON"),
+    _flag("--stats", action="store_true", default=False,
+          help="print the stats report after the exhibit"),
+)
+
+
+def spec_commands() -> dict[str, SpecCommand]:
+    """The spec-backed commands, one row each.  Built per parser, so the
+    keystream choices follow the backend registry."""
+    keystreams = list(keystream_backends())
+    mode = _checked(parse_mode)
+    # flags that several commands declare alike: same flag, same help
+    preset_ = _flag("--preset", choices=sorted(PRESETS))
+    seed = _flag("--seed", type=int)
+    groups = _flag("--groups", type=int, dest="group_count", metavar="GROUPS",
+                   help="counter block-groups in the protected region")
+    ce_threshold = _flag("--ce-threshold", type=int,
+                         help="correctable errors before a block is retired")
+    fault_rates = (
+        _flag("--transient-rate", type=_rate,
+              help="transient SEUs per operation (Poisson rate)"),
+        _flag("--stuck-rate", type=_rate,
+              help="stuck-at cell faults per operation"),
+        _flag("--burst-rate", type=_rate,
+              help="row-burst events per operation"),
     )
-    for group, entry in sorted(payload["comparisons"].items()):
-        parts = []
-        speedups = entry.get("speedup_vs_reference")
-        if speedups:
-            best = max(speedups, key=lambda name: speedups[name])
-            parts.append(f"best {best} {speedups[best]:.2f}x reference")
-        if "aesni_vs_fast" in entry:
-            parts.append(f"aesni {entry['aesni_vs_fast']:.2f}x fast")
-        if "aes_family_digest_agreement" in entry:
-            parts.append(
-                "digests "
-                + ("agree" if entry["aes_family_digest_agreement"]
-                   else "DIVERGE")
-            )
-        print(f"{group}: " + ", ".join(parts))
-    for name, reason in sorted(payload["skipped_backends"].items()):
-        print(f"skipped backend {name}: {reason}", file=sys.stderr)
-    _dump(payload, args.json_out, "study payload")
-    summary = payload["summary"]
-    failed = summary["readback_mismatches"] or not summary[
-        "aes_family_digest_agreement"
-    ]
-    return 1 if failed else 0
+    service = (
+        _flag("--root", default=None,
+              help="service root (default: a temp dir, removed)"),
+        _flag("--tenants", type=int),
+        _flag("--shards", type=int),
+        _flag("--ops", type=int, dest="ops_per_tenant", metavar="OPS",
+              help="operations per tenant"),
+        _flag("--region-kb", type=int,
+              help="protected region per tenant in KiB"),
+        preset_,
+        seed,
+        _flag("--secret-seed", type=int),
+    )
+    return {
+        "bench": SpecCommand(
+            BenchSpec,
+            lambda spec, args: run_bench(spec, workers=args.workers),
+            "parallel batched-engine benchmark (merged BENCH JSON is "
+            "byte-identical for any --workers count on the same seed)",
+            (
+                _flag("--region-mb", type=int,
+                      help="protected region size in MiB"),
+                seed,
+                _apps(default=figure8_apps()),
+                _flag("--workers", type=int, default=1,
+                      help="worker processes to shard applications across"),
+                _flag("--mode", type=mode,
+                      help="kernel verification: fast, paranoid (cross-"
+                           "check every kernel call against its scalar "
+                           "reference) or sampled:N (1-in-N calls on a "
+                           "seeded deterministic schedule)"),
+                _flag("--accesses", type=int, help="trace accesses per core"),
+                preset_,
+                _flag("--keystream", choices=keystreams,
+                      help="keystream backend (reference/fast/aesni run "
+                           "real AES with different execution strategies; "
+                           "splitmix is the simulation PRF)"),
+                _json_out("write the merged bench payload as JSON"),
+            ),
+        ),
+        "study": SpecCommand(
+            StudySpec,
+            lambda spec, args: run_study(spec),
+            "perf-study sweep over keystream x mode x workers x preset "
+            "flavors (BENCH_study.json comparison artifact)",
+            (
+                _apps(),
+                _flag("--accesses", type=int,
+                      help="trace accesses per core, per flavor"),
+                _flag("--region-mb", type=int),
+                _flag("--cores", type=int),
+                seed,
+                _flag("--keystreams", nargs="+", choices=keystreams,
+                      metavar="BACKEND",
+                      help="keystream backends to sweep (unavailable ones "
+                           "are skipped and recorded)"),
+                _flag("--modes", nargs="+", type=mode, metavar="MODE",
+                      help="kernel-mode tokens: fast, paranoid, or "
+                           "sampled:N"),
+                _flag("--workers-list", nargs="+", type=int, dest="workers",
+                      metavar="N", help="worker counts to sweep"),
+                _flag("--presets", nargs="+", choices=sorted(PRESETS),
+                      metavar="PRESET"),
+                _json_out("write the study payload as JSON (e.g. "
+                          "BENCH_study.json)"),
+            ),
+        ),
+        "resilience": SpecCommand(
+            CampaignSpec,
+            lambda spec, args: run_campaign(spec),
+            "fault campaign with retry recovery and block quarantine",
+            (
+                preset_,
+                _flag("--region-kb", type=int,
+                      help="protected region size in KiB"),
+                _flag("--operations", type=int),
+                seed,
+                _flag("--spare-blocks", type=int,
+                      help="blocks reserved for quarantine remapping"),
+                ce_threshold,
+                _flag("--max-retries", type=int,
+                      help="re-reads before escalating to flip-and-check"),
+                *fault_rates,
+                _flag("--write-fraction", type=float),
+                _flag("--scrub-interval", type=int,
+                      help="operations between scrub sweeps (0 disables)"),
+                _json_out("write the campaign report (including the seed) "
+                          "as a JSON artifact"),
+                *OBS_FLAGS,
+            ),
+        ),
+        "crash": SpecCommand(
+            CrashSimSpec,
+            lambda spec, args: run_matrix(
+                spec, limit=args.limit, stride=args.stride
+            ),
+            "crash-point injection matrix over the journaled engine "
+            "(exhaustive by default; --point replays one crash)",
+            (
+                preset_,
+                _flag("--ops", type=int,
+                      help="writes in the recorded workload"),
+                seed,
+                groups,
+                _flag("--blocks", type=int, dest="workload_blocks",
+                      metavar="BLOCKS",
+                      help="distinct addresses the workload touches"),
+                _flag("--checkpoint-interval", type=int,
+                      help="commits between epoch checkpoints"),
+                _flag("--batch", type=int,
+                      help="writes per group-commit flush (0 = scalar "
+                           "per-write transactions)"),
+                _flag("--resilient", action="store_true",
+                      help="compose the resilience layer into the workload "
+                           "(stuck faults, journaled retirement, degrade)"),
+                _flag("--spare-blocks", type=int,
+                      help="quarantine spare pool size (with --resilient)"),
+                _flag("--ce-threshold", type=int,
+                      help="CEs before retirement (with --resilient)"),
+                _flag("--point", type=_checked(parse_point), default=None,
+                      metavar="STEP[:PHASE]",
+                      help="replay a single crash point (PHASE: skip|torn) "
+                           "instead of the matrix"),
+                _flag("--limit", type=int, default=None,
+                      help="bound the matrix to N points (CI smoke)"),
+                _flag("--stride", type=int, default=1,
+                      help="run every Nth point of the matrix"),
+                _json_out("write the matrix report as a JSON artifact"),
+            ),
+        ),
+        "torture": SpecCommand(
+            TortureSpec,
+            lambda spec, args: run_torture(spec, limit=args.limit),
+            "combined crash x fault campaign over the composed stack "
+            "(group-commit traffic, Poisson faults, a crash-recovery "
+            "cycle per cycle, shadow-model verification)",
+            (
+                preset_,
+                _flag("--cycles", type=int,
+                      help="crash-recovery cycles to run"),
+                _flag("--ops", type=int, dest="ops_per_cycle", metavar="OPS",
+                      help="traffic operations per cycle"),
+                _flag("--batch", type=int,
+                      help="writes per group-commit flush (0 = scalar)"),
+                seed,
+                groups,
+                _flag("--checkpoint-every", type=int,
+                      help="cycles between explicit checkpoints (telemetry "
+                           "durability cadence)"),
+                _flag("--spare-blocks", type=int,
+                      help="quarantine spare pool size"),
+                ce_threshold,
+                *fault_rates,
+                _flag("--limit", type=int, default=None,
+                      help="bound the run to N cycles (CI smoke)"),
+                _json_out("write the torture report as a JSON artifact"),
+            ),
+        ),
+        "loadgen": SpecCommand(
+            LoadgenSpec,
+            lambda spec, args: run_loadgen(spec, args.root),
+            "drive mixed-tenant traffic against a self-hosted service "
+            "(optionally SIGKILL a shard mid-run) and verify every "
+            "acknowledged write against a shadow copy",
+            (
+                *service,
+                _flag("--kill-shard", type=int,
+                      help="chaos: SIGKILL this shard mid-run and restart "
+                           "it"),
+                _json_out("write the BENCH_service payload as JSON"),
+                _flag("--keystream", choices=keystreams,
+                      help="keystream backend every tenant is provisioned "
+                           "with"),
+                _flag("--rate-ops", type=_rate,
+                      help="token-bucket refill rate (0 = unlimited)"),
+                _flag("--burst-ops", type=int,
+                      help="token-bucket burst ceiling (0 = unlimited)"),
+                _flag("--max-bytes", type=int, dest="max_bytes_written",
+                      metavar="MAX_BYTES",
+                      help="per-tenant lifetime write-byte budget (0 = off)"),
+            ),
+        ),
+        "chaos": SpecCommand(
+            ChaosSpec,
+            _chaos,
+            "full-surface resilience campaign: disk faults x shard kill x "
+            "induced overload x deadline probes, verified against an "
+            "ambiguity-aware shadow (zero SDC, every refusal typed)",
+            (
+                *service,
+                _flag("--kill-shard", type=int,
+                      help="SIGKILL this shard once mid-run, then restart"),
+                _json_out("write the BENCH_chaos payload as JSON"),
+                _flag("--fault-rate", type=float,
+                      help="background disk-fault rate per fs step"),
+                _flag("--boost-rate", type=float,
+                      help="boosted fault rate for the victim tenant"),
+                _flag("--degraded-after", type=int,
+                      help="storage faults before a tenant degrades"),
+                _flag("--queue-depth", type=int, dest="max_queue_depth",
+                      metavar="QUEUE_DEPTH",
+                      help="per-shard dispatch queue bound (overload)"),
+                _flag("--overload-probes", type=int,
+                      help="concurrent raw connections in the overload "
+                           "burst"),
+                _flag("--deadline-probes", type=int,
+                      help="requests sent with deadline_ms=0"),
+                _flag("--health-out", metavar="FILE", default=None,
+                      help="write the final /health snapshots as JSON"),
+            ),
+        ),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -585,120 +724,41 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    app_choices = table2_apps() + sorted(MICRO_PROFILES)
+    commands = spec_commands()
 
-    def spec_parser(name, **kwargs):
-        """A subcommand whose flags fill one harness spec: a flag without
-        an explicit default is absent from ``args`` unless given, so the
-        spec keeps its own default (see :func:`_spec`)."""
-        return sub.add_parser(
-            name, argument_default=argparse.SUPPRESS, **kwargs
-        )
+    def spec_command(name):
+        """Add the table's row ``name`` where it sits in ``--help``'s
+        command order.  A flag without an explicit default is absent from
+        ``args`` unless given, so the spec keeps its own default (see
+        :func:`_spec`)."""
+        command = commands[name]
+        p = sub.add_parser(name, help=command.help,
+                           argument_default=argparse.SUPPRESS)
+        _add_flags(p, command.flags)
+        p.set_defaults(func=partial(_run_spec, p, command))
 
     def common(p, default_region=32):
         p.add_argument("--region-mb", type=int, default=default_region,
                        help="protected region size in MiB")
         p.add_argument("--seed", type=int, default=1)
 
-    def apps(p, **kwargs):
-        p.add_argument("--apps", nargs="+", choices=app_choices,
-                       metavar="APP", **kwargs)
-
-    def json_out(p, help):
-        p.add_argument("--json-out", metavar="FILE", default=None, help=help)
-
-    #: flags that ``resilience``, ``crash`` and ``torture`` declare alike
-    stress_flags = {
-        "--groups": dict(type=int, dest="group_count", metavar="GROUPS",
-                         help="counter block-groups in the protected region"),
-        "--ce-threshold": dict(type=int, help="correctable errors before a "
-                                              "block is retired"),
-        "--transient-rate": dict(type=_rate, help="transient SEUs per "
-                                                  "operation (Poisson rate)"),
-        "--stuck-rate": dict(type=_rate,
-                             help="stuck-at cell faults per operation"),
-        "--burst-rate": dict(type=_rate,
-                             help="row-burst events per operation"),
-    }
-    fault_rates = ("--transient-rate", "--stuck-rate", "--burst-rate")
-
-    def stress(p, *names):
-        for name in names:
-            p.add_argument(name, **stress_flags[name])
-
-    def obs_options(p):
-        p.add_argument("--trace-out", metavar="FILE", default=None,
-                       help="write a Chrome trace-event JSON (open in "
-                            "Perfetto / chrome://tracing)")
-        p.add_argument("--metrics-out", metavar="FILE", default=None,
-                       help="write the run's metrics snapshot as JSON")
-        p.add_argument("--stats", action="store_true", default=False,
-                       help="print the stats report after the exhibit")
-
     p = sub.add_parser("table2", help="re-encryption rates (Table 2)")
     common(p)
-    apps(p, default=table2_apps())
+    _add_flags(p, [_apps(default=table2_apps())])
     p.add_argument("--accesses", type=int, default=600_000,
                    help="trace accesses per core")
-    obs_options(p)
+    _add_flags(p, OBS_FLAGS)
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("figure8", help="normalized IPC (Figure 8)")
     common(p, default_region=128)
-    apps(p, default=figure8_apps())
+    _add_flags(p, [_apps(default=figure8_apps())])
     p.add_argument("--accesses", type=int, default=60_000)
-    obs_options(p)
+    _add_flags(p, OBS_FLAGS)
     p.set_defaults(func=_cmd_figure8)
 
-    p = spec_parser(
-        "bench",
-        help="parallel batched-engine benchmark (merged BENCH JSON is "
-             "byte-identical for any --workers count on the same seed)",
-    )
-    p.add_argument("--region-mb", type=int,
-                   help="protected region size in MiB")
-    p.add_argument("--seed", type=int)
-    apps(p, default=figure8_apps())
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes to shard applications across")
-    p.add_argument("--mode", type=_kernel_mode,
-                   help="kernel verification: fast, paranoid (cross-"
-                        "check every kernel call against its scalar "
-                        "reference) or sampled:N (1-in-N calls on a "
-                        "seeded deterministic schedule)")
-    p.add_argument("--accesses", type=int,
-                   help="trace accesses per core")
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--keystream", choices=list(keystream_backends()),
-                   help="keystream backend (reference/fast/aesni run "
-                        "real AES with different execution strategies; "
-                        "splitmix is the simulation PRF)")
-    json_out(p, "write the merged bench payload as JSON")
-    p.set_defaults(func=_cmd_bench)
-
-    p = spec_parser(
-        "study",
-        help="perf-study sweep over keystream x mode x workers x preset "
-             "flavors (BENCH_study.json comparison artifact)",
-    )
-    apps(p)
-    p.add_argument("--accesses", type=int,
-                   help="trace accesses per core, per flavor")
-    p.add_argument("--region-mb", type=int)
-    p.add_argument("--cores", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--keystreams", nargs="+",
-                   choices=list(keystream_backends()), metavar="BACKEND",
-                   help="keystream backends to sweep (unavailable ones "
-                        "are skipped and recorded)")
-    p.add_argument("--modes", nargs="+", type=_kernel_mode, metavar="MODE",
-                   help="kernel-mode tokens: fast, paranoid, or sampled:N")
-    p.add_argument("--workers-list", nargs="+", type=int, dest="workers",
-                   metavar="N", help="worker counts to sweep")
-    p.add_argument("--presets", nargs="+", choices=sorted(PRESETS),
-                   metavar="PRESET")
-    json_out(p, "write the study payload as JSON (e.g. BENCH_study.json)")
-    p.set_defaults(func=_cmd_study)
+    spec_command("bench")
+    spec_command("study")
 
     p = sub.add_parser("figure1", help="storage overhead (Figure 1)")
     common(p, default_region=512)
@@ -717,89 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region-mb", type=int, default=16)
     p.set_defaults(func=_cmd_attacks)
 
-    p = spec_parser(
-        "resilience",
-        help="fault campaign with retry recovery and block quarantine",
-    )
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--region-kb", type=int,
-                   help="protected region size in KiB")
-    p.add_argument("--operations", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--spare-blocks", type=int,
-                   help="blocks reserved for quarantine remapping")
-    stress(p, "--ce-threshold")
-    p.add_argument("--max-retries", type=int,
-                   help="re-reads before escalating to flip-and-check")
-    stress(p, *fault_rates)
-    p.add_argument("--write-fraction", type=float)
-    p.add_argument("--scrub-interval", type=int,
-                   help="operations between scrub sweeps (0 disables)")
-    json_out(p, "write the campaign report (including the seed) as a JSON "
-                "artifact")
-    obs_options(p)
-    p.set_defaults(func=_cmd_resilience)
-
-    p = spec_parser(
-        "crash",
-        help="crash-point injection matrix over the journaled engine "
-             "(exhaustive by default; --point replays one crash)",
-    )
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--ops", type=int,
-                   help="writes in the recorded workload")
-    p.add_argument("--seed", type=int)
-    stress(p, "--groups")
-    p.add_argument("--blocks", type=int, dest="workload_blocks",
-                   metavar="BLOCKS",
-                   help="distinct addresses the workload touches")
-    p.add_argument("--checkpoint-interval", type=int,
-                   help="commits between epoch checkpoints")
-    p.add_argument("--batch", type=int,
-                   help="writes per group-commit flush (0 = scalar "
-                        "per-write transactions)")
-    p.add_argument("--resilient", action="store_true",
-                   help="compose the resilience layer into the workload "
-                        "(stuck faults, journaled retirement, degrade)")
-    p.add_argument("--spare-blocks", type=int,
-                   help="quarantine spare pool size (with --resilient)")
-    p.add_argument("--ce-threshold", type=int,
-                   help="CEs before retirement (with --resilient)")
-    p.add_argument("--point", metavar="STEP[:PHASE]", default=None,
-                   help="replay a single crash point (PHASE: skip|torn) "
-                        "instead of the matrix")
-    p.add_argument("--limit", type=int, default=None,
-                   help="bound the matrix to N points (CI smoke)")
-    p.add_argument("--stride", type=int, default=1,
-                   help="run every Nth point of the matrix")
-    json_out(p, "write the matrix report as a JSON artifact")
-    p.set_defaults(func=_cmd_crash)
-
-    p = spec_parser(
-        "torture",
-        help="combined crash x fault campaign over the composed stack "
-             "(group-commit traffic, Poisson faults, a crash-recovery "
-             "cycle per cycle, shadow-model verification)",
-    )
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--cycles", type=int,
-                   help="crash-recovery cycles to run")
-    p.add_argument("--ops", type=int, dest="ops_per_cycle", metavar="OPS",
-                   help="traffic operations per cycle")
-    p.add_argument("--batch", type=int,
-                   help="writes per group-commit flush (0 = scalar)")
-    p.add_argument("--seed", type=int)
-    stress(p, "--groups")
-    p.add_argument("--checkpoint-every", type=int,
-                   help="cycles between explicit checkpoints (telemetry "
-                        "durability cadence)")
-    p.add_argument("--spare-blocks", type=int,
-                   help="quarantine spare pool size")
-    stress(p, "--ce-threshold", *fault_rates)
-    p.add_argument("--limit", type=int, default=None,
-                   help="bound the run to N cycles (CI smoke)")
-    json_out(p, "write the torture report as a JSON artifact")
-    p.set_defaults(func=_cmd_torture)
+    spec_command("resilience")
+    spec_command("crash")
+    spec_command("torture")
 
     p = sub.add_parser(
         "stats", help="render the report from a saved metrics snapshot"
@@ -846,76 +826,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master secret the per-tenant keys derive from")
     p.set_defaults(func=_cmd_serve)
 
-    def service_campaign(p, *, kill_help, json_help):
-        """The flags ``loadgen`` and ``chaos`` share."""
-        p.add_argument("--root", default=None,
-                       help="service root (default: a temp dir, removed)")
-        p.add_argument("--tenants", type=int)
-        p.add_argument("--shards", type=int)
-        p.add_argument("--ops", type=int, dest="ops_per_tenant",
-                       metavar="OPS", help="operations per tenant")
-        p.add_argument("--region-kb", type=int,
-                       help="protected region per tenant in KiB")
-        p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--secret-seed", type=int)
-        p.add_argument("--kill-shard", type=int, help=kill_help)
-        json_out(p, json_help)
-
-    p = spec_parser(
-        "loadgen",
-        help="drive mixed-tenant traffic against a self-hosted service "
-             "(optionally SIGKILL a shard mid-run) and verify every "
-             "acknowledged write against a shadow copy",
-    )
-    service_campaign(
-        p,
-        kill_help="chaos: SIGKILL this shard mid-run and restart it",
-        json_help="write the BENCH_service payload as JSON",
-    )
-    p.add_argument("--keystream", choices=list(keystream_backends()),
-                   help="keystream backend every tenant is provisioned "
-                        "with")
-    p.add_argument("--rate-ops", type=_rate,
-                   help="token-bucket refill rate (0 = unlimited)")
-    p.add_argument("--burst-ops", type=int,
-                   help="token-bucket burst ceiling (0 = unlimited)")
-    p.add_argument("--max-bytes", type=int, dest="max_bytes_written",
-                   metavar="MAX_BYTES",
-                   help="per-tenant lifetime write-byte budget (0 = off)")
-    p.set_defaults(func=_cmd_loadgen)
-
-    p = spec_parser(
-        "chaos",
-        help="full-surface resilience campaign: disk faults x shard "
-             "kill x induced overload x deadline probes, verified "
-             "against an ambiguity-aware shadow (zero SDC, every "
-             "refusal typed)",
-    )
-    service_campaign(
-        p,
-        kill_help="SIGKILL this shard once mid-run, then restart",
-        json_help="write the BENCH_chaos payload as JSON",
-    )
-    p.add_argument("--fault-rate", type=float,
-                   help="background disk-fault rate per fs step")
-    p.add_argument("--boost-rate", type=float,
-                   help="boosted fault rate for the victim tenant")
-    p.add_argument("--degraded-after", type=int,
-                   help="storage faults before a tenant degrades")
-    p.add_argument("--queue-depth", type=int, dest="max_queue_depth",
-                   metavar="QUEUE_DEPTH",
-                   help="per-shard dispatch queue bound (overload)")
-    p.add_argument("--overload-probes", type=int,
-                   help="concurrent raw connections in the overload burst")
-    p.add_argument("--deadline-probes", type=int,
-                   help="requests sent with deadline_ms=0")
-    p.add_argument("--health-out", metavar="FILE", default=None,
-                   help="write the final /health snapshots as JSON")
-    p.set_defaults(func=_cmd_chaos)
+    spec_command("loadgen")
+    spec_command("chaos")
 
     p = sub.add_parser("trace", help="generate a workload trace file")
-    p.add_argument("app", choices=app_choices)
+    p.add_argument("app", choices=_app_choices())
     p.add_argument("output", help="output path (.trc.gz)")
     common(p)
     p.add_argument("--accesses", type=int, default=100_000)

@@ -218,11 +218,5 @@ class CounterScheme(abc.ABC):
         rebuilt Bonsai leaves hash to the recorded root).
         """
 
-    def metadata_block_of_group(self, group_index: int) -> int:
-        """Index of the (first) metadata block storing a group's counters."""
-        self._check_group(group_index)
-        per_group = self.metadata_blocks // self.num_groups
-        return group_index * per_group
-
 
 __all__ = ["CounterScheme", "BLOCK_BYTES", "METADATA_BLOCK_BYTES"]

@@ -183,65 +183,6 @@ class FlipAndCheckCorrector:
             ciphertext, address, counter, stored_mac
         )
 
-    # -- parity-hint extension ---------------------------------------------
-
-    def correct_with_parity_hint(
-        self,
-        ciphertext: bytes,
-        address: int,
-        counter: int,
-        stored_mac: int,
-        stored_ct_parity: int,
-    ) -> CorrectionResult:
-        """Brute force guided by the layout's ciphertext parity bit.
-
-        The spare bit the paper dedicates to scrubbing (Section 3.3) also
-        tells the corrector the *parity of the error weight*: a parity
-        mismatch means an odd number of flips (search singles first and
-        skip pairs); a match means an even number (skip the 512 single
-        checks and go straight to pairs).  This halves-or-better the
-        brute-force work at zero hardware cost -- an extension beyond the
-        paper, validated against the unhinted algorithms in the tests.
-
-        (Assumes the parity bit itself is intact; a flipped parity bit
-        plus a double error would mislead the hint, which is why the
-        result is still confirmed by real MAC checks and a failed hinted
-        search can fall back to the full search.)
-        """
-        self._validate(ciphertext)
-        from repro.ecc.parity import parity_of_bytes
-
-        parity_mismatch = parity_of_bytes(ciphertext) != (
-            stored_ct_parity & 1
-        )
-        checks = 0
-        if parity_mismatch:
-            # Odd error weight: singles only (within the <=2 budget).
-            for position in range(BLOCK_BITS):
-                candidate = _flip(ciphertext, (position,))
-                checks += 1
-                if self.mac.tag(candidate, address, counter) == stored_mac:
-                    return CorrectionResult(
-                        True, candidate, (position,), checks,
-                        CorrectionMethod.BRUTE_FORCE,
-                    )
-            return CorrectionResult(
-                False, None, (), checks, CorrectionMethod.BRUTE_FORCE
-            )
-        # Even error weight: pairs only.
-        if self.max_errors >= 2:
-            for pair in combinations(range(BLOCK_BITS), 2):
-                candidate = _flip(ciphertext, pair)
-                checks += 1
-                if self.mac.tag(candidate, address, counter) == stored_mac:
-                    return CorrectionResult(
-                        True, candidate, pair, checks,
-                        CorrectionMethod.BRUTE_FORCE,
-                    )
-        return CorrectionResult(
-            False, None, (), checks, CorrectionMethod.BRUTE_FORCE
-        )
-
     @staticmethod
     def _validate(ciphertext: bytes) -> None:
         if len(ciphertext) != BLOCK_BYTES:

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.core.engine.config import preset
 from repro.core.engine.secure_memory import SecureMemory
 from repro.fast.batch_memory import BatchSecureMemory
+from repro.harness.reporting import format_table
 from repro.harness.runner import BLOCK_BYTES, WritebackFilter
 from repro.obs.metrics import MetricRegistry, use_registry
 from repro.workloads import resolve_profile
@@ -58,17 +59,13 @@ class BenchSpec:
     preset: str = "combined"
     keystream: str = "splitmix"
 
+    def __post_init__(self) -> None:
+        for name in ("accesses", "region_mb", "cores"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
     def config_dict(self) -> dict:
-        return {
-            "apps": sorted(self.apps),
-            "mode": self.mode,
-            "accesses": self.accesses,
-            "region_mb": self.region_mb,
-            "cores": self.cores,
-            "seed": self.seed,
-            "preset": self.preset,
-            "keystream": self.keystream,
-        }
+        return {**asdict(self), "apps": sorted(self.apps)}
 
 
 def app_key(app: str, seed: int) -> bytes:
@@ -182,7 +179,60 @@ def run_app(app: str, spec: BenchSpec) -> tuple[dict, dict]:
     return app_results, registry.snapshot().totals()
 
 
-def run_bench(spec: BenchSpec, workers: int = 1) -> dict:
+@dataclass(frozen=True)
+class BenchReport:
+    """One bench run: the merged payload (:meth:`to_json`), its summary
+    table and its verdict.  ``workers`` is only shown in the title; the
+    payload never carries it."""
+
+    payload: dict
+    workers: int
+
+    @property
+    def ok(self) -> bool:
+        """Every block read back and no kernel call diverged from its
+        scalar reference."""
+        mismatches = sum(
+            res["readback_mismatches"]
+            for res in self.payload["results"].values()
+        )
+        divergences = self.payload["metrics"].get(
+            "fast.paranoid.divergence", 0
+        )
+        return not mismatches and not divergences
+
+    def to_json(self) -> dict:
+        return self.payload
+
+    def format_summary(self) -> str:
+        rows = [
+            [
+                app,
+                res["writebacks"],
+                res["unique_blocks"],
+                res["readback_mismatches"],
+                res["state_digest"][:12],
+            ]
+            for app, res in self.payload["results"].items()
+        ]
+        metrics = self.payload["metrics"]
+        table = format_table(
+            f"Batched engine bench (mode={self.payload['config']['mode']}, "
+            f"workers={self.workers})",
+            ["program", "writebacks", "blocks", "mismatches", "digest"],
+            rows,
+        )
+        return (
+            f"{table}\n\n"
+            f"kernel calls: {metrics.get('fast.kernel.calls', 0)}   "
+            f"blocks: {metrics.get('fast.kernel.blocks', 0)}   "
+            f"scalar fallbacks: {metrics.get('fast.fallback.scalar', 0)}   "
+            f"paranoid divergences: "
+            f"{metrics.get('fast.paranoid.divergence', 0)}"
+        )
+
+
+def run_bench(spec: BenchSpec, workers: int = 1) -> BenchReport:
     """Run every app in ``spec`` and merge into one payload.
 
     ``workers`` only chooses *where* apps run (inline vs a process
@@ -200,7 +250,7 @@ def run_bench(spec: BenchSpec, workers: int = 1) -> dict:
         )
         with context.Pool(min(workers, len(apps) or 1)) as pool:
             outcomes = pool.starmap(run_app, [(app, spec) for app in apps])
-    return {
+    return BenchReport({
         "schema": BENCH_SCHEMA,
         "bench": "parallel",
         "config": spec.config_dict(),
@@ -208,11 +258,12 @@ def run_bench(spec: BenchSpec, workers: int = 1) -> dict:
             app: app_results for app, (app_results, _) in zip(apps, outcomes)
         },
         "metrics": merge_totals([totals for _, totals in outcomes]),
-    }
+    }, workers)
 
 
 __all__ = [
     "BENCH_SCHEMA",
+    "BenchReport",
     "BenchSpec",
     "app_key",
     "merge_totals",

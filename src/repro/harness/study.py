@@ -32,12 +32,14 @@ byte-reproducible artifact.
 from __future__ import annotations
 
 import json
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.fast.backends import keystream_backends, resolve_backend
 from repro.fast.kernels import parse_mode
 from repro.harness.parallel import BenchSpec, run_bench
+from repro.harness.reporting import format_table
 
 STUDY_SCHEMA = "repro.study/1"
 
@@ -97,18 +99,18 @@ class StudySpec:
     workers: tuple = DEFAULT_WORKERS
     presets: tuple = DEFAULT_PRESETS
 
+    def __post_init__(self) -> None:
+        # Every flavor runs a bench of these sizes: its spec checks them.
+        BenchSpec(accesses=self.accesses, region_mb=self.region_mb,
+                  cores=self.cores)
+        for name in ("keystreams", "modes", "workers", "presets"):
+            if not getattr(self, name):
+                raise ValueError(f"the {name} axis must not be empty")
+        if min(self.workers) < 1:
+            raise ValueError("worker counts must be >= 1")
+
     def config_dict(self) -> dict:
-        return {
-            "apps": sorted(self.apps),
-            "accesses": self.accesses,
-            "region_mb": self.region_mb,
-            "cores": self.cores,
-            "seed": self.seed,
-            "keystreams": list(self.keystreams),
-            "modes": list(self.modes),
-            "workers": list(self.workers),
-            "presets": list(self.presets),
-        }
+        return {**asdict(self), "apps": sorted(self.apps)}
 
     def flavors(self) -> tuple[list[Flavor], dict[str, str]]:
         """Expand the grid; unavailable backends are skipped, with the
@@ -139,7 +141,9 @@ class StudySpec:
 def run_flavor(flavor: Flavor, spec: StudySpec) -> dict:
     """Time one flavor's bench run and summarize it."""
     started = time.perf_counter()
-    payload = run_bench(flavor.bench_spec(spec), workers=flavor.workers)
+    payload = run_bench(
+        flavor.bench_spec(spec), workers=flavor.workers
+    ).to_json()
     elapsed = time.perf_counter() - started
     results = payload["results"]
     metrics = payload["metrics"]
@@ -210,9 +214,66 @@ def _compare_groups(flavors: dict[str, dict]) -> dict:
     return comparisons
 
 
-def run_study(spec: StudySpec) -> dict:
-    """Run the sweep: one timed bench run per flavor, in sequence."""
+@dataclass(frozen=True)
+class StudyReport:
+    """One sweep: the ``BENCH_study.json`` payload (:meth:`to_json`), its
+    flavor table and its verdict."""
+
+    payload: dict
+
+    @property
+    def ok(self) -> bool:
+        """No flavor mis-read a block and every AES-family group agreed
+        on its state digests."""
+        summary = self.payload["summary"]
+        return (
+            not summary["readback_mismatches"]
+            and summary["aes_family_digest_agreement"]
+        )
+
+    def to_json(self) -> dict:
+        return self.payload
+
+    def format_summary(self) -> str:
+        rows = [
+            [
+                label,
+                summary["elapsed_seconds"],
+                summary["blocks_per_second"],
+                summary["readback_mismatches"],
+            ]
+            for label, summary in sorted(self.payload["flavors"].items())
+        ]
+        lines = [format_table(
+            f"Perf study ({len(rows)} flavors)",
+            ["flavor", "seconds", "blocks/s", "mismatches"],
+            rows,
+        )]
+        for group, entry in sorted(self.payload["comparisons"].items()):
+            parts = []
+            speedups = entry.get("speedup_vs_reference")
+            if speedups:
+                best = max(speedups, key=lambda name: speedups[name])
+                parts.append(f"best {best} {speedups[best]:.2f}x reference")
+            if "aesni_vs_fast" in entry:
+                parts.append(f"aesni {entry['aesni_vs_fast']:.2f}x fast")
+            if "aes_family_digest_agreement" in entry:
+                parts.append(
+                    "digests "
+                    + ("agree" if entry["aes_family_digest_agreement"]
+                       else "DIVERGE")
+                )
+            lines.append(f"{group}: " + ", ".join(parts))
+        return "\n".join(lines)
+
+
+def run_study(spec: StudySpec) -> StudyReport:
+    """Run the sweep: one timed bench run per flavor, in sequence.  A
+    backend this host cannot run is skipped, recorded in the payload and
+    named on stderr."""
     flavor_list, skipped = spec.flavors()
+    for name, reason in sorted(skipped.items()):
+        print(f"skipped backend {name}: {reason}", file=sys.stderr)
     flavors = {
         flavor.label: run_flavor(flavor, spec) for flavor in flavor_list
     }
@@ -224,7 +285,7 @@ def run_study(spec: StudySpec) -> dict:
     mismatches = sum(
         summary["readback_mismatches"] for summary in flavors.values()
     )
-    return {
+    return StudyReport({
         "schema": STUDY_SCHEMA,
         "bench": "study",
         "config": spec.config_dict(),
@@ -241,12 +302,13 @@ def run_study(spec: StudySpec) -> dict:
             "readback_mismatches": mismatches,
             "aes_family_digest_agreement": agreement,
         },
-    }
+    })
 
 
 __all__ = [
     "STUDY_SCHEMA",
     "Flavor",
+    "StudyReport",
     "StudySpec",
     "run_flavor",
     "run_study",

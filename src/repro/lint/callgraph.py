@@ -236,15 +236,6 @@ class ProjectIndex:
 
     # -- queries -------------------------------------------------------------
 
-    def callees(self, qualname: str) -> set[str]:
-        info = self.functions.get(qualname)
-        if info is None:
-            return set()
-        out: set[str] = set()
-        for call in info.calls:
-            out.update(call.targets)
-        return out
-
     def reaches(
         self,
         qualname: str,

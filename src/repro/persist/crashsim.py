@@ -132,6 +132,8 @@ class StressSpec:
             object.__setattr__(
                 self, "scheme_kwargs", STRESS_SCHEME_KWARGS[self.preset]
             )
+        if self.group_count < 1:
+            raise ValueError("group_count must be >= 1")
 
     def engine_config(self) -> EngineConfig:
         return preset(
@@ -168,6 +170,11 @@ class CrashSimSpec(StressSpec):
     checkpoint_interval: int = 4
     journal_capacity_records: int = 64
     resilient: bool = False
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.ops < 1 or self.workload_blocks < 1:
+            raise ValueError("ops and workload_blocks must be >= 1")
 
     def durability(self) -> DurabilityConfig:
         return DurabilityConfig(

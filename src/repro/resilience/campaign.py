@@ -247,6 +247,15 @@ class CampaignSpec(FaultRates):
     write_fraction: float = 0.25
     scrub_interval: int = 1000  # operations between scrub sweeps (0 = off)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.operations < 1:
+            raise ValueError("operations must be >= 1")
+        if not 0 <= self.write_fraction <= 1:
+            raise ValueError("write_fraction must be in [0, 1]")
+        if self.scrub_interval < 0:
+            raise ValueError("scrub_interval must be >= 0")
+
 
 @dataclass
 class CampaignReport:

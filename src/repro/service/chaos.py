@@ -55,13 +55,14 @@ import collections
 import hashlib
 import pathlib
 import random
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Sequence
 
 from repro.faultfs import FaultProfile
 from repro.harness.oracle import AMBIGUOUS_OK, OK, SDC, SKIPPED, ShadowOracle
-from repro.harness.reporting import dump_json
+from repro.harness.reporting import format_series, format_table
 from repro.obs.metrics import MetricRegistry
 from repro.service.breaker import BreakerConfig
 from repro.service.endpoints import scrape
@@ -623,19 +624,25 @@ async def _drive(
 
 
 def run_campaign(
-    spec: ChaosSpec, root: str | pathlib.Path
+    spec: ChaosSpec, root: str | pathlib.Path | None = None
 ) -> tuple[dict[str, Any], list[_Traffic], dict[str, Any]]:
     """Self-host the service, drive one campaign, scrape every shard:
     returns the results, the per-tenant traffic loops and each shard's
-    final ``/health`` payload.
+    final ``/health`` payload.  Without a ``root`` the service lives in
+    a temporary directory, removed afterwards.
 
     The ``/health`` snapshots (``repro chaos --health-out``) are not
     byte-stable run to run, even at one commit and seed: each tenant's
     ``recovery`` block counts what the killed shard's journal held when
     the SIGKILL landed, so ``discarded_unsealed``, ``redo_records``,
     ``redo_data_blocks`` and ``root_expected`` depend on timing.  The
-    results (``acked_ops``, the verdict) are stable; no check may treat
-    those four fields as reproducible."""
+    verdict is stable; no check may treat those four fields as
+    reproducible, nor ``acked_ops``: the rate-limited tenant's op quota
+    refills by wall clock, so its ``quota_exceeded`` refusals vary."""
+    if root is None:
+        prefix = spec.namespace.replace(".", "-") + "-"
+        with tempfile.TemporaryDirectory(prefix=prefix) as temp_root:
+            return run_campaign(spec, temp_root)
     root = pathlib.Path(root)
     supervisor = ServiceSupervisor(
         root,
@@ -665,34 +672,83 @@ def all_verified(results: dict[str, Any]) -> bool:
     )
 
 
-def write_payload(
-    payload: dict[str, Any], out_path: str | pathlib.Path | None
-) -> dict[str, Any]:
-    if out_path is not None:
-        dump_json(payload, out_path)
-    return payload
+@dataclass(frozen=True)
+class ServiceReport:
+    """One ``repro chaos``/``loadgen`` campaign: its bench payload
+    (:meth:`to_json`), summary and verdict."""
+
+    spec: ChaosSpec
+    payload: dict[str, Any]
+
+    @property
+    def ok(self) -> bool:
+        return self.payload["all_verified"]
+
+    @property
+    def health(self) -> dict[str, Any]:
+        """The final ``/health`` view the payload records per shard."""
+        return self.payload["health"]
+
+    def to_json(self) -> dict[str, Any]:
+        return self.payload
+
+    def format_summary(self) -> str:
+        spec, results = self.spec, self.payload["results"]
+        breaker = results["breaker"]
+        client = results["client"]
+        degraded = results["degraded"] or {}
+        refusals = format_table(
+            f"Service {spec.namespace.rpartition('.')[2]} ({spec.tenants} "
+            f"tenants x {spec.shards} shards, kill shard {spec.kill_shard}, "
+            f"victim {spec.victim_tenant()})",
+            ["refusal code", "count"],
+            [[code, n] for code, n in sorted(results["refusals"].items())]
+            or [["(none)", 0]],
+        )
+        summary = format_series("Summary", {
+            "acked ops": results["acked_ops"],
+            "throughput ops/s": results.get("throughput_ops_s", "-"),
+            "p50 / p99 ms": f"{results['p50_ms']} / {results['p99_ms']}",
+            "verified blocks": results["verified_blocks"],
+            "ambiguous ok / skipped": f"{results['ambiguous_ok_blocks']} / "
+                                      f"{results['skipped_blocks']}",
+            "SDC blocks": results["sdc_blocks"],
+            "breaker opened / half-open / closed": f"{breaker['opened']} / "
+            f"{breaker['half_open']} / {breaker['closed']}",
+            "overload shed": f"{results['overload']['shed']}/"
+                             f"{results['overload']['probes']}",
+            "deadline refused": f"{results['deadline']['refused']}/"
+                                f"{results['deadline']['sent']}",
+            "degraded write refused / read ok":
+                f"{degraded.get('write_refused')} / {degraded.get('read_ok')}",
+            "retry amplification": f"{client['amplification']}x ("
+            f"{client['sends']} sends / {results['logical_ops']} logical "
+            "ops)",
+            "all_verified": self.payload["all_verified"],
+        })
+        return f"{refusals}\n\n{summary}"
 
 
 def run_chaos(
-    spec: ChaosSpec,
-    root: str | pathlib.Path,
-    out_path: str | pathlib.Path | None = None,
-) -> dict[str, Any]:
-    """Run one chaos campaign end to end; returns the bench payload."""
+    spec: ChaosSpec, root: str | pathlib.Path | None = None
+) -> ServiceReport:
+    """Run one chaos campaign end to end (in a temporary service root
+    unless ``root`` is given)."""
     results, _, health = run_campaign(spec, root)
-    return write_payload({
+    return ServiceReport(spec, {
         "schema": CHAOS_SCHEMA,
         "bench": "chaos",
         "config": spec.config_dict(),
         "results": results,
         "health": health,
         "all_verified": all_verified(results),
-    }, out_path)
+    })
 
 
 __all__ = [
     "CHAOS_SCHEMA",
     "ChaosSpec",
+    "ServiceReport",
     "percentile",
     "run_campaign",
     "run_chaos",

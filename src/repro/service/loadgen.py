@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from typing import ClassVar
 
 from repro.service.chaos import (
     ChaosSpec,
+    ServiceReport,
     all_verified,
     percentile,
     run_campaign,
-    write_payload,
 )
 from repro.service.quota import QuotaConfig
 from repro.service.router import shard_of
@@ -62,10 +62,11 @@ class LoadgenSpec(ChaosSpec):
     )
 
 
-def run_loadgen(spec: LoadgenSpec, root: str | pathlib.Path,
-                out_path: str | pathlib.Path | None = None
-                ) -> dict[str, Any]:
-    """Run one campaign end to end; returns the benchmark payload."""
+def run_loadgen(
+    spec: LoadgenSpec, root: str | pathlib.Path | None = None
+) -> ServiceReport:
+    """Run one campaign end to end (in a temporary service root unless
+    ``root`` is given)."""
     results, traffic, health = run_campaign(spec, root)
     elapsed = results["elapsed_s"]
     acked_ops = sum(tenant.acked_blocks for tenant in traffic)
@@ -85,7 +86,7 @@ def run_loadgen(spec: LoadgenSpec, root: str | pathlib.Path,
             for tenant in traffic
         },
     )
-    return write_payload({
+    return ServiceReport(spec, {
         "schema": BENCH_SCHEMA,
         "bench": "service",
         "config": spec.config_dict(),
@@ -94,7 +95,7 @@ def run_loadgen(spec: LoadgenSpec, root: str | pathlib.Path,
             name: entry.get("status") for name, entry in sorted(health.items())
         },
         "all_verified": all_verified(results),
-    }, out_path)
+    })
 
 
 __all__ = [

@@ -160,66 +160,3 @@ class TestDispatch:
         # Overwhelmingly likely to fail; a syndrome collision would be
         # rejected by the confirming MAC evaluation anyway.
         assert not result.corrected
-
-
-class TestParityHint:
-    """The parity-hint extension: the scrub bit halves the search."""
-
-    def test_single_bit_skips_nothing_but_pairs(self, corrector, mac, rng):
-        from repro.ecc.parity import parity_of_bytes
-
-        data = random_block(rng)
-        tag = mac.tag(data, 0x40, 9)
-        parity = parity_of_bytes(data)
-        corrupted = _flip(data, [200])
-        result = corrector.correct_with_parity_hint(
-            corrupted, 0x40, 9, tag, parity
-        )
-        assert result.corrected and result.data == data
-        assert result.checks == 201  # position + 1, like plain brute force
-
-    def test_double_bit_skips_all_singles(self, corrector, mac, rng):
-        from repro.ecc.parity import parity_of_bytes
-
-        data = random_block(rng)
-        tag = mac.tag(data, 0x40, 9)
-        parity = parity_of_bytes(data)
-        pair = (0, 5)  # very early pair
-        result = corrector.correct_with_parity_hint(
-            _flip(data, pair), 0x40, 9, tag, parity
-        )
-        assert result.corrected and result.data == data
-        assert tuple(sorted(result.flipped_bits)) == pair
-        # Plain brute force would burn 512 single checks first.
-        plain = corrector.correct_brute_force(
-            _flip(data, pair), 0x40, 9, tag
-        )
-        assert result.checks == plain.checks - 512
-
-    def test_agrees_with_unhinted(self, corrector, mac, rng):
-        from repro.ecc.parity import parity_of_bytes
-
-        data = random_block(rng)
-        tag = mac.tag(data, 0x40, 9)
-        parity = parity_of_bytes(data)
-        for positions in ([17], [9, 100]):
-            corrupted = _flip(data, positions)
-            hinted = corrector.correct_with_parity_hint(
-                corrupted, 0x40, 9, tag, parity
-            )
-            unhinted = corrector.correct_accelerated(
-                corrupted, 0x40, 9, tag
-            )
-            assert hinted.corrected == unhinted.corrected
-            assert hinted.data == unhinted.data
-            assert hinted.checks >= unhinted.checks  # accel still wins
-
-    def test_triple_fails(self, corrector, mac, rng):
-        from repro.ecc.parity import parity_of_bytes
-
-        data = random_block(rng)
-        tag = mac.tag(data, 0x40, 9)
-        result = corrector.correct_with_parity_hint(
-            _flip(data, [1, 2, 3]), 0x40, 9, tag, parity_of_bytes(data)
-        )
-        assert not result.corrected

@@ -33,7 +33,7 @@ SPEC = BenchSpec(
 @pytest.fixture(scope="module")
 def rendered_by_workers():
     return {
-        workers: render_json(run_bench(SPEC, workers=workers))
+        workers: render_json(run_bench(SPEC, workers=workers).to_json())
         for workers in (1, 2, 4)
     }
 
@@ -68,7 +68,7 @@ def test_bench_readbacks_clean_and_digests_stable(rendered_by_workers):
 
 def test_bench_rerun_same_seed_is_reproducible(rendered_by_workers):
     # A fresh run (new engines, new registries) reproduces the bytes.
-    assert render_json(run_bench(SPEC, workers=2)) == (
+    assert render_json(run_bench(SPEC, workers=2).to_json()) == (
         rendered_by_workers[1]
     )
 
@@ -84,7 +84,7 @@ def test_bench_paranoid_mode_matches_fast_state():
             seed=11,
         ),
         workers=1,
-    )
+    ).to_json()
     fast = run_bench(
         BenchSpec(
             apps=("stream",),
@@ -95,7 +95,7 @@ def test_bench_paranoid_mode_matches_fast_state():
             seed=11,
         ),
         workers=1,
-    )
+    ).to_json()
     assert paranoid["metrics"].get("fast.paranoid.divergence", 0) == 0
     assert paranoid["metrics"].get("fast.paranoid.checks", 0) > 0
     assert (
@@ -128,7 +128,7 @@ def test_bench_aes_backends_agree_and_differ_from_splitmix():
                 keystream=name,
             ),
             workers=1,
-        )
+        ).to_json()
         digests[name] = payload["results"]["stream"]["state_digest"]
     assert "reference" in digests and "fast" in digests
     assert len(set(digests.values())) == 1, digests
@@ -143,7 +143,7 @@ def test_bench_aes_backends_agree_and_differ_from_splitmix():
             keystream="splitmix",
         ),
         workers=1,
-    )
+    ).to_json()
     assert (
         splitmix["results"]["stream"]["state_digest"]
         != digests["fast"]
@@ -162,7 +162,7 @@ def test_bench_sampled_paranoid_meters_and_stays_clean():
             keystream="fast",
         ),
         workers=1,
-    )
+    ).to_json()
     metrics = payload["metrics"]
     assert metrics.get("fast.paranoid.sampled", 0) > 0
     assert metrics.get("fast.paranoid.skipped", 0) > 0
@@ -171,3 +171,9 @@ def test_bench_sampled_paranoid_meters_and_stays_clean():
         metrics["fast.paranoid.sampled"] + metrics["fast.paranoid.skipped"]
         == metrics["fast.kernel.calls"]
     )
+
+
+@pytest.mark.parametrize("field", ["accesses", "region_mb", "cores"])
+def test_bench_spec_rejects_a_run_that_exercises_nothing(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        BenchSpec(apps=("stream",), **{field: 0})

@@ -16,6 +16,7 @@ from repro.harness.reporting import render_json
 from repro.harness.study import (
     STUDY_SCHEMA,
     Flavor,
+    StudyReport,
     StudySpec,
     run_flavor,
     run_study,
@@ -104,7 +105,7 @@ class TestSummarize:
 class TestRunStudy:
     @pytest.fixture(scope="class")
     def payload(self):
-        return run_study(SPEC)
+        return run_study(SPEC).to_json()
 
     def test_schema_and_flavor_count(self, payload):
         assert payload["schema"] == STUDY_SCHEMA
@@ -151,7 +152,7 @@ class TestSampledAndSkipped:
             modes=("sampled:8",),
             workers=(1,),
         )
-        payload = run_study(spec)
+        payload = run_study(spec).to_json()
         (summary,) = payload["flavors"].values()
         assert summary["mode"] == "sampled:8"
         assert summary["paranoid"]["sampled"] > 0
@@ -189,8 +190,36 @@ def test_aesni_flavor_joins_the_sweep_when_available():
         modes=("fast",),
         workers=(1,),
     )
-    payload = run_study(spec)
+    payload = run_study(spec).to_json()
     assert len(payload["flavors"]) == 2
     (entry,) = payload["comparisons"].values()
     assert entry["aes_family_digest_agreement"] is True
     assert "aesni_vs_fast" in entry
+
+
+@pytest.mark.parametrize("field", ["accesses", "region_mb", "cores"])
+def test_study_spec_rejects_a_nonpositive_size(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        StudySpec(**{field: 0})
+
+
+@pytest.mark.parametrize("axis", ["keystreams", "modes", "workers", "presets"])
+def test_study_spec_rejects_an_empty_axis(axis):
+    with pytest.raises(ValueError, match=f"the {axis} axis must not be empty"):
+        StudySpec(**{axis: ()})
+
+
+@pytest.mark.parametrize("mismatches,agreement,ok", [
+    (0, True, True), (1, True, False), (0, False, False),
+])
+def test_report_verdict(mismatches, agreement, ok):
+    report = StudyReport({"summary": {
+        "readback_mismatches": mismatches,
+        "aes_family_digest_agreement": agreement,
+    }})
+    assert report.ok is ok
+
+
+def test_study_spec_rejects_a_worker_count_below_one():
+    with pytest.raises(ValueError, match="worker counts must be >= 1"):
+        StudySpec(workers=(1, 0))

@@ -163,7 +163,7 @@ class TestLoadgen:
         spec = LoadgenSpec(tenants=4, shards=2, ops_per_tenant=40,
                            region_kb=8, seed=3, secret_seed=SEED,
                            kill_shard=0)
-        payload = run_loadgen(spec, root)
+        payload = run_loadgen(spec, root).to_json()
         results = payload["results"]
         assert payload["all_verified"]
         assert results["sdc_blocks"] == 0
@@ -182,7 +182,7 @@ class TestLoadgen:
         spec = LoadgenSpec(tenants=2, shards=1, ops_per_tenant=30,
                            region_kb=8, seed=5, secret_seed=SEED,
                            quota=QuotaConfig(max_bytes_written=640))
-        payload = run_loadgen(spec, root)
+        payload = run_loadgen(spec, root).to_json()
         results = payload["results"]
         assert payload["all_verified"]
         rejections = sum(

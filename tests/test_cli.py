@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -99,6 +100,76 @@ class TestSpecFlags:
         )
 
 
+#: one flag value per spec command that its spec rejects, and the message
+SPEC_ERRORS = {
+    "bench": (["--apps", "stream", "--accesses", "0"],
+              "accesses must be >= 1"),
+    "study": (["--apps", "stream", "--cores", "0"], "cores must be >= 1"),
+    "resilience": (["--write-fraction", "2", "--operations", "10"],
+                   "write_fraction must be in [0, 1]"),
+    "crash": (["--groups", "0"], "group_count must be >= 1"),
+    "torture": (["--cycles", "0"], "cycles and ops_per_cycle must be >= 1"),
+    "loadgen": (["--tenants", "0"], "tenants and shards must be >= 1"),
+    "chaos": (["--kill-shard", "5"], "kill_shard out of range"),
+}
+
+
+class TestSpecValueErrors:
+    """A value the spec rejects is a usage error: the spec's message on
+    stderr after the subcommand's usage, exit 2, no traceback."""
+
+    def test_every_spec_command_has_a_case(self):
+        assert set(SPEC_ERRORS) == set(SPEC_COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(SPEC_ERRORS))
+    def test_exit_two_with_the_spec_message(self, command, capsys):
+        flags, message = SPEC_ERRORS[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {command}")
+        assert f"repro {command}: error: {message}\n" in err
+        assert "Traceback" not in err
+
+
+GOLDEN_HELP = pathlib.Path(__file__).parent / "golden" / "cli_help"
+
+
+class TestGoldenHelp:
+    """``repro --help`` and every subcommand's ``--help`` at 80 columns
+    match the recorded text byte for byte.  Python 3.10 renamed argparse's
+    ``optional arguments:`` heading to ``options:``; that is the one
+    difference normalized away."""
+
+    @staticmethod
+    def _help(argv, monkeypatch, capsys) -> str:
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out.replace(
+            "\noptional arguments:\n", "\noptions:\n"
+        )
+
+    def test_one_golden_per_command(self):
+        subcommands = next(
+            action.choices for action in build_parser()._actions
+            if "bench" in (getattr(action, "choices", None) or {})
+        )
+        assert {p.stem for p in GOLDEN_HELP.glob("*.txt")} == {
+            "repro", *subcommands
+        }
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.stem for p in GOLDEN_HELP.glob("*.txt"))
+    )
+    def test_help_is_byte_identical(self, name, monkeypatch, capsys):
+        argv = [] if name == "repro" else [name]
+        expected = (GOLDEN_HELP / f"{name}.txt").read_text()
+        assert self._help(argv, monkeypatch, capsys) == expected
+
+
 class TestKeystreamRegistryLock:
     """The argparse surface must be derived from the backend registry,
     never hand-maintained: registering a new backend must make it
@@ -143,6 +214,21 @@ class TestBench:
         assert code == 0
         out = capsys.readouterr().out
         assert "stream" in out and "paranoid divergences: 0" in out
+
+    def test_failed_verdict_exits_one(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        run_bench = cli.run_bench
+
+        def mismatching(spec, workers):
+            report = run_bench(spec, workers=workers)
+            report.to_json()["results"]["stream"]["readback_mismatches"] = 1
+            return report
+
+        monkeypatch.setattr(cli, "run_bench", mismatching)
+        code = main(["bench", "--apps", "stream", "--accesses", "500",
+                     "--region-mb", "2"])
+        assert code == 1
 
     def test_unknown_mode_rejected(self, capsys):
         with pytest.raises(SystemExit):
