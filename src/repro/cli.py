@@ -81,6 +81,13 @@ def _rate(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def _checked(parse: Callable[[str], Any]) -> Callable[[str], str]:
     """An argparse ``type`` that keeps the token once ``parse`` accepts
     it; ``parse``'s ``ValueError`` becomes a usage error."""
@@ -527,7 +534,7 @@ def spec_commands() -> dict[str, SpecCommand]:
                       help="protected region size in MiB"),
                 seed,
                 _apps(default=figure8_apps()),
-                _flag("--workers", type=int, default=1,
+                _flag("--workers", type=_positive, default=1,
                       help="worker processes to shard applications across"),
                 _flag("--mode", type=mode,
                       help="kernel verification: fast, paranoid (cross-"
@@ -626,9 +633,9 @@ def spec_commands() -> dict[str, SpecCommand]:
                       metavar="STEP[:PHASE]",
                       help="replay a single crash point (PHASE: skip|torn) "
                            "instead of the matrix"),
-                _flag("--limit", type=int, default=None,
+                _flag("--limit", type=_positive, default=None,
                       help="bound the matrix to N points (CI smoke)"),
-                _flag("--stride", type=int, default=1,
+                _flag("--stride", type=_positive, default=1,
                       help="run every Nth point of the matrix"),
                 _json_out("write the matrix report as a JSON artifact"),
             ),
@@ -646,7 +653,7 @@ def spec_commands() -> dict[str, SpecCommand]:
                 _flag("--ops", type=int, dest="ops_per_cycle", metavar="OPS",
                       help="traffic operations per cycle"),
                 _flag("--batch", type=int,
-                      help="writes per group-commit flush (0 = scalar)"),
+                      help="writes per group-commit flush"),
                 seed,
                 groups,
                 _flag("--checkpoint-every", type=int,
@@ -656,7 +663,7 @@ def spec_commands() -> dict[str, SpecCommand]:
                       help="quarantine spare pool size"),
                 ce_threshold,
                 *fault_rates,
-                _flag("--limit", type=int, default=None,
+                _flag("--limit", type=_positive, default=None,
                       help="bound the run to N cycles (CI smoke)"),
                 _json_out("write the torture report as a JSON artifact"),
             ),

@@ -161,11 +161,6 @@ class TreeGeometry:
         return cls(num_leaves, arity, onchip_bytes, tuple(sizes))
 
     @property
-    def interior_levels(self) -> int:
-        """Number of hash levels above the leaves (including on-chip top)."""
-        return len(self.level_sizes) - 1
-
-    @property
     def offchip_levels(self) -> int:
         """Metadata levels stored in DRAM: leaves + off-chip interiors."""
         return len(self.level_sizes) - 1

@@ -37,7 +37,6 @@ from repro.obs.probe import (
     ProbePoint,
     probes,
     probes_enabled,
-    profiled,
     set_probes,
 )
 from repro.obs.report import render_report, traffic_breakdown
@@ -58,7 +57,6 @@ __all__ = [
     "ProbePoint",
     "probes",
     "probes_enabled",
-    "profiled",
     "set_probes",
     "render_report",
     "traffic_breakdown",

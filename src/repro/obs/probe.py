@@ -19,11 +19,10 @@ the active tracer is enabled, emits a Chrome-trace slice.
 
 from __future__ import annotations
 
-import functools
 import time
 from contextlib import contextmanager
 from types import TracebackType
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Iterator
 
 from repro.obs.metrics import Histogram, MetricRegistry, get_registry
 from repro.obs.trace import get_tracer
@@ -107,38 +106,9 @@ class ProbePoint:
         return self._hist
 
 
-_F = TypeVar("_F", bound=Callable[..., Any])
-
-
-def profiled(
-    name: str | None = None,
-    cat: str = "probe",
-    registry: MetricRegistry | None = None,
-) -> Callable[[_F], _F]:
-    """Decorator form: profile every call of a function.
-
-    The probe point (and its histogram) binds at decoration time, i.e.
-    against the registry active when the function is defined.
-    """
-
-    def wrap(fn: _F) -> _F:
-        point = ProbePoint(name or fn.__qualname__, cat=cat, registry=registry)
-
-        @functools.wraps(fn)
-        def inner(*args: Any, **kwargs: Any) -> Any:
-            with point:
-                return fn(*args, **kwargs)
-
-        inner.__probe__ = point  # type: ignore[attr-defined]
-        return inner  # type: ignore[return-value]
-
-    return wrap
-
-
 __all__ = [
     "ProbePoint",
     "probes",
     "probes_enabled",
-    "profiled",
     "set_probes",
 ]

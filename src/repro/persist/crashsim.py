@@ -134,6 +134,8 @@ class StressSpec:
             )
         if self.group_count < 1:
             raise ValueError("group_count must be >= 1")
+        if self.batch < 0:
+            raise ValueError("batch must be >= 0")
 
     def engine_config(self) -> EngineConfig:
         return preset(

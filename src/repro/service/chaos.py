@@ -42,10 +42,11 @@ p99 is the *user-visible* tail, not a fair-weather number.  Latency and
 throughput are wall-clock and therefore machine-dependent; the
 correctness fields are not.
 
-The committed ``BENCH_chaos.json`` additionally carries a
-*retry-amplification* measurement (total client frame sends over
-logical operations); ``scripts/chaos_gate.py`` enforces the <= 3x
-floor so a regression to hot-loop retrying cannot land silently.
+The payload also carries a *retry-amplification* measurement (total
+client frame sends over logical operations).  :func:`claim_failures`
+judges a payload against every claim above that its own ``config``
+switches on, amplification <= 3x included, and a campaign passes only
+when it finds none.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ from repro.service.server import (
 from repro.service.tenant import BLOCK_BYTES
 
 CHAOS_SCHEMA = "repro.service.chaos/1"
+BENCH_SCHEMA = "repro.service.bench/1"
+#: ceiling on client frame sends per logical operation
+MAX_AMPLIFICATION = 3.0
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ class ChaosSpec:
     What sets a chaos campaign apart from plain load derives from the
     fields, not from a mode switch: a nonzero fault rate provisions the
     tenants with the resilience plane and gives their clients a
-    fast-tripping breaker (the gate wants to see it cycle); a nonzero
+    fast-tripping breaker (so a shard kill shows it cycle); a nonzero
     ``boost_rate`` picks a victim tenant, and then ``quota`` rate-limits
     one *other* tenant, so the two refusal kinds stay apart -- without a
     victim every tenant runs under ``quota``.
@@ -543,6 +547,15 @@ async def _drive(
             await asyncio.sleep(0.01)
         await asyncio.to_thread(supervisor.kill_shard, spec.kill_shard)
         kill_events.append({"shard": spec.kill_shard, "action": "kill"})
+        if spec.injects_faults():
+            # Hold the shard down until a client breaker trips (at most
+            # ~5 s): a worker that restarts faster than three failed
+            # retries would otherwise never show the breaker cycle.
+            opened = client_registry.counter("service.breaker.opened")
+            for _ in range(500):
+                if opened.value:
+                    break
+                await asyncio.sleep(0.01)
         await asyncio.to_thread(supervisor.restart_shard, spec.kill_shard)
         kill_events.append({"shard": spec.kill_shard, "action": "restart"})
 
@@ -672,17 +685,101 @@ def all_verified(results: dict[str, Any]) -> bool:
     )
 
 
+def claim_failures(payload: dict[str, Any]) -> list[str]:
+    """Every resilience claim a campaign payload fails (empty = pass).
+
+    Three claims hold for every campaign: no silent corruption, swept or
+    inline, with at least one block verified; every refusal typed; and
+    retry amplification within :data:`MAX_AMPLIFICATION`.  The others
+    hold where the payload's own ``config`` switches their stressor on:
+    a killed shard was killed and restarted, and with disk faults as
+    well the client breaker cycled open -> half-open -> closed; the
+    overload burst was shed; every deadline probe was refused; the
+    victim tenant ended degraded but readable.  A loadgen payload's
+    config has no fault rate, probe or victim, so of these only the kill
+    claim can apply to it.
+    """
+    schema = payload.get("schema")
+    if schema not in (CHAOS_SCHEMA, BENCH_SCHEMA):
+        return [f"schema {schema!r} is not a service campaign payload"]
+    config, results = payload["config"], payload["results"]
+    failures = [
+        f"silent corruption: {name} = {results[name]}"
+        for name in ("sdc_blocks", "inline_mismatches") if results[name]
+    ]
+    if results["verified_blocks"] < 1:
+        failures.append("no blocks verified: the campaign proved nothing")
+    if results["refusals"].get("internal", 0):
+        failures.append(
+            f"{results['refusals']['internal']} untyped 'internal' "
+            "refusal(s)"
+        )
+    client = results["client"]
+    amplification = client.get("amplification")
+    if amplification is None:
+        failures.append("no retry-amplification measurement recorded")
+    elif amplification > MAX_AMPLIFICATION:
+        failures.append(
+            f"retry amplification {amplification}x exceeds the "
+            f"{MAX_AMPLIFICATION}x ceiling ({client['sends']} sends / "
+            f"{results['logical_ops']} logical ops)"
+        )
+    if not payload["all_verified"]:
+        failures.append("payload's own all_verified flag is false")
+
+    if config["kill_shard"] is not None:
+        actions = {event["action"] for event in results["kill_events"]}
+        failures += [
+            f"chaos {action} event missing from the record"
+            for action in ("kill", "restart") if action not in actions
+        ]
+        if config.get("fault_rate") or config.get("boost_rate"):
+            failures += [
+                f"breaker never {transition}: the open -> half-open -> "
+                "closed recovery cycle was not observed"
+                for transition in ("opened", "half_open", "closed")
+                if results["breaker"][transition] < 1
+            ]
+    if config.get("overload_probes") and results["overload"]["shed"] < 1:
+        failures.append(
+            "overload burst was never shed: the dispatch queue bound "
+            "did not engage"
+        )
+    if config.get("deadline_probes"):
+        deadline = results["deadline"]
+        if not deadline["refused"] == deadline["sent"] >= 1:
+            failures.append(
+                f"{deadline['refused']}/{deadline['sent']} deadline_ms=0 "
+                "probes came back deadline_exceeded, not every one"
+            )
+    if config.get("victim_tenant"):
+        degraded = results["degraded"] or {}
+        victim = config["victim_tenant"]
+        if not degraded.get("write_refused"):
+            failures.append(
+                f"victim tenant {victim!r} did not refuse the "
+                "post-campaign write (degraded mode not reached or not "
+                "enforced)"
+            )
+        if not degraded.get("read_ok"):
+            failures.append(
+                f"victim tenant {victim!r} refused a read: degraded mode "
+                "must stay readable"
+            )
+    return failures
+
+
 @dataclass(frozen=True)
 class ServiceReport:
     """One ``repro chaos``/``loadgen`` campaign: its bench payload
-    (:meth:`to_json`), summary and verdict."""
+    (:meth:`to_json`), summary and verdict (:func:`claim_failures`)."""
 
     spec: ChaosSpec
     payload: dict[str, Any]
 
     @property
     def ok(self) -> bool:
-        return self.payload["all_verified"]
+        return not claim_failures(self.payload)
 
     @property
     def health(self) -> dict[str, Any]:
@@ -726,7 +823,9 @@ class ServiceReport:
             "ops)",
             "all_verified": self.payload["all_verified"],
         })
-        return f"{refusals}\n\n{summary}"
+        lines = [refusals, "", summary]
+        lines += [f"  FAIL {claim}" for claim in claim_failures(self.payload)]
+        return "\n".join(lines)
 
 
 def run_chaos(
@@ -746,9 +845,12 @@ def run_chaos(
 
 
 __all__ = [
+    "BENCH_SCHEMA",
     "CHAOS_SCHEMA",
+    "MAX_AMPLIFICATION",
     "ChaosSpec",
     "ServiceReport",
+    "claim_failures",
     "percentile",
     "run_campaign",
     "run_chaos",

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from repro.service.chaos import (
+    BENCH_SCHEMA,
     ChaosSpec,
     ServiceReport,
     all_verified,
@@ -34,8 +35,6 @@ from repro.service.chaos import (
 )
 from repro.service.quota import QuotaConfig
 from repro.service.router import shard_of
-
-BENCH_SCHEMA = "repro.service.bench/1"
 
 
 @dataclass(frozen=True)

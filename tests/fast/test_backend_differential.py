@@ -416,7 +416,7 @@ def test_flush_kernel_sequence_period_is_coprime_to_the_stride():
         batch.queue_write((sequence % 16) * 64, bytes([sequence]) * 64)
         if sequence % 2 == 1:
             batch.flush()
-    assert engine.tree.geometry.interior_levels == 0
+    assert engine.tree.geometry.offchip_levels == 0
     period = [
         "ctr.encrypt", "mac.tags", "ecc.lane", "counters.encode", "tree.hash"
     ]

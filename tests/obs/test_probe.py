@@ -7,7 +7,6 @@ from repro.obs.probe import (
     ProbePoint,
     probes,
     probes_enabled,
-    profiled,
     set_probes,
 )
 from repro.obs.trace import EventTracer, use_tracer
@@ -98,27 +97,3 @@ class TestProbePoint:
             except RuntimeError:
                 pass
         assert r.histogram("probe.x").count == 1
-
-
-class TestProfiledDecorator:
-    def test_counts_calls(self):
-        r = MetricRegistry()
-
-        @profiled("my.fn", registry=r)
-        def fn(x):
-            return x + 1
-
-        with probes(True):
-            assert fn(1) == 2
-            assert fn(2) == 3
-        assert r.histogram("probe.my.fn").count == 2
-
-    def test_default_name_is_qualname(self):
-        r = MetricRegistry()
-
-        @profiled(registry=r)
-        def helper():
-            return 42
-
-        assert helper.__probe__.name.endswith("helper")
-        assert helper() == 42

@@ -116,6 +116,10 @@ class TestMatrix:
         with pytest.raises(ValueError):
             run_matrix(SMALL, stride=0)
 
+    def test_negative_batch_rejected(self):
+        with pytest.raises(ValueError, match="batch must be >= 0"):
+            CrashSimSpec(batch=-1)
+
 
 class TestGroupCommitMatrix:
     """The batched workload: every flush seals one group-commit frame,

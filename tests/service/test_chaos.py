@@ -1,30 +1,30 @@
-"""The chaos campaign end to end, plus the acceptance gate's checks.
+"""The chaos campaign end to end, plus the verdict's claims.
 
 One small campaign runs once per module (real worker processes, real
 injected disk faults, one shard SIGKILLed and restarted, induced
 overload and deadline expiries) and every test asserts one resilience
-claim against its payload.  ``scripts/chaos_gate.py`` -- the CI
-acceptance gate -- is imported and run against both the live payload
-and hand-tampered ones.
+claim against its payload.  :func:`claim_failures` -- the verdict of
+``repro chaos`` and ``repro loadgen`` -- is run against the live
+payload, the committed ones and hand-tampered ones.
 """
 
 import copy
-import importlib.util
 import json
 import pathlib
 
 import pytest
 
-from repro.service.chaos import CHAOS_SCHEMA, ChaosSpec, run_chaos
+from repro.service.chaos import (
+    CHAOS_SCHEMA,
+    MAX_AMPLIFICATION,
+    ChaosSpec,
+    claim_failures,
+    run_chaos,
+)
+from repro.service.loadgen import BENCH_SCHEMA
 from repro.service.router import shard_of
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
-
-_spec = importlib.util.spec_from_file_location(
-    "chaos_gate", REPO / "scripts" / "chaos_gate.py"
-)
-chaos_gate = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(chaos_gate)
 
 SPEC = ChaosSpec(
     tenants=3,
@@ -118,15 +118,14 @@ class TestCampaign:
 
     def test_retry_amplification_bounded(self, payload):
         client = payload["results"]["client"]
-        assert client["amplification"] <= chaos_gate.MAX_AMPLIFICATION
+        assert client["amplification"] <= MAX_AMPLIFICATION
         assert client["sends"] >= payload["results"]["logical_ops"]
 
     def test_gate_passes_the_live_payload(self, payload):
-        assert chaos_gate.check(payload) == []
+        assert claim_failures(payload) == []
 
     def test_schema_stamped(self, payload):
         assert payload["schema"] == CHAOS_SCHEMA
-        assert chaos_gate.EXPECTED_SCHEMA == CHAOS_SCHEMA
 
 
 class TestGate:
@@ -134,6 +133,14 @@ class TestGate:
         return {
             "schema": CHAOS_SCHEMA,
             "all_verified": True,
+            "config": {
+                "kill_shard": 1,
+                "fault_rate": 0.002,
+                "boost_rate": 0.35,
+                "overload_probes": 24,
+                "deadline_probes": 4,
+                "victim_tenant": "tenant-00",
+            },
             "results": {
                 "sdc_blocks": 0,
                 "inline_mismatches": 0,
@@ -156,7 +163,7 @@ class TestGate:
         }
 
     def test_clean_payload_passes(self):
-        assert chaos_gate.check(self.passing_payload()) == []
+        assert claim_failures(self.passing_payload()) == []
 
     @pytest.mark.parametrize("mutate,needle", [
         (lambda r: r.__setitem__("sdc_blocks", 1), "silent corruption"),
@@ -166,6 +173,7 @@ class TestGate:
         (lambda r: r["breaker"].__setitem__("half_open", 0), "half_open"),
         (lambda r: r["overload"].__setitem__("shed", 0), "never shed"),
         (lambda r: r["deadline"].__setitem__("refused", 0), "deadline"),
+        (lambda r: r["deadline"].__setitem__("refused", 3), "3/4"),
         (lambda r: r["degraded"].__setitem__("write_refused", False),
          "refuse"),
         (lambda r: r["degraded"].__setitem__("read_ok", False), "readable"),
@@ -178,38 +186,33 @@ class TestGate:
     def test_each_claim_is_enforced(self, mutate, needle):
         payload = copy.deepcopy(self.passing_payload())
         mutate(payload["results"])
-        failures = chaos_gate.check(payload)
+        failures = claim_failures(payload)
         assert failures, "tampering went undetected"
         assert any(needle in failure for failure in failures), failures
+
+    def test_loadgen_payload_needs_no_chaos_data(self):
+        """A stressor the config leaves off has no claim: a loadgen
+        payload carries no breaker, overload, deadline or victim data."""
+        payload = self.passing_payload()
+        payload["schema"] = BENCH_SCHEMA
+        payload["config"] = {"kill_shard": 0}
+        for name in ("breaker", "overload", "deadline", "degraded"):
+            del payload["results"][name]
+        assert claim_failures(payload) == []
 
     def test_wrong_schema_is_terminal(self):
         payload = self.passing_payload()
         payload["schema"] = "bogus/9"
-        failures = chaos_gate.check(payload)
+        failures = claim_failures(payload)
         assert len(failures) == 1 and "schema" in failures[0]
 
     def test_all_verified_flag_checked(self):
         payload = self.passing_payload()
         payload["all_verified"] = False
         assert any(
-            "all_verified" in failure
-            for failure in chaos_gate.check(payload)
+            "all_verified" in failure for failure in claim_failures(payload)
         )
 
-    def test_main_on_committed_bench(self, tmp_path, capsys):
-        bench = REPO / "BENCH_chaos.json"
-        if not bench.exists():
-            pytest.skip("BENCH_chaos.json not committed yet")
-        assert chaos_gate.main([str(bench)]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_main_missing_file(self, tmp_path, capsys):
-        assert chaos_gate.main([str(tmp_path / "nope.json")]) == 1
-
-    def test_main_failing_payload(self, tmp_path, capsys):
-        payload = self.passing_payload()
-        payload["results"]["sdc_blocks"] = 3
-        target = tmp_path / "bad.json"
-        target.write_text(json.dumps(payload))
-        assert chaos_gate.main([str(target)]) == 1
-        assert "FAIL" in capsys.readouterr().err
+    @pytest.mark.parametrize("name", ["BENCH_chaos.json", "BENCH_service.json"])
+    def test_committed_payload_passes(self, name):
+        assert claim_failures(json.loads((REPO / name).read_text())) == []

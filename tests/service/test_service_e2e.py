@@ -59,20 +59,35 @@ class TestKillRestartAcceptance:
             supervisor.restart_shard(0)
             supervisor.restart_shard(1)
 
-            sdc = run(self._verify(root, shadow))
-            assert sdc == 0
-            # Anti-replay + root verification: each restarted shard
-            # reports a verified recovery for every tenant it owns.
-            for shard in (0, 1):
-                http = str(supervisor.router.http_socket_path(shard))
-                health = scrape(http, "/health")
-                assert health["status"] == "ok"
-                assert health["recovery"]["all_verified"]
-                assert health["recovery"]["recovered"] == sum(
-                    1 for t in shadow if shard_of(t, 2) == shard
-                )
+            assert run(self._verify(root, shadow)) == 0
+            self._assert_recovered(supervisor, shadow)
         finally:
             supervisor.stop()
+
+        # Cold restart: a fresh supervisor over the same root (as after
+        # a host reboot) recovers every tenant again.
+        supervisor = ServiceSupervisor(root, num_shards=2,
+                                       secret_seed=SEED)
+        supervisor.start()
+        try:
+            supervisor.wait_ready()
+            assert run(self._verify(root, shadow)) == 0
+            self._assert_recovered(supervisor, shadow)
+        finally:
+            supervisor.stop()
+
+    @staticmethod
+    def _assert_recovered(supervisor, shadow):
+        """Anti-replay + root verification: each shard reports a
+        verified recovery for every tenant it owns."""
+        for shard in (0, 1):
+            http = str(supervisor.router.http_socket_path(shard))
+            health = scrape(http, "/health")
+            assert health["status"] == "ok"
+            assert health["recovery"]["all_verified"]
+            assert health["recovery"]["recovered"] == sum(
+                1 for t in shadow if shard_of(t, 2) == shard
+            )
 
     async def _drive(self, root):
         client = ServiceClient(root, 2)

@@ -133,6 +133,27 @@ class TestSpecValueErrors:
         assert "Traceback" not in err
 
 
+class TestRunArguments:
+    """``--workers``, ``--stride`` and ``--limit`` size the run itself,
+    not the spec: a value below 1 is a usage error, never a traceback
+    nor a run of nothing that passes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--apps", "stream", "--accesses", "100", "--workers", "0"],
+        ["crash", "--stride", "0"],
+        ["crash", "--limit", "0"],
+        ["torture", "--limit", "0"],
+        ["torture", "--limit", "-3"],
+    ])
+    def test_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: must be >= 1\n" in err
+        assert "Traceback" not in err
+
+
 GOLDEN_HELP = pathlib.Path(__file__).parent / "golden" / "cli_help"
 
 
@@ -234,6 +255,25 @@ class TestBench:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--mode", "reference"])
         assert "fast, paranoid, sampled:N" in capsys.readouterr().err
+
+
+class TestLoadgen:
+    def test_failed_claim_exits_one(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        run_loadgen = cli.run_loadgen
+
+        def restart_lost(spec, root):
+            report = run_loadgen(spec, root)
+            del report.to_json()["results"]["kill_events"][1:]
+            return report
+
+        monkeypatch.setattr(cli, "run_loadgen", restart_lost)
+        code = main(["loadgen", "--tenants", "2", "--ops", "10",
+                     "--region-kb", "8", "--kill-shard", "0"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "FAIL chaos restart event missing from the record" in out
 
 
 class TestStudy:
