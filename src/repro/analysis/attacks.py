@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.core.ecc_mac.layout import EccField
 from repro.core.engine.secure_memory import IntegrityError, SecureMemory
 from repro.lint.contracts import BLOCK_BYTES
 
@@ -78,18 +79,12 @@ def ciphertext_and_mac_forgery(memory: SecureMemory, address: int = 0,
     def mutate():
         forged_ct = bytes(rng.randrange(256) for _ in range(64))
         memory.ciphertexts[block] = forged_ct
-        if memory.config.mac_in_ecc:
-            from repro.core.ecc_mac.layout import EccField
-
-            guess = rng.getrandbits(56)
-            field = EccField(
-                mac=guess,
-                mac_check=memory.codec.mac_hamming.encode(guess),
-                ct_parity=0,
-            )
-            memory.ecc_fields[block] = field
-        else:
-            memory.mac_store[block] = rng.getrandbits(56)
+        # A guessed MAC with self-consistent Hamming bits, so the ECC
+        # check passes and only the MAC can reject it (a bare-tag lane
+        # compares the whole word).
+        guess = rng.getrandbits(56)
+        check = memory.codec.mac_hamming.encode(guess)
+        memory.lanes[block] = EccField(guess, check, 0).word
 
     return _attack(
         memory,
@@ -169,17 +164,8 @@ def block_relocation(memory: SecureMemory, seed: int = 6) -> AttackResult:
     memory.write(target, bytes(rng.randrange(256) for _ in range(64)))
 
     def mutate():
-        memory.ciphertexts[target // BLOCK_BYTES] = memory.ciphertexts[
-            source // BLOCK_BYTES
-        ]
-        if memory.config.mac_in_ecc:
-            memory.ecc_fields[target // BLOCK_BYTES] = memory.ecc_fields[
-                source // BLOCK_BYTES
-            ]
-        else:
-            memory.mac_store[target // BLOCK_BYTES] = memory.mac_store[
-                source // BLOCK_BYTES
-            ]
+        for store in (memory.ciphertexts, memory.lanes):
+            store[target // BLOCK_BYTES] = store[source // BLOCK_BYTES]
 
     return _attack(
         memory,

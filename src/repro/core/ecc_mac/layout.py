@@ -19,7 +19,6 @@ single-bit data upsets without recomputing MACs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.crypto.mac import CarterWegmanMac, MAC_BITS, MAC_MASK
 from repro.ecc.hamming import HammingResult, HammingSecDed
@@ -52,71 +51,41 @@ class EccField:
         if self.ct_parity not in (0, 1):
             raise ValueError("ct_parity must be 0 or 1")
 
-    @classmethod
-    def many(
-        cls,
-        macs: Sequence[int],
-        checks: Sequence[int],
-        parities: Sequence[int],
-    ) -> list["EccField"]:
-        """One field per row of three parallel columns (the batch write
-        path's constructor).
-
-        Each column is range-checked once, with the messages of
-        ``__post_init__``, instead of once per field; the fields are then
-        set as the frozen ``__init__`` sets them, with
-        ``object.__setattr__`` -- never through ``__dict__``, which would
-        give every field a real per-instance dict.
-        """
-        if not len(macs) == len(checks) == len(parities):
-            raise ValueError("columns must have equal lengths")
-        if macs and not (0 <= min(macs) and max(macs) <= MAC_MASK):
-            raise ValueError("mac must be a 56-bit value")
-        if checks and not (
-            0 <= min(checks) and max(checks) < (1 << _MAC_CHECK_BITS)
-        ):
-            raise ValueError("mac_check must be a 7-bit value")
-        if not set(parities) <= {0, 1}:
-            raise ValueError("ct_parity must be 0 or 1")
-        new = object.__new__
-        assign = object.__setattr__
-        fields = []
-        for mac, check, parity in zip(macs, checks, parities):
-            field = new(cls)
-            assign(field, "mac", mac)
-            assign(field, "mac_check", check)
-            assign(field, "ct_parity", parity)
-            fields.append(field)
-        return fields
-
-    def pack(self) -> bytes:
-        """Serialize to the 8 bytes the ECC chips store."""
-        word = (
+    @property
+    def word(self) -> int:
+        """The 64-bit lane word: ``mac | check << 56 | parity << 63``."""
+        return (
             self.mac
             | (self.mac_check << _MAC_CHECK_SHIFT)
             | (self.ct_parity << _CT_PARITY_SHIFT)
         )
-        return word.to_bytes(ECC_FIELD_BYTES, "little")
 
     @classmethod
-    def unpack(cls, raw: bytes) -> "EccField":
-        """Parse the 8 stored ECC bytes."""
-        if len(raw) != ECC_FIELD_BYTES:
-            raise ValueError(f"ECC field must be {ECC_FIELD_BYTES} bytes")
-        word = int.from_bytes(raw, "little")
+    def from_word(cls, word: int) -> "EccField":
+        """Decode one 64-bit lane word."""
         return cls(
             mac=word & MAC_MASK,
             mac_check=(word >> _MAC_CHECK_SHIFT) & ((1 << _MAC_CHECK_BITS) - 1),
             ct_parity=(word >> _CT_PARITY_SHIFT) & 1,
         )
 
+    def pack(self) -> bytes:
+        """Serialize to the 8 bytes the ECC chips store."""
+        return self.word.to_bytes(ECC_FIELD_BYTES, "little")
+
+    @classmethod
+    def unpack(cls, raw: bytes) -> "EccField":
+        """Parse the 8 stored ECC bytes."""
+        if len(raw) != ECC_FIELD_BYTES:
+            raise ValueError(f"ECC field must be {ECC_FIELD_BYTES} bytes")
+        return cls.from_word(int.from_bytes(raw, "little"))
+
     def flip_bit(self, position: int) -> "EccField":
         """Return a copy with one of the 64 stored bits flipped (for fault
         injection)."""
         if not 0 <= position < ECC_FIELD_BITS:
             raise ValueError("position must be within the 64-bit field")
-        word = int.from_bytes(self.pack(), "little") ^ (1 << position)
-        return EccField.unpack(word.to_bytes(ECC_FIELD_BYTES, "little"))
+        return EccField.from_word(self.word ^ (1 << position))
 
 
 class MacEccCodec:

@@ -32,7 +32,12 @@ from repro.core.ecc_mac.correction import (
     FlipAndCheckCorrector,
 )
 from repro.core.ecc_mac.detection import CheckOutcome, check_block
-from repro.core.ecc_mac.layout import EccField, MacEccCodec
+from repro.core.ecc_mac.layout import (
+    ECC_FIELD_BITS,
+    ECC_FIELD_BYTES,
+    EccField,
+    MacEccCodec,
+)
 from repro.core.engine.config import EngineConfig
 from repro.core.engine.tree import BonsaiMerkleTree
 from repro.crypto.ctr import CtrModeCipher
@@ -181,10 +186,12 @@ class SecureMemory:
         )
         #: off-chip data: block index -> ciphertext bytes
         self.ciphertexts: dict[int, bytes] = {}
-        #: off-chip MAC state: block index -> EccField (mac_in_ecc) or
-        #: block index -> int tag (separate-MAC baseline)
-        self.ecc_fields: dict[int, EccField] = {}
-        self.mac_store: dict[int, int] = {}
+        #: off-chip MAC state: block index -> the 64-bit word its lane
+        #: holds, read in the same burst as the data.  With MAC-in-ECC
+        #: that is the Figure 2 ECC word (``EccField.word``: 56-bit MAC,
+        #: 7 Hamming bits, 1 parity bit); otherwise the bare 56-bit tag
+        #: from the separate MAC region.
+        self.lanes: dict[int, int] = {}
         # Observability: all counters live in the (run- or process-wide)
         # metrics registry; lookups are resolved once, here, so the
         # read/write hot paths touch only pre-bound objects.
@@ -236,16 +243,11 @@ class SecureMemory:
 
     def _durable_snapshot(self) -> SnapshotState:
         """Everything a checkpoint must capture to rebuild this engine."""
-        data: dict[int, DataImage] = {}
-        for block, ciphertext in self.ciphertexts.items():
-            ecc = self.ecc_fields.get(block)
-            data[block] = DataImage(
-                ciphertext=ciphertext,
-                ecc=ecc.pack() if ecc is not None else None,
-                mac=self.mac_store.get(block),
-            )
         return {
-            "data": data,
+            "data": {
+                block: self._image(ciphertext, self.lanes.get(block))
+                for block, ciphertext in self.ciphertexts.items()
+            },
             "meta": dict(self.counter_storage),
             "root": self.tree.root_digest(),
             "scheme_epoch": getattr(self.scheme, "epoch", 0),
@@ -260,9 +262,9 @@ class SecureMemory:
         """Recovery redo: reinstall one durable data-block image."""
         self.ciphertexts[block] = image.ciphertext
         if image.ecc is not None:
-            self.ecc_fields[block] = EccField.unpack(image.ecc)
-        if image.mac is not None:
-            self.mac_store[block] = image.mac
+            self.lanes[block] = EccField.unpack(image.ecc).word
+        elif image.mac is not None:
+            self.lanes[block] = image.mac
 
     def restore_group_metadata(self, group: int, metadata: bytes) -> None:
         """Recovery redo: reinstall one group's serialized counters.
@@ -320,30 +322,32 @@ class SecureMemory:
         self._store_block(block, ciphertext, nonce)
         return ciphertext
 
-    def _store_block(self, block: int, ciphertext: bytes, nonce: int) -> None:
-        address = block * BLOCK_BYTES
-        self.ciphertexts[block] = ciphertext
+    def _lane_word(self, ciphertext: bytes, address: int, nonce: int) -> int:
+        """The word a block's lane holds for ``ciphertext`` under ``nonce``."""
         if self.config.mac_in_ecc:
-            self.ecc_fields[block] = self._codec.build(
-                ciphertext, address, nonce
-            )
-            if self.persist is not None and self.persist.in_txn:
-                self.persist.record_data(
-                    block,
-                    DataImage(
-                        ciphertext=ciphertext,
-                        ecc=self.ecc_fields[block].pack(),
-                    ),
-                )
-        else:
-            self.mac_store[block] = self._mac.tag(ciphertext, address, nonce)
-            if self.persist is not None and self.persist.in_txn:
-                self.persist.record_data(
-                    block,
-                    DataImage(
-                        ciphertext=ciphertext, mac=self.mac_store[block]
-                    ),
-                )
+            return self._codec.build(ciphertext, address, nonce).word
+        return self._mac.tag(ciphertext, address, nonce)
+
+    def _stored_field(self, block: int) -> EccField | None:
+        """The decoded view of a block's stored ECC word, if any."""
+        word = self.lanes.get(block)
+        return EccField.from_word(word) if word is not None else None
+
+    def _image(self, ciphertext: bytes, word: int | None) -> DataImage:
+        """The journal's image of one block and its lane word: the word
+        as the packed 8-byte ECC field with MAC-in-ECC, else as the
+        separate MAC."""
+        if self.config.mac_in_ecc and word is not None:
+            ecc = word.to_bytes(ECC_FIELD_BYTES, "little")
+            return DataImage(ciphertext=ciphertext, ecc=ecc)
+        return DataImage(ciphertext=ciphertext, mac=word)
+
+    def _store_block(self, block: int, ciphertext: bytes, nonce: int) -> None:
+        word = self._lane_word(ciphertext, block * BLOCK_BYTES, nonce)
+        self.ciphertexts[block] = ciphertext
+        self.lanes[block] = word
+        if self.persist is not None and self.persist.in_txn:
+            self.persist.record_data(block, self._image(ciphertext, word))
 
     def _commit_metadata(self, group: int) -> None:
         metadata = self.scheme.group_metadata(group)
@@ -457,7 +461,7 @@ class SecureMemory:
         authenticated (possibly healed) ciphertext to re-encrypt.
         """
         if self.config.mac_in_ecc:
-            ecc = self.ecc_fields.get(block)
+            ecc = self._stored_field(block)
             result = check_block(self._codec, ciphertext, ecc, address, nonce)
             if result.outcome is CheckOutcome.MAC_UNCORRECTABLE:
                 raise IntegrityError(
@@ -482,8 +486,7 @@ class SecureMemory:
                 )
             self.counters.corrections += 1
             return correction.data
-        stored = self.mac_store.get(block)
-        if self._mac.tag(ciphertext, address, nonce) != stored:
+        if self._mac.tag(ciphertext, address, nonce) != self.lanes.get(block):
             raise IntegrityError(
                 "mac",
                 address,
@@ -553,7 +556,7 @@ class SecureMemory:
             ]
             nonce = self.scheme.nonce(counter)
             ciphertext = self._stored_ciphertext(block)
-            ecc = self.ecc_fields.get(block) if self.config.mac_in_ecc else None
+            ecc = self._stored_field(block) if self.config.mac_in_ecc else None
             if self.read_perturb is not None:
                 ciphertext, ecc = self.read_perturb(address, ciphertext, ecc)
 
@@ -561,9 +564,8 @@ class SecureMemory:
                 return self._read_with_ecc(
                     block, address, ciphertext, nonce, ecc, correct=correct
                 )
-            stored = self.mac_store.get(block)
             self._m_mac_checks.inc()
-            if self._mac.tag(ciphertext, address, nonce) != stored:
+            if self._mac.tag(ciphertext, address, nonce) != self.lanes.get(block):
                 self._m_mac_fails.inc()
                 raise IntegrityError(
                     "mac",
@@ -599,9 +601,7 @@ class SecureMemory:
             if result.outcome is CheckOutcome.MAC_CORRECTED:
                 self.counters.mac_self_corrections += 1
                 # Write the healed field back (demand scrub).
-                self.ecc_fields[block] = self._codec.build(
-                    ciphertext, address, nonce
-                )
+                self.lanes[block] = self._lane_word(ciphertext, address, nonce)
             return ReadResult(
                 data=self._cipher.decrypt(ciphertext, nonce, address),
                 outcome=result.outcome,
@@ -629,9 +629,7 @@ class SecureMemory:
             )
         self.counters.corrections += 1
         self.ciphertexts[block] = correction.data
-        self.ecc_fields[block] = self._codec.build(
-            correction.data, address, nonce
-        )
+        self.lanes[block] = self._lane_word(correction.data, address, nonce)
         return ReadResult(
             data=self._cipher.decrypt(correction.data, nonce, address),
             outcome=CheckOutcome.DATA_MISMATCH,
@@ -657,10 +655,12 @@ class SecureMemory:
             raise ValueError("configuration stores no ECC field")
         block = self._block_index(address)
         self._stored_ciphertext(block)  # ensure initialized
-        ecc = self.ecc_fields[block]
+        flips = 0
         for position in positions:
-            ecc = ecc.flip_bit(position)
-        self.ecc_fields[block] = ecc
+            if not 0 <= position < ECC_FIELD_BITS:
+                raise ValueError("position must be within the 64-bit field")
+            flips ^= 1 << position
+        self.lanes[block] ^= flips
 
     def snapshot_block(self, address: int) -> dict[str, Any]:
         """Attacker records everything off-chip about a block (for replay)."""
@@ -668,8 +668,7 @@ class SecureMemory:
         group = self.scheme.group_of(block)
         return {
             "ciphertext": self._stored_ciphertext(block),
-            "ecc": self.ecc_fields.get(block),
-            "mac": self.mac_store.get(block),
+            "lane": self.lanes.get(block),
             "metadata": self._stored_metadata(group),
         }
 
@@ -680,10 +679,8 @@ class SecureMemory:
         block = self._block_index(address)
         group = self.scheme.group_of(block)
         self.ciphertexts[block] = snapshot["ciphertext"]
-        if snapshot["ecc"] is not None:
-            self.ecc_fields[block] = snapshot["ecc"]
-        if snapshot["mac"] is not None:
-            self.mac_store[block] = snapshot["mac"]
+        if snapshot["lane"] is not None:
+            self.lanes[block] = snapshot["lane"]
         self.counter_storage[group] = snapshot["metadata"]
 
     def corrupt_counter_storage(self, group: int, data: bytes) -> None:
@@ -704,7 +701,7 @@ class SecureMemory:
             yield (
                 block * BLOCK_BYTES,
                 self.ciphertexts[block],
-                self.ecc_fields[block],
+                EccField.from_word(self.lanes[block]),
             )
 
 

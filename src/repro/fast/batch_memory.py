@@ -2,8 +2,8 @@
 
 ``BatchSecureMemory`` queues reads and writes, then flushes them through
 the batch kernels.  The contract is *state equivalence*: after a flush,
-the underlying engine's externally observable state -- ciphertexts, ECC
-fields / MAC store, serialized counter storage, tree leaves and root,
+the underlying engine's externally observable state -- ciphertexts, lane
+words, serialized counter storage, tree leaves and root,
 scheme state, and every ``engine.*`` / ``counters.*`` metric -- is
 bit-identical to what the scalar ``engine.write`` / ``engine.read`` loop
 would have produced for the same operation sequence.  The equivalence
@@ -20,8 +20,9 @@ How the write path keeps the scalar semantics while batching:
   it.  A segment's blocks, counters and data join parallel pending
   columns and its groups are marked stale and dirty in bulk; the
   expensive keystream, MAC and ECC-lane work is deferred into per-run
-  batches, with one ``scheme.nonce`` call for their nonces and one
-  ``EccField.many`` call for their ECC fields;
+  batches, with one ``scheme.nonce`` call for their nonces and their
+  lane words (MAC, check bits and parity in one uint64 per block) built
+  as one array;
 * the groups touched by the run are serialized when the run commits,
   all of them in one multi-group ``counters.encode`` call.  Until then
   their ``counter_storage`` lags the scheme.  The only reader that can
@@ -94,26 +95,22 @@ stay volatile heals, exactly as on the scalar path).
 
 from __future__ import annotations
 
-import operator
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.counters.events import CounterEvent
-from repro.core.ecc_mac.layout import EccField
 from repro.core.engine.config import ConfigError
 from repro.core.engine.secure_memory import (
     IntegrityError,
     ReadResult,
     SecureMemory,
 )
-from repro.fast.ecc_lane import CHECK_MASK, PARITY_SHIFT
+from repro.fast.ecc_lane import CHECK_MASK
 from repro.fast.kernels import KernelTable, build_kernel_table
-from repro.lint.contracts import BLOCK_BYTES
-from repro.persist.journal import DataImage
+from repro.lint.contracts import BLOCK_BYTES, MAC_CHECK_SHIFT, MAC_MASK
 
-_MAC_OF = operator.attrgetter("mac")
-_CHECK_OF = operator.attrgetter("mac_check")
+_CHECK_SHIFT = np.uint64(MAC_CHECK_SHIFT)
 
 
 class BatchSecureMemory:
@@ -371,14 +368,11 @@ class BatchSecureMemory:
         wraps = hasattr(scheme, "epoch")
         engine_writes = engine.counters.metric("writes")
         self._m_writes.inc(len(writes))
-        addresses = [address for address, _ in writes]
         datas = [data for _, data in writes]
         # Queued addresses were validated: aligned and in range.
-        blocks = [address // BLOCK_BYTES for address in addresses]
-        #: writes encrypted/stored lazily: blocks, addresses, counters, data
-        pending: tuple[list[int], list[int], list[int], list[bytes]] = (
-            [], [], [], []
-        )
+        blocks = [address // BLOCK_BYTES for address, _ in writes]
+        #: writes encrypted/stored lazily: blocks, counters, data
+        pending: tuple[list[int], list[int], list[bytes]] = ([], [], [])
         #: groups whose counter_storage lags the scheme state
         stale: dict[int, None] = {}
         #: groups needing a final tree-leaf commit
@@ -390,9 +384,8 @@ class BatchSecureMemory:
                 stop = start + len(counters)
                 if counters:
                     pending[0].extend(blocks[start:stop])
-                    pending[1].extend(addresses[start:stop])
-                    pending[2].extend(counters)
-                    pending[3].extend(datas[start:stop])
+                    pending[1].extend(counters)
+                    pending[2].extend(datas[start:stop])
                     touched = dict.fromkeys(
                         [block // per_group for block in blocks[start:stop]]
                     )
@@ -402,7 +395,8 @@ class BatchSecureMemory:
                 if stop == len(blocks):
                     break
                 # ``scheme.may_overflow`` is True for this write.
-                block, address = blocks[stop], addresses[stop]
+                block = blocks[stop]
+                address = block * BLOCK_BYTES
                 group = block // per_group
                 # What the scalar per-write commit would have left in
                 # storage where the overflow handlers read old counters: a
@@ -411,7 +405,7 @@ class BatchSecureMemory:
                 # are stored first, under their epoch's nonces).
                 if wraps:
                     self._flush_pending(*pending)
-                    pending = ([], [], [], [])
+                    pending = ([], [], [])
                     lagging = list(stale)
                 elif group in stale:
                     lagging = [group]
@@ -435,7 +429,7 @@ class BatchSecureMemory:
                     dirty.clear()
                 elif outcome.reencrypted_group is not None:
                     self._flush_pending(*pending)
-                    pending = ([], [], [], [])
+                    pending = ([], [], [])
                     engine._trace_reencrypt(
                         "engine.group_reencrypt",
                         address,
@@ -449,9 +443,8 @@ class BatchSecureMemory:
                         )
                     engine.counters.group_reencryptions += 1
                 pending[0].append(block)
-                pending[1].append(address)
-                pending[2].append(outcome.counter)
-                pending[3].append(datas[stop])
+                pending[1].append(outcome.counter)
+                pending[2].append(datas[stop])
                 stale[group] = None
                 dirty[group] = None
                 start = stop + 1
@@ -480,11 +473,7 @@ class BatchSecureMemory:
         return global_reencrypt
 
     def _flush_pending(
-        self,
-        blocks: list[int],
-        addresses: list[int],
-        counters: list[int],
-        datas: list[bytes],
+        self, blocks: list[int], counters: list[int], datas: list[bytes]
     ) -> None:
         """Encrypt, tag and store parallel columns of pending writes,
         under the nonces of ``counters`` in the scheme's current epoch."""
@@ -492,8 +481,8 @@ class BatchSecureMemory:
             return
         engine = self.engine
         nonces = engine.scheme.nonce(np.asarray(counters, dtype=np.int64))
-        in_txn = engine.persist is not None and engine.persist.in_txn
         count = len(blocks)
+        addresses = np.asarray(blocks, dtype=np.int64) * BLOCK_BYTES
         data = np.frombuffer(b"".join(datas), dtype=np.uint8).reshape(
             count, BLOCK_BYTES
         )
@@ -508,31 +497,19 @@ class BatchSecureMemory:
             flat[offset : offset + BLOCK_BYTES]
             for offset in range(0, count * BLOCK_BYTES, BLOCK_BYTES)
         ]
-        engine.ciphertexts.update(zip(blocks, stored))
         if engine.config.mac_in_ecc:
             lane = self.kernels.run(
                 "ecc.lane", tags, ciphertexts, blocks=count
             )
-            fields = EccField.many(
-                tags.tolist(),
-                (lane & CHECK_MASK).tolist(),
-                (lane >> PARITY_SHIFT).tolist(),
-            )
-            engine.ecc_fields.update(zip(blocks, fields))
-            if in_txn:
-                for block, ciphertext, field in zip(blocks, stored, fields):
-                    engine.persist.record_data(
-                        block,
-                        DataImage(ciphertext=ciphertext, ecc=field.pack()),
-                    )
-        else:
-            macs = tags.tolist()
-            engine.mac_store.update(zip(blocks, macs))
-            if in_txn:
-                for block, ciphertext, mac in zip(blocks, stored, macs):
-                    engine.persist.record_data(
-                        block, DataImage(ciphertext=ciphertext, mac=mac)
-                    )
+            tags = tags | lane.astype(np.uint64) << _CHECK_SHIFT
+        words = tags.tolist()
+        engine.ciphertexts.update(zip(blocks, stored))
+        engine.lanes.update(zip(blocks, words))
+        if engine.persist is not None and engine.persist.in_txn:
+            for block, ciphertext, word in zip(blocks, stored, words):
+                engine.persist.record_data(
+                    block, engine._image(ciphertext, word)
+                )
 
     # -- overflow re-encryption -------------------------------------------
 
@@ -610,8 +587,7 @@ class BatchSecureMemory:
             )
             for row, plain in zip(rows, decrypted):
                 plains[row] = plain.tobytes()
-        counters = [new_counter] * len(blocks)
-        self._flush_pending(blocks, addresses, counters, plains)
+        self._flush_pending(blocks, [new_counter] * len(blocks), plains)
         return True
 
     def _stored_columns(
@@ -621,31 +597,28 @@ class BatchSecureMemory:
 
         Returns ``(written, held, messages, macs, checks)``: ``written``
         marks the blocks with a stored ciphertext, ``held`` those that
-        also have their stored MAC (the ECC field with MAC-in-ECC, else
-        the MAC store's tag); ``messages`` (``(rows, 64)`` uint8),
-        ``macs`` and ``checks`` are the held rows' stored ciphertexts,
-        MACs and Hamming check bits (0 without MAC-in-ECC).  A mask is
-        built per block only when a whole-batch key test fails.
+        also have their stored lane word; ``messages`` (``(rows, 64)``
+        uint8), ``macs`` and ``checks`` are the held rows' stored
+        ciphertexts, MACs and Hamming check bits, split out of the lane
+        words (a bare tag's check bits read 0).  A mask is built per
+        block only when a whole-batch key test fails.
         """
         engine = self.engine
         count = len(blocks)
         wanted = set(blocks)
         ciphertexts = engine.ciphertexts
-        mac_in_ecc = engine.config.mac_in_ecc
-        store: dict[int, Any] = (
-            engine.ecc_fields if mac_in_ecc else engine.mac_store
-        )
+        lanes = engine.lanes
         if ciphertexts.keys() >= wanted:
             written = np.ones(count, dtype=bool)
         else:
             written = np.fromiter(
                 map(ciphertexts.__contains__, blocks), dtype=bool, count=count
             )
-        if store.keys() >= wanted:
+        if lanes.keys() >= wanted:
             held = written.copy()
         else:
             held = written & np.fromiter(
-                map(store.__contains__, blocks), dtype=bool, count=count
+                map(lanes.__contains__, blocks), dtype=bool, count=count
             )
         rows = blocks if held.all() else [
             block for block, ok in zip(blocks, held.tolist()) if ok
@@ -653,17 +626,11 @@ class BatchSecureMemory:
         messages = np.frombuffer(
             b"".join(map(ciphertexts.__getitem__, rows)), dtype=np.uint8
         ).reshape(len(rows), BLOCK_BYTES)
-        stored = list(map(store.__getitem__, rows))
-        if mac_in_ecc:
-            macs = np.fromiter(
-                map(_MAC_OF, stored), dtype=np.uint64, count=len(rows)
-            )
-            checks = np.fromiter(
-                map(_CHECK_OF, stored), dtype=np.uint8, count=len(rows)
-            )
-        else:
-            macs = np.array(stored, dtype=np.uint64)
-            checks = np.zeros(len(rows), dtype=np.uint8)
+        words = np.fromiter(
+            map(lanes.__getitem__, rows), dtype=np.uint64, count=len(rows)
+        )
+        macs = words & np.uint64(MAC_MASK)
+        checks = (words >> _CHECK_SHIFT).astype(np.uint8) & CHECK_MASK
         return written, held, messages, macs, checks
 
     def _clean(

@@ -38,33 +38,15 @@ class TestEccField:
         with pytest.raises(ValueError):
             EccField(mac=0, mac_check=0, ct_parity=2)
 
-    def test_many_equals_the_per_field_constructor(self, rng):
-        rows = [
-            (rng.getrandbits(56), rng.getrandbits(7), rng.getrandbits(1))
-            for _ in range(50)
-        ] + [((1 << 56) - 1, 127, 1), (0, 0, 0)]
-        macs, checks, parities = (list(column) for column in zip(*rows))
-        fields = EccField.many(macs, checks, parities)
-        assert fields == [EccField(*row) for row in rows]
-        assert EccField.many([], [], []) == []
-
-    @pytest.mark.parametrize(
-        "column,value",
-        [(0, 1 << 56), (0, -1), (1, 128), (1, -1), (2, 2)],
-    )
-    def test_many_validates_each_column_like_the_constructor(
-        self, column, value
-    ):
-        columns = [[5, 6], [7, 8], [0, 1]]
-        columns[column][1] = value
-        row = [columns[0][1], columns[1][1], columns[2][1]]
-        with pytest.raises(ValueError) as expected:
-            EccField(*row)
-        with pytest.raises(ValueError) as raised:
-            EccField.many(*columns)
-        assert str(raised.value) == str(expected.value)
-        with pytest.raises(ValueError):
-            EccField.many([1, 2], [3], [0, 1])
+    def test_word_is_the_packed_lane(self, rng):
+        for _ in range(50):
+            field = EccField(
+                mac=rng.getrandbits(56),
+                mac_check=rng.getrandbits(7),
+                ct_parity=rng.getrandbits(1),
+            )
+            assert field.pack() == field.word.to_bytes(ECC_FIELD_BYTES, "little")
+            assert EccField.from_word(field.word) == field
 
     def test_unpack_validation(self):
         with pytest.raises(ValueError):

@@ -172,9 +172,9 @@ class TestTamperDetection:
         memory.write(0, random_block(rng))
         memory.write(64, random_block(rng))
         ct0, ct1 = memory.ciphertexts[0], memory.ciphertexts[1]
-        ecc0, ecc1 = memory.ecc_fields[0], memory.ecc_fields[1]
+        lane0, lane1 = memory.lanes[0], memory.lanes[1]
         memory.ciphertexts[0], memory.ciphertexts[1] = ct1, ct0
-        memory.ecc_fields[0], memory.ecc_fields[1] = ecc1, ecc0
+        memory.lanes[0], memory.lanes[1] = lane1, lane0
         with pytest.raises(IntegrityError):
             memory.read(0)
 
@@ -355,7 +355,7 @@ class TestGlobalReencryption:
 
         def state():
             return (
-                dict(memory.ciphertexts), dict(memory.ecc_fields),
+                dict(memory.ciphertexts), dict(memory.lanes),
                 dict(memory.counter_storage), memory.tree.root_digest(),
                 list(memory.scheme._counters), memory.scheme.epoch,
             )

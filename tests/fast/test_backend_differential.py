@@ -45,6 +45,7 @@ from repro.fast.kernels import (
 )
 from repro.fast.mac_batch import BatchCarterWegmanMac
 from repro.obs.metrics import MetricRegistry, use_registry
+from tests.fast.conftest import engine_state
 
 AES_BACKENDS = ["reference", "fast", "aesni"]
 KEY = bytes((i * 73 + 5) & 0xFF for i in range(48))
@@ -197,22 +198,6 @@ def _mixed_ops(seed, count, region=REGION, hot_blocks=12):
     return ops
 
 
-def _engine_state(engine):
-    if engine.config.mac_in_ecc:
-        macs = {
-            block: (field.mac, field.mac_check, field.ct_parity)
-            for block, field in engine.ecc_fields.items()
-        }
-    else:
-        macs = dict(engine.mac_store)
-    return (
-        dict(engine.ciphertexts),
-        macs,
-        dict(engine.counter_storage),
-        engine.tree.root_digest(),
-    )
-
-
 def _drive(config, ops, batched=True):
     registry = MetricRegistry()
     with use_registry(registry):
@@ -235,7 +220,7 @@ def _drive(config, ops, batched=True):
                 else:
                     result = engine.read(op[1] * 64)
                     reads.append((result.data, result.outcome))
-        return _engine_state(engine), reads
+        return engine_state(engine), reads
 
 
 @pytest.mark.parametrize("preset_name", ["combined", "mac_in_ecc"])

@@ -31,6 +31,7 @@ from repro.fast.kernels import KernelPair, KernelTable
 from repro.harness.parallel import state_digest
 from repro.obs.metrics import MetricRegistry, use_registry
 from repro.obs.probe import probes
+from tests.fast.conftest import engine_state
 
 KEY = bytes(range(48))
 REGION = 64 * 1024  # 1024 blocks, 16 groups
@@ -81,22 +82,6 @@ def _mixed_ops(seed, count, hot_blocks=24):
     return ops
 
 
-def _engine_state(engine):
-    if engine.config.mac_in_ecc:
-        macs = {
-            block: (field.mac, field.mac_check, field.ct_parity)
-            for block, field in engine.ecc_fields.items()
-        }
-    else:
-        macs = dict(engine.mac_store)
-    return (
-        dict(engine.ciphertexts),
-        macs,
-        dict(engine.counter_storage),
-        engine.tree.root_digest(),
-    )
-
-
 def _run_scalar(config, ops):
     registry = MetricRegistry()
     with use_registry(registry):
@@ -107,7 +92,7 @@ def _run_scalar(config, ops):
                 engine.write(op[1] * 64, op[2])
             else:
                 reads.append(engine.read(op[1] * 64))
-        state = _engine_state(engine)
+        state = engine_state(engine)
     return state, reads, registry.snapshot().totals()
 
 
@@ -124,7 +109,7 @@ def _run_batch(config, ops, mode, chunk=17):
                 else:
                     batch.queue_read(op[1] * 64)
             reads.extend(batch.flush())
-        state = _engine_state(engine)
+        state = engine_state(engine)
     totals = registry.snapshot().totals()
     scoped = {
         name: value
@@ -287,7 +272,7 @@ def test_batch_fault_correction_falls_back_bit_identically():
             corrupted[5] ^= 0x10
             engine.ciphertexts[0] = bytes(corrupted)
             results = [io["read"](0), io["read"](64)]
-            state = _engine_state(engine)
+            state = engine_state(engine)
         return results, state, registry.snapshot().totals()
 
     def scalar(engine):
@@ -404,7 +389,7 @@ def test_batched_durable_equals_scalar_durable_through_recovery(
                 result = stack.read(op[1] * 64)
                 reads.append((result.data, result.outcome))
         stack.flush()
-        return _engine_state(stack.engine), reads, store
+        return engine_state(stack.engine), reads, store
 
     scalar_state, scalar_reads, scalar_store = run(fast=False)
     batch_state, batch_reads, batch_store = run(fast=True)
@@ -418,7 +403,7 @@ def test_batched_durable_equals_scalar_durable_through_recovery(
             registry=Registry(),
         )
         assert report.root_verified
-        assert _engine_state(stack.engine) == scalar_state
+        assert engine_state(stack.engine) == scalar_state
 
 
 # -- lazy counter serialization --------------------------------------------
@@ -584,7 +569,7 @@ def test_segmented_run_with_a_mid_run_overflow_matches_scalar(durable):
                 [block * 64 for block in (5, 6, 64, 65, 127)]
             )
         ]
-        return _engine_state(stack.engine), reads, registry, store
+        return engine_state(stack.engine), reads, registry, store
 
     scalar_state, scalar_reads, scalar_registry, scalar_store = drive(False)
     batch_state, batch_reads, batch_registry, batch_store = drive(True)
@@ -607,7 +592,7 @@ def test_segmented_run_with_a_mid_run_overflow_matches_scalar(durable):
                 registry=MetricRegistry(),
             )
             assert report.root_verified
-            assert _engine_state(stack.engine) == scalar_state
+            assert engine_state(stack.engine) == scalar_state
 
 
 @pytest.mark.parametrize(
@@ -712,7 +697,7 @@ def test_overflow_of_group_dirtied_earlier_in_the_same_run(
             for address, data in prologue + run:
                 engine.write(address, data)
             reads = [engine.read(address).data for address, _ in run]
-            return _engine_state(engine), reads, registry.snapshot().totals()
+            return engine_state(engine), reads, registry.snapshot().totals()
 
     def batched():
         registry = MetricRegistry()
@@ -722,7 +707,7 @@ def test_overflow_of_group_dirtied_earlier_in_the_same_run(
             batch.write_many(prologue)
             batch.write_many(run)  # one write run, one commit
             reads = [r.data for r in batch.read_many([a for a, _ in run])]
-            return _engine_state(engine), reads, registry.snapshot().totals()
+            return engine_state(engine), reads, registry.snapshot().totals()
 
     scalar_state, scalar_reads, scalar_totals = scalar()
     scalar_calls = _spy_scalar_reencrypts(monkeypatch)
@@ -750,7 +735,7 @@ def test_wrap_with_no_other_stored_block_matches_scalar():
             else:
                 for address, data in writes:
                     engine.write(address, data)
-        return _engine_state(engine), engine.scheme.epoch
+        return engine_state(engine), engine.scheme.epoch
 
     assert run(batched=True) == run(batched=False)
     assert run(batched=True)[1] == 4
@@ -856,7 +841,7 @@ def test_non_clean_reencryption_goes_to_the_scalar_handler(
                 outcome = [(r.data, r.outcome) for r in results]
             except IntegrityError as error:
                 outcome = (error.kind, error.address)
-            state = _engine_state(engine)
+            state = engine_state(engine)
         probed = registry.histogram("probe.engine.reencrypt").count
         return outcome, state, registry.snapshot().totals(), lazy, probed
 
@@ -1026,7 +1011,7 @@ def test_ecc_lane_read_faults_fall_back_bit_identically(flips):
                 outcome = results
             except IntegrityError as error:  # the raise itself must match
                 outcome = (type(error).__name__, str(error))
-            return outcome, _engine_state(engine), registry.snapshot().totals()
+            return outcome, engine_state(engine), registry.snapshot().totals()
 
     scalar_outcome, scalar_state, scalar_totals = run(batched=False)
     batch_outcome, batch_state, batch_totals = run(batched=True)
@@ -1116,8 +1101,7 @@ def _install_anomalies(engine, case):
     suspect |= {block for block, bits in ecc_bits.items() if bits - {63}}
     if case["missing_mac"] is not None:
         block = _read_block(*case["missing_mac"])
-        store = engine.ecc_fields if engine.config.mac_in_ecc else engine.mac_store
-        del store[block]
+        del engine.lanes[block]
         suspect.add(block)
     if case["tampered_group"] is not None:
         group = case["tampered_group"]
@@ -1179,7 +1163,7 @@ def test_read_run_matches_the_scalar_read_loop(case_id, case):
             except IntegrityError as error:
                 outcome = (type(error).__name__, str(error),
                            getattr(error, "kind", None))
-            state = _engine_state(engine)
+            state = engine_state(engine)
         # ``results`` of the scalar loop: the reads before a raise
         return outcome, state, registry.snapshot().totals(), suspect, results
 
@@ -1219,7 +1203,7 @@ def test_missing_ecc_field_raises_integrity_error_on_both_paths():
     def read(batched):
         engine = SecureMemory(_config("mac_in_ecc", {}), KEY)
         engine.write(64, bytes(range(64)))
-        del engine.ecc_fields[1]
+        del engine.lanes[1]
         with pytest.raises(IntegrityError) as info:
             if batched:
                 BatchSecureMemory(engine).read_many([64])
