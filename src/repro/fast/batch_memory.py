@@ -1,7 +1,8 @@
 """Batched façade over :class:`SecureMemory` with scalar-equivalent state.
 
-``BatchSecureMemory`` queues reads and writes, then flushes them through
-the batch kernels.  The contract is *state equivalence*: after a flush,
+``BatchSecureMemory`` runs each ``write_many``/``read_many`` call, and
+the writes ``queue_write`` defers until ``flush``, as one run through
+the batch kernels.  The contract is *state equivalence*: after a run,
 the underlying engine's externally observable state -- ciphertexts, lane
 words, serialized counter storage, tree leaves and root,
 scheme state, and every ``engine.*`` / ``counters.*`` metric -- is
@@ -48,13 +49,13 @@ How the write path keeps the scalar semantics while batching:
   per level (intermediate leaf states are unobservable -- no read can
   happen inside a write run).
 
-Queued addresses are validated when queued -- ``write_many`` and
-``read_many`` test a whole call's with one array test, falling back to
-the per-address checks (and their exact ``ValueError``) only when it
-fails -- so both paths compute blocks, groups, slots and nonces
-arithmetically.  ``read_many`` hands a valid call straight to the read
-path, which classifies a run with arrays and visits only its
-anomalies one by one:
+A call is validated before anything runs -- one array test over its
+addresses, the per-address checks (``queue_write``'s, or
+``engine._block_index``'s for reads) only when it fails -- so a bad call
+raises their exact ``ValueError`` with nothing queued, stored or read,
+and both paths compute blocks, groups, slots and nonces arithmetically.
+``read_many`` hands its call straight to the read path, which
+classifies a run with arrays and visits only its anomalies one by one:
 
 * the touched groups (distinct, in first-touch order) are verified in
   one ``verify_leaves`` walk and those that verified decoded in one
@@ -70,7 +71,7 @@ anomalies one by one:
   tag of the stored ciphertext and the stored check bits equal the
   ``ecc.lane`` encoding of the stored MAC) and the clean ones
   decrypted in one ``ctr.encrypt``;
-* in queue order, each stretch of clean reads is emitted by
+* in call order, each stretch of clean reads is emitted by
   ``ReadResult.clean_many`` and counted in one ``engine.read.total``
   and one ``engine.read.mac_check`` bump; then the anomaly that ends it
   raises (a tree failure) or falls back to the scalar ``engine.read``
@@ -91,6 +92,13 @@ wide -- so recovery replays it with no new code, and a torn group-commit
 frame discards the *entire* batch: a flush lands atomically or not at
 all.  Reads never run inside a flush transaction (read-path corrections
 stay volatile heals, exactly as on the scalar path).
+
+``bench/tracing.py`` hooks ``write_many``, ``read_many`` and ``flush``
+(naming a flush span by ``_queue[0][0]``) and the stages
+``_run_writes``, ``_flush_pending`` and ``_flush_reads``, so those names
+and the ``("write", address, data)`` entries stay.  Work belongs inside
+a stage: a call's own body is attributed to no stage, and the traced
+benchmark fails a run whose unattributed share is too large.
 """
 
 from __future__ import annotations
@@ -114,7 +122,7 @@ _CHECK_SHIFT = np.uint64(MAC_CHECK_SHIFT)
 
 
 class BatchSecureMemory:
-    """Queue/flush façade running an engine through the batch kernels."""
+    """Run-per-call façade running an engine through the batch kernels."""
 
     def __init__(
         self,
@@ -147,126 +155,96 @@ class BatchSecureMemory:
         self._m_fallback = registry.counter(
             "fast.fallback.scalar", inst=inst
         )
-        #: queued operations: ("write", address, data) / ("read", address)
-        self._queue: list[tuple[str, int, bytes | None]] = []
+        #: writes deferred by queue_write: ("write", address, data)
+        self._queue: list[tuple[str, int, bytes]] = []
 
     @property
     def mode(self) -> str:
         return self.kernels.mode
 
-    # -- queueing ----------------------------------------------------------
+    # -- calls -------------------------------------------------------------
 
     def queue_write(self, address: int, data: bytes) -> None:
-        """Queue one 64-byte block write (validated immediately)."""
-        if len(data) != BLOCK_BYTES:
-            raise ValueError(f"data must be {BLOCK_BYTES} bytes")
-        self.engine._block_index(address)
-        self._queue.append(("write", address, bytes(data)))
-
-    def queue_read(self, address: int) -> None:
-        """Queue one block read (validated immediately)."""
-        self.engine._block_index(address)
-        self._queue.append(("read", address, None))
+        """Defer one 64-byte block write to the next run (validated
+        immediately)."""
+        self._queue.append(("write", address, self._checked(address, data)))
 
     def write_many(self, writes: Iterable[tuple[int, bytes]]) -> None:
-        """Queue and flush a sequence of (address, data) writes.
+        """Write ``(address, data)`` pairs as one run, after the writes
+        :meth:`queue_write` deferred.
 
-        The call is validated at once; only when that fails are the
-        writes queued one by one, so the first bad write raises what
-        :meth:`queue_write` raises, with the writes before it queued.
+        Only when the call fails its one array test are the writes
+        checked one by one, so the first bad write raises what
+        :meth:`queue_write` raises for it, with nothing queued or stored.
         """
         writes = list(writes)
-        queued = self._checked_writes(writes)
-        if queued is None:
-            for address, data in writes:
-                self.queue_write(address, data)
+        array = None
+        try:
+            addresses, datas = zip(*writes) if writes else ((), ())
+            if set(map(len, datas)) <= {BLOCK_BYTES}:
+                datas = list(map(bytes, datas))
+                array = self._address_array(addresses)
+        except (TypeError, ValueError):
+            pass
+        if array is None:
+            datas = [self._checked(address, data) for address, data in writes]
+            blocks = [address // BLOCK_BYTES for address, _ in writes]
         else:
-            self._queue.extend(queued)
+            blocks = (array // BLOCK_BYTES).tolist()
         self.flush()
+        if blocks:
+            self._m_flushes.inc()
+            self._flush_writes(blocks, datas)
 
     def read_many(self, addresses: Sequence[int]) -> list[ReadResult]:
-        """Flush pending work, then read ``addresses`` as one batch
-        (validated like :meth:`write_many`'s writes).
-
-        A valid call is one read run, so it goes straight to the read
-        path (one flush counted) rather than through the queue.
+        """Read ``addresses`` as one run, after the writes
+        :meth:`queue_write` deferred; the first bad address raises what
+        ``engine._block_index`` raises for it, with nothing stored or read.
         """
-        self.flush()
-        if not self._addresses_valid(addresses):
+        if self._address_array(addresses) is None:
             for address in addresses:
-                self.queue_read(address)
-            return self.flush()
+                self.engine._block_index(address)
+        self.flush()
         if not len(addresses):
             return []
         self._m_flushes.inc()
         return self._flush_reads(addresses)
 
-    def _checked_writes(
-        self, writes: list[tuple[int, bytes]]
-    ) -> list[tuple[str, int, bytes | None]] | None:
-        """The queue entries of a whole call, or None unless every write
-        passes :meth:`queue_write`'s checks."""
-        try:
-            addresses = [address for address, _ in writes]
-            datas = [data for _, data in writes]
-            if set(map(len, datas)) - {BLOCK_BYTES}:
-                return None
-            queued = [
-                ("write", address, bytes(data))
-                for address, data in zip(addresses, datas)
-            ]
-        except (TypeError, ValueError):
-            return None
-        return queued if self._addresses_valid(addresses) else None
+    def _checked(self, address: int, data: bytes) -> bytes:
+        """``data`` as bytes, once the write passed the per-write checks."""
+        if len(data) != BLOCK_BYTES:
+            raise ValueError(f"data must be {BLOCK_BYTES} bytes")
+        self.engine._block_index(address)
+        return bytes(data)
 
-    def _addresses_valid(self, addresses: Sequence[int]) -> bool:
-        """``engine._block_index``'s checks -- 64-byte aligned, inside
-        the protected region -- as one array test over a call."""
+    def _address_array(self, addresses: Sequence[int]) -> np.ndarray | None:
+        """A call's addresses as one int array, or None unless one array
+        test shows that each passes ``engine._block_index``'s checks:
+        64-byte aligned, inside the protected region."""
         if not len(addresses):
-            return True
+            return np.zeros(0, dtype=np.int64)
         try:
             array = np.array(addresses)
         except (TypeError, ValueError, OverflowError):
-            return False
+            return None
         if array.ndim != 1 or array.dtype.kind not in "iu":
-            return False
+            return None
         limit = self.engine.scheme.total_blocks * BLOCK_BYTES
-        return bool(
-            array.min() >= 0
-            and array.max() < limit
-            and not (array % BLOCK_BYTES).any()
-        )
+        if array.min() < 0 or array.max() >= limit or (array % BLOCK_BYTES).any():
+            return None
+        return array
 
-    def flush(self) -> list[ReadResult]:
-        """Run the queue through the kernels; returns queued reads' results.
-
-        On :class:`IntegrityError` the failing operation raises exactly as
-        the scalar loop would at that point; operations queued after it
-        are discarded.
-        """
+    def flush(self) -> None:
+        """Store the writes :meth:`queue_write` deferred as one run (on
+        :class:`IntegrityError`, the writes after the failing one are
+        discarded, as the scalar loop would never have reached them)."""
         queue, self._queue = self._queue, []
-        if not queue:
-            return []
-        self._m_flushes.inc()
-        results: list[ReadResult] = []
-        start = 0
-        while start < len(queue):
-            op = queue[start][0]
-            stop = start
-            while stop < len(queue) and queue[stop][0] == op:
-                stop += 1
-            if op == "write":
-                self._flush_writes(
-                    [(address, data) for _, address, data in queue[start:stop]]
-                )
-            else:
-                results.extend(
-                    self._flush_reads(
-                        [address for _, address, _ in queue[start:stop]]
-                    )
-                )
-            start = stop
-        return results
+        if queue:
+            self._m_flushes.inc()
+            self._flush_writes(
+                [address // BLOCK_BYTES for _, address, _ in queue],
+                [data for _, _, data in queue],
+            )
 
     # -- write path --------------------------------------------------------
 
@@ -313,7 +291,7 @@ class BatchSecureMemory:
             for group, data in zip(groups, metadata):
                 engine.persist.record_meta(group, data)
 
-    def _flush_writes(self, writes: list[tuple[int, bytes]]) -> None:
+    def _flush_writes(self, blocks: list[int], datas: list[bytes]) -> None:
         """One write run; with persistence attached, one group-commit txn.
 
         The whole run -- including any re-encryptions, whose stores and
@@ -326,7 +304,7 @@ class BatchSecureMemory:
         engine = self.engine
         persist = engine.persist
         if persist is None:
-            self._run_writes(writes)
+            self._run_writes(blocks, datas)
             return
         if persist.in_txn:
             raise ConfigError(
@@ -339,7 +317,7 @@ class BatchSecureMemory:
             )
         persist.begin_txn()
         try:
-            global_reencrypt = self._run_writes(writes)
+            global_reencrypt = self._run_writes(blocks, datas)
         except BaseException:
             persist.abort_txn()
             raise
@@ -351,10 +329,10 @@ class BatchSecureMemory:
             root=engine.tree.root_digest(),
             scheme_epoch=getattr(engine.scheme, "epoch", 0),
             force_checkpoint=force,
-            writes=len(writes),
+            writes=len(blocks),
         )
 
-    def _run_writes(self, writes: list[tuple[int, bytes]]) -> bool:
+    def _run_writes(self, blocks: list[int], datas: list[bytes]) -> bool:
         """The write-run data path; True when a global re-encrypt fired.
 
         The run is walked as plain segments, each advanced by one
@@ -367,10 +345,7 @@ class BatchSecureMemory:
         global_reencrypt = False
         wraps = hasattr(scheme, "epoch")
         engine_writes = engine.counters.metric("writes")
-        self._m_writes.inc(len(writes))
-        datas = [data for _, data in writes]
-        # Queued addresses were validated: aligned and in range.
-        blocks = [address // BLOCK_BYTES for address, _ in writes]
+        self._m_writes.inc(len(blocks))
         #: writes encrypted/stored lazily: blocks, counters, data
         pending: tuple[list[int], list[int], list[bytes]] = ([], [], [])
         #: groups whose counter_storage lags the scheme state
@@ -665,7 +640,7 @@ class BatchSecureMemory:
         engine = self.engine
         count = len(addresses)
         self._m_reads.inc(count)
-        # Queued addresses were validated: aligned and in range.
+        # The call's addresses were validated: aligned and in range.
         block_array = np.array(addresses, dtype=np.int64) // BLOCK_BYTES
         group_array, slots = np.divmod(
             block_array, engine.scheme.blocks_per_group
@@ -693,11 +668,11 @@ class BatchSecureMemory:
         # whose group verified, with a stored ciphertext and stored MAC
         # state, read without a perturb hook; the candidates' clean
         # test runs as one batch.  Everything else is an anomaly: a
-        # tree failure raises at its queue position, the rest (lazily
+        # tree failure raises at its call position, the rest (lazily
         # initialized blocks, corrections, raises) fall back to the
         # scalar ``engine.read``.
         clean = np.zeros(count, dtype=bool)
-        #: the clean blocks' plaintexts, in queue order
+        #: the clean blocks' plaintexts, in call order
         datas: list[bytes] = []
         if engine.read_perturb is None and verdicts.any():
             _, held, messages, macs, checks = self._stored_columns(
@@ -731,7 +706,7 @@ class BatchSecureMemory:
                         for offset in range(0, len(flat), BLOCK_BYTES)
                     ]
 
-        # Queue-order pass over the anomalies alone: the stretch of
+        # Call-order pass over the anomalies alone: the stretch of
         # clean reads before each is emitted and counted in bulk, then
         # the anomaly's mutation or raise happens exactly where the
         # scalar loop would have performed it.

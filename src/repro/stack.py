@@ -38,7 +38,7 @@ re-wraps it and replays the recovered resilience events idempotently.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.core.engine.config import EngineConfig
 from repro.core.engine.secure_memory import ReadResult, SecureMemory
@@ -169,11 +169,6 @@ class EngineStack:
         if self.batch is not None:
             return self.batch.read_many([address])[0]
         return self.engine.read(address)
-
-    def read_many(
-        self, addresses: Sequence[int]
-    ) -> list[RecoveredRead | ReadResult]:
-        return [self.read(address) for address in addresses]
 
     # -- durability ---------------------------------------------------------
 

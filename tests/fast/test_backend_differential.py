@@ -45,7 +45,7 @@ from repro.fast.kernels import (
 )
 from repro.fast.mac_batch import BatchCarterWegmanMac
 from repro.obs.metrics import MetricRegistry, use_registry
-from tests.fast.conftest import engine_state
+from tests.fast.conftest import engine_state, run_ops
 
 AES_BACKENDS = ["reference", "fast", "aesni"]
 KEY = bytes((i * 73 + 5) & 0xFF for i in range(48))
@@ -205,13 +205,9 @@ def _drive(config, ops, batched=True):
         reads = []
         if batched:
             batch = BatchSecureMemory(engine, mode="fast")
-            for op in ops:
-                if op[0] == "write":
-                    batch.queue_write(op[1] * 64, op[2])
-                else:
-                    batch.queue_read(op[1] * 64)
             reads = [
-                (result.data, result.outcome) for result in batch.flush()
+                (result.data, result.outcome)
+                for result in run_ops(batch, ops)
             ]
         else:
             for op in ops:

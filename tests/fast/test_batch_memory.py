@@ -1,6 +1,6 @@
 """State-equivalence tests: BatchSecureMemory vs the scalar engine.
 
-The facade's contract is that after any queued operation sequence the
+The facade's contract is that after any operation sequence the
 engine's externally observable state (ciphertexts, ECC fields / MAC
 store, serialized counter metadata, tree root) and every ``engine.*`` /
 ``counters.*`` metric total are bit-identical to what the scalar
@@ -31,7 +31,7 @@ from repro.fast.kernels import KernelPair, KernelTable
 from repro.harness.parallel import state_digest
 from repro.obs.metrics import MetricRegistry, use_registry
 from repro.obs.probe import probes
-from tests.fast.conftest import engine_state
+from tests.fast.conftest import engine_state, run_ops
 
 KEY = bytes(range(48))
 REGION = 64 * 1024  # 1024 blocks, 16 groups
@@ -103,12 +103,7 @@ def _run_batch(config, ops, mode, chunk=17):
         batch = BatchSecureMemory(engine, mode=mode)
         reads = []
         for start in range(0, len(ops), chunk):
-            for op in ops[start : start + chunk]:
-                if op[0] == "write":
-                    batch.queue_write(op[1] * 64, op[2])
-                else:
-                    batch.queue_read(op[1] * 64)
-            reads.extend(batch.flush())
+            reads.extend(run_ops(batch, ops[start : start + chunk]))
         state = engine_state(engine)
     totals = registry.snapshot().totals()
     scoped = {
@@ -565,8 +560,8 @@ def test_segmented_run_with_a_mid_run_overflow_matches_scalar(durable):
         stack.write_many(payloads(run, 1))
         reads = [
             (result.data, result.outcome)
-            for result in stack.read_many(
-                [block * 64 for block in (5, 6, 64, 65, 127)]
+            for result in map(
+                stack.read, [block * 64 for block in (5, 6, 64, 65, 127)]
             )
         ]
         return engine_state(stack.engine), reads, registry, store
@@ -595,6 +590,15 @@ def test_segmented_run_with_a_mid_run_overflow_matches_scalar(durable):
             assert engine_state(stack.engine) == scalar_state
 
 
+def _primed_batch():
+    """A batch over an engine that already holds two written blocks."""
+    engine = SecureMemory(_config("combined", {}), KEY,
+                          registry=MetricRegistry())
+    batch = BatchSecureMemory(engine)
+    batch.write_many([(0, bytes([1]) * 64), (64, bytes([2]) * 64)])
+    return batch
+
+
 @pytest.mark.parametrize(
     "bad",
     [3 * 64 + 1, REGION, -64],
@@ -603,42 +607,82 @@ def test_segmented_run_with_a_mid_run_overflow_matches_scalar(durable):
 @pytest.mark.parametrize("call", ["write_many", "read_many"])
 def test_call_validation_raises_like_the_per_address_loop(call, bad):
     """``write_many``/``read_many`` test a call's addresses at once; a
-    bad one raises the per-address loop's ValueError, with its message,
-    and leaves the same prefix queued."""
+    bad one raises the per-address check's ValueError, with its
+    message, and the call queues, stores and reads nothing."""
     addresses = [0, 64, bad, 128]
-    writes = [(address, bytes(64)) for address in addresses]
-
-    def batch():
-        return BatchSecureMemory(
-            SecureMemory(_config("combined", {}), KEY,
-                         registry=MetricRegistry())
-        )
-
-    reference = batch()
+    reference = _primed_batch()
     with pytest.raises(ValueError) as expected:
         for address in addresses:
             if call == "write_many":
                 reference.queue_write(address, bytes(64))
             else:
-                reference.queue_read(address)
-    checked = batch()
+                reference.engine._block_index(address)
+    batch = _primed_batch()
+    before = engine_state(batch.engine)
     with pytest.raises(ValueError) as raised:
         if call == "write_many":
-            checked.write_many(writes)
+            batch.write_many([(address, bytes(64)) for address in addresses])
         else:
-            checked.read_many(addresses)
+            batch.read_many(addresses)
     assert str(raised.value) == str(expected.value)
-    assert checked._queue == reference._queue
-    assert len(checked._queue) == 2
+    assert batch._queue == []
+    assert engine_state(batch.engine) == before
 
 
 def test_write_many_rejects_a_short_block_like_queue_write():
-    engine = SecureMemory(_config("combined", {}), KEY,
-                          registry=MetricRegistry())
-    batch = BatchSecureMemory(engine)
+    batch = _primed_batch()
+    before = engine_state(batch.engine)
     with pytest.raises(ValueError, match="data must be 64 bytes"):
         batch.write_many([(0, bytes(64)), (64, bytes(63)), (128, bytes(64))])
-    assert batch._queue == [("write", 0, bytes(64))]
+    assert batch._queue == []
+    assert engine_state(batch.engine) == before
+
+
+def test_write_many_rejects_str_data_before_any_counter_moves():
+    """Data of the right length that ``bytes()`` refuses fails the call
+    like ``queue_write`` does, before any counter advances: a later
+    write of block 0 leaves what the scalar engine leaves."""
+    batch, scalar = _primed_batch(), _primed_batch()
+    with pytest.raises(TypeError) as expected:
+        scalar.queue_write(0, "x" * 64)
+    with pytest.raises(TypeError) as raised:
+        batch.write_many([(0, "x" * 64)])
+    assert str(raised.value) == str(expected.value)
+    batch.write_many([(0, bytes([5]) * 64)])
+    scalar.engine.write(0, bytes([5]) * 64)
+    assert engine_state(batch.engine) == engine_state(scalar.engine)
+
+
+@pytest.mark.parametrize("call", ["write_many", "read_many"])
+def test_rejected_call_keeps_deferred_writes_deferred(call):
+    """A call that fails validation does not flush what ``queue_write``
+    deferred: the queue and the engine are as they were."""
+    batch = _primed_batch()
+    batch.queue_write(128, bytes([4]) * 64)
+    queued, before = list(batch._queue), engine_state(batch.engine)
+    with pytest.raises(ValueError, match="aligned"):
+        if call == "write_many":
+            batch.write_many([(192, bytes(64)), (3, bytes(64))])
+        else:
+            batch.read_many([0, 3])
+    assert batch._queue == queued
+    assert engine_state(batch.engine) == before
+
+
+def test_rejected_read_leaves_no_read_for_the_next_call():
+    """A ``read_many`` that fails validation reads nothing, not even its
+    valid prefix: the next ``write_many`` must not run a read of the
+    corrupted block 0 first, and raise its IntegrityError."""
+    batch = _primed_batch()
+    batch.engine.flip_data_bits(0, range(5))
+    with pytest.raises(ValueError, match="aligned"):
+        batch.read_many([0, 3])
+    batch.write_many([(64, bytes([3]) * 64)])
+    assert batch._queue == []
+    assert batch.read_many([64])[0].data == bytes([3]) * 64
+    with pytest.raises(IntegrityError) as excinfo:
+        batch.read_many([0])
+    assert (excinfo.value.kind, excinfo.value.address) == ("mac", 0)
 
 
 #: configs whose overflow handlers re-encrypt a group, or everything,
