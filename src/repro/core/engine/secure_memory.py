@@ -34,7 +34,6 @@ from repro.core.ecc_mac.correction import (
 from repro.core.ecc_mac.detection import CheckOutcome, check_block
 from repro.core.ecc_mac.layout import (
     ECC_FIELD_BITS,
-    ECC_FIELD_BYTES,
     EccField,
     MacEccCodec,
 )
@@ -245,7 +244,7 @@ class SecureMemory:
         """Everything a checkpoint must capture to rebuild this engine."""
         return {
             "data": {
-                block: self._image(ciphertext, self.lanes.get(block))
+                block: DataImage(ciphertext, self.lanes.get(block))
                 for block, ciphertext in self.ciphertexts.items()
             },
             "meta": dict(self.counter_storage),
@@ -261,10 +260,8 @@ class SecureMemory:
     def restore_block_image(self, block: int, image: DataImage) -> None:
         """Recovery redo: reinstall one durable data-block image."""
         self.ciphertexts[block] = image.ciphertext
-        if image.ecc is not None:
-            self.lanes[block] = EccField.unpack(image.ecc).word
-        elif image.mac is not None:
-            self.lanes[block] = image.mac
+        if image.lane is not None:
+            self.lanes[block] = image.lane
 
     def restore_group_metadata(self, group: int, metadata: bytes) -> None:
         """Recovery redo: reinstall one group's serialized counters.
@@ -333,21 +330,12 @@ class SecureMemory:
         word = self.lanes.get(block)
         return EccField.from_word(word) if word is not None else None
 
-    def _image(self, ciphertext: bytes, word: int | None) -> DataImage:
-        """The journal's image of one block and its lane word: the word
-        as the packed 8-byte ECC field with MAC-in-ECC, else as the
-        separate MAC."""
-        if self.config.mac_in_ecc and word is not None:
-            ecc = word.to_bytes(ECC_FIELD_BYTES, "little")
-            return DataImage(ciphertext=ciphertext, ecc=ecc)
-        return DataImage(ciphertext=ciphertext, mac=word)
-
     def _store_block(self, block: int, ciphertext: bytes, nonce: int) -> None:
         word = self._lane_word(ciphertext, block * BLOCK_BYTES, nonce)
         self.ciphertexts[block] = ciphertext
         self.lanes[block] = word
         if self.persist is not None and self.persist.in_txn:
-            self.persist.record_data(block, self._image(ciphertext, word))
+            self.persist.record_data(block, DataImage(ciphertext, word))
 
     def _commit_metadata(self, group: int) -> None:
         metadata = self.scheme.group_metadata(group)

@@ -117,6 +117,7 @@ from repro.core.engine.secure_memory import (
 from repro.fast.ecc_lane import CHECK_MASK
 from repro.fast.kernels import KernelTable, build_kernel_table
 from repro.lint.contracts import BLOCK_BYTES, MAC_CHECK_SHIFT, MAC_MASK
+from repro.persist.journal import DataImage
 
 _CHECK_SHIFT = np.uint64(MAC_CHECK_SHIFT)
 
@@ -182,7 +183,8 @@ class BatchSecureMemory:
         try:
             addresses, datas = zip(*writes) if writes else ((), ())
             if set(map(len, datas)) <= {BLOCK_BYTES}:
-                datas = list(map(bytes, datas))
+                if not set(map(type, datas)) <= {bytes}:
+                    datas = list(map(bytes, datas))
                 array = self._address_array(addresses)
         except (TypeError, ValueError):
             pass
@@ -482,9 +484,7 @@ class BatchSecureMemory:
         engine.lanes.update(zip(blocks, words))
         if engine.persist is not None and engine.persist.in_txn:
             for block, ciphertext, word in zip(blocks, stored, words):
-                engine.persist.record_data(
-                    block, engine._image(ciphertext, word)
-                )
+                engine.persist.record_data(block, DataImage(ciphertext, word))
 
     # -- overflow re-encryption -------------------------------------------
 

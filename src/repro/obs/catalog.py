@@ -265,11 +265,11 @@ def _stack_specs() -> list[MetricSpec]:
     """The composed-stack facade (:class:`repro.stack.EngineStack`)."""
     return [
         MetricSpec("stack.writes", "counter",
-                   "writes entering the composed stack"),
+                   "writes in the composed stack's completed write runs"),
         MetricSpec("stack.reads", "counter",
                    "reads entering the composed stack"),
         MetricSpec("stack.flushes", "counter",
-                   "batch flushes requested through the stack"),
+                   "write runs acknowledged through the batch layer"),
         MetricSpec("stack.recoveries", "counter",
                    "full-stack crash recoveries performed"),
     ]

@@ -159,12 +159,13 @@ class CrashSimSpec(StressSpec):
     fire), and a short checkpoint interval interleaves checkpoint steps
     with journal steps.
 
-    ``batch > 0`` runs the workload through the batched facade, flushing
-    every ``batch`` writes -- each flush seals one group-commit journal
-    frame.  ``resilient=True`` adds the resilience layer (addresses
-    become logical) and splices deterministic stuck faults + reads into
-    the workload: the first retires a block (journaled, consuming a
-    spare), the second exhausts the pool and degrades.
+    ``batch > 0`` runs the workload through the batched facade, one
+    ``write_many`` run every ``batch`` writes -- each run seals one
+    group-commit journal frame.  ``resilient=True`` adds the resilience
+    layer (addresses become logical) and splices deterministic stuck
+    faults + reads into the workload: the first retires a block
+    (journaled, consuming a spare), the second exhausts the pool and
+    degrades.
     """
 
     workload_blocks: int = 4  # distinct addresses the workload touches
@@ -280,21 +281,15 @@ def run_workload(
             return
         state.inflight = list(pending)
         pending.clear()
-        stack.flush()
+        stack.write_many(state.inflight)
         ack()
 
     try:
         for op in build_ops(spec):
             if op[0] == "write":
-                if spec.batch > 0:
-                    stack.write(op[1], op[2])
-                    pending.append((op[1], op[2]))
-                    if len(pending) >= spec.batch:
-                        flush_pending()
-                else:
-                    state.inflight = [(op[1], op[2])]
-                    stack.write(op[1], op[2])
-                    ack()
+                pending.append((op[1], op[2]))
+                if len(pending) >= max(spec.batch, 1):
+                    flush_pending()
             elif op[0] == "read":
                 flush_pending()
                 stack.read(op[1])
@@ -425,8 +420,7 @@ def _check_invariants(
     # Liveness: the resumed stack must accept and authenticate new writes.
     probe = b"\xa5" * BLOCK_BYTES
     try:
-        stack.write(0, probe)
-        stack.flush()
+        stack.write_many([(0, probe)])
         got, why = _read_back(stack, 0)
         if got != probe:
             outcome.violations.append(

@@ -2,7 +2,7 @@
 
 One committed engine write = one :class:`TxnRecord`, a *physical redo*
 record carrying everything the transaction made durable: the ciphertext
-(+ ECC field or separate MAC) of every block the write stored, the new
+and lane word of every block the write stored, the new
 serialized counter metadata of every group it touched, the resulting
 Bonsai root digest, and the scheme epoch.  Replaying the sealed records
 in LSN order on top of the last checkpoint therefore reconstructs the
@@ -37,27 +37,26 @@ class RecordCorrupt(ValueError):
 
 @dataclass(frozen=True)
 class DataImage:
-    """Durable image of one data block: ciphertext plus its MAC lane."""
+    """Durable image of one data block: ciphertext plus its lane word
+    (the Figure 2 ECC word with MAC-in-ECC, the bare MAC otherwise)."""
 
     ciphertext: bytes
-    ecc: bytes | None = None  # packed 8-byte EccField (MAC-in-ECC layouts)
-    mac: int | None = None  # separate-MAC tag (baseline layouts)
+    lane: int | None = None
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "ct": self.ciphertext.hex(),
-            "ecc": self.ecc.hex() if self.ecc is not None else None,
-            "mac": self.mac,
-        }
+        return {"ct": self.ciphertext.hex(), "lane": self.lane}
 
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> DataImage:
-        ecc = obj.get("ecc")
-        return cls(
-            ciphertext=bytes.fromhex(obj["ct"]),
-            ecc=bytes.fromhex(ecc) if ecc is not None else None,
-            mac=obj.get("mac"),
-        )
+        ciphertext = bytes.fromhex(obj["ct"])
+        if "lane" in obj:
+            return cls(ciphertext, obj["lane"])
+        # Images written before the lane word kept the ECC word as 8
+        # little-endian bytes (MAC-in-ECC) or the bare MAC as an int.
+        ecc = obj["ecc"]
+        if ecc is not None:
+            return cls(ciphertext, int.from_bytes(bytes.fromhex(ecc), "little"))
+        return cls(ciphertext, obj["mac"])
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,7 @@ Per-recovery verification (one violation string per breach):
   destroyed by injected physics, flagged, and is repaired from the
   shadow, exactly as the campaign engine does);
 * **no replay** -- no encryption counter regresses below its value at
-  the last acknowledgement, and a batched write that never flushed
-  never becomes durable;
+  the last acknowledgement;
 * **quarantine consistency** -- the recovered logical->physical
   mapping, retired set, spare pool and degraded set equal the sealed
   state, which between operations is the crash-time state
@@ -225,23 +224,22 @@ class TortureCampaign(FaultCampaign):
         #: telemetry captured at the last explicit checkpoint
         self.checkpoint_errlog = self.stack.resilient.log.state_dict()
         self.checkpoint_health = self._health_state()
-        #: writes queued in the batch facade but not yet flushed (acked)
+        #: writes held for the next group commit (not yet acknowledged)
         self.pending: list[tuple[int, bytes]] = []
         self.cycle = 0
 
     # -- memory access: batched writes, acknowledged at each flush ----------
 
     def _flush_ack(self) -> None:
-        """Seal the queued write run (one group commit) and acknowledge."""
+        """Seal the pending write run (one group commit) and acknowledge."""
         if self.pending:
-            self.stack.flush()
+            self.stack.write_many(self.pending)
             self.report.group_commits += 1
             self.shadow.ack(self.pending)
             self.pending.clear()
         self.shadow.pin(self.stack)
 
     def _write(self, address: int, data: bytes) -> None:
-        self.stack.write(address, data)
         self.pending.append((address, data))
         if len(self.pending) >= self.spec.batch:
             self._flush_ack()
@@ -284,10 +282,9 @@ class TortureCampaign(FaultCampaign):
 
     def _crash_and_recover(self) -> None:
         """Power-cut the volatile half, recover, verify vs the shadow."""
-        # Nothing is in flight between operations: queued writes never
-        # flushed, so they are not candidates -- they must vanish.
+        # Nothing is in flight between operations: pending writes were
+        # never handed to the stack, so they are not candidates.
         self.shadow.crash(self.stack)
-        phantom = dict(self.pending)
         self.pending.clear()
         try:
             self.stack, recovery = EngineStack.recover(
@@ -306,9 +303,9 @@ class TortureCampaign(FaultCampaign):
             raise
         self.memory = self.stack.resilient
         self.report.recoveries += 1
-        self._verify_recovery(recovery, phantom)
+        self._verify_recovery(recovery)
 
-    def _verify_recovery(self, recovery, phantom: dict[int, bytes]) -> None:
+    def _verify_recovery(self, recovery) -> None:
         bad = self.shadow.recovery_violations(self.stack)
         # Integrity: recovery must have verified the rebuilt root.
         if not recovery.root_verified:
@@ -321,15 +318,6 @@ class TortureCampaign(FaultCampaign):
         if self._health_state() != self.checkpoint_health:
             bad.append("CE/DUE health history diverged from the last "
                        "checkpoint snapshot")
-        # No replay of unacknowledged work: a batched write that never
-        # flushed has no sealed frame and must not be durable.
-        for address, queued in sorted(phantom.items()):
-            if queued == self.shadow.expected(address):
-                continue  # uninformative: both outcomes read identically
-            rec = self.stack.read(address)
-            if rec.ok and rec.data == queued:
-                bad.append(f"unacknowledged batched write to address "
-                           f"{address:#x} survived the crash")
         # No SDC: every acknowledged block reads back (DUEs repaired).
         for address in self.shadow.sweep():
             try:

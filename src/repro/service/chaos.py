@@ -400,19 +400,30 @@ class _Traffic:
     async def verify(self) -> collections.Counter[str]:
         """Read back every tracked address: one oracle verdict each.
 
-        Verification reads pay the same op quota as traffic, so a
-        rate-limited tenant's sweep politely waits for bucket refills.
+        Reads retry transport failures (a shard killed after this
+        tenant's traffic ended leaves a dead cached connection) and pay
+        the same op quota as traffic, so a rate-limited tenant's sweep
+        politely waits for bucket refills.
         """
         observed = {}
         for address in self.shadow.sweep():
             while True:
                 try:
-                    observed[address] = await self.client.read(
-                        self.tenant_id, address
+                    response = await self.client.request_retry(
+                        {
+                            "op": "read",
+                            "tenant": self.tenant_id,
+                            "address": address,
+                        },
+                        deadline=30.0,
                     )
                     break
                 except QuotaExceeded:
                     await asyncio.sleep(0.05)
+            data = response.get("data")
+            observed[address] = (
+                bytes.fromhex(data) if data is not None else None
+            )
         return self.shadow.verify(observed)
 
     async def close(self) -> None:

@@ -2,9 +2,10 @@
 
 Two symmetric halves:
 
-* :func:`drain_tenants` is the *planned* exit: every tenant's
-  group-commit queue flushes and a fresh checkpoint seals, so the next
-  start finds an empty journal and recovery is a checkpoint load;
+* :func:`drain_tenants` is the *planned* exit: every write was already
+  journal-sealed when it returned, so each tenant seals a fresh
+  checkpoint, the next start finds an empty journal and recovery is a
+  checkpoint load;
 * :func:`recover_tenants` is the *unplanned* exit made safe: a worker
   scans its tenant directories, reloads each
   :class:`~repro.service.storage.FileStore` and runs the full persist
@@ -36,7 +37,7 @@ from repro.service.tenant import (
 
 @dataclass
 class DrainReport:
-    """What one graceful drain flushed and sealed."""
+    """What one graceful drain sealed."""
 
     tenants: list[dict[str, Any]] = field(default_factory=list)
 
@@ -150,7 +151,7 @@ def recover_tenants(
 
 
 def drain_tenants(tenants: Iterable[Tenant]) -> DrainReport:
-    """Gracefully drain a set of tenants (flush + checkpoint each).
+    """Gracefully drain a set of tenants (checkpoint each).
 
     A tenant whose backing store faults mid-drain is *recorded*, not
     raised: its journal simply stays live and the next start recovers

@@ -257,7 +257,7 @@ class Shard:
         return self.recovery_summary
 
     def drain_all(self) -> dict[str, Any]:
-        """Graceful shard drain: every tenant flushed and checkpointed."""
+        """Graceful shard drain: every tenant checkpointed."""
         self.draining = True
         live = [
             tenant
@@ -670,7 +670,7 @@ def shard_main(
         loop = asyncio.get_running_loop()
 
         def _graceful() -> None:
-            # Drain first (flush + checkpoint every tenant), then stop:
+            # Drain first (checkpoint every tenant), then stop:
             # after this, restart recovery is a checkpoint load.
             shard.drain_all()
             stop.set()

@@ -18,8 +18,8 @@ Lifecycle states:
     Reads and writes served.
 ``DRAINING``
     Writes refused with :class:`DrainInProgress`; reads still served.
-    Entered by ``drain()``, which flushes the group-commit queue and
-    seals a fresh checkpoint -- after it returns, a kill loses nothing.
+    Entered by ``drain()``, which seals a fresh checkpoint -- every
+    write was journal-sealed when it returned, so a kill loses nothing.
 ``RETIRED``
     All traffic refused with :class:`TenantNotFound` (the namespace is
     gone as far as callers are concerned); the directory remains for
@@ -331,11 +331,10 @@ class Tenant:
             )
 
     def write(self, address: int, data: bytes) -> None:
-        """One acknowledged write: queued, flushed, journal-sealed."""
+        """One acknowledged write: journal-sealed when it returns."""
         self._check_writable()
         self._check_address(address)
-        self.stack.write(address, data)
-        self.stack.flush()
+        self.stack.write_many([(address, data)])
         self._maybe_degrade()
 
     def write_batch(self, writes: list[tuple[int, bytes]]) -> None:
@@ -394,13 +393,12 @@ class Tenant:
     # -- lifecycle ------------------------------------------------------------
 
     def drain(self) -> dict[str, Any]:
-        """Flush pending work and checkpoint; then refuse writes.
+        """Checkpoint; then refuse writes.
 
         Idempotent: draining a draining tenant just re-checkpoints.
         """
         self._check_readable()
         self.state = TenantState.DRAINING
-        self.stack.flush()
         if self.stack.persist is not None:
             self.stack.checkpoint()
         return {

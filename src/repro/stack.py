@@ -12,8 +12,8 @@ the one blessed composition over a *single* engine:
    (write-ahead journal + epoch checkpoints over a
    :class:`~repro.persist.store.DurableStore`);
 3. **fast** -- a :class:`~repro.fast.batch_memory.BatchSecureMemory`
-   facade over the *same* engine; with durability attached each flushed
-   write run seals as one group-commit journal transaction;
+   facade over the *same* engine; with durability attached each
+   ``write_many`` run seals as one group-commit journal transaction;
 4. **resilient** -- a :class:`~repro.resilience.runtime.ResilientMemory`
    on top: logical->physical translation through the quarantine map,
    staged recovery reads, CE/DUE retirement, error logging.
@@ -22,14 +22,15 @@ Layer-ordering rules the constructor enforces by construction:
 
 * durability attaches to the core engine, *below* batching -- the batch
   facade mirrors into the engine's open transaction, never the reverse;
-* address indirection sits *above* batching: the stack translates
-  logical addresses at queue time, so the batch queue and the journal
-  only ever see physical addresses (what recovery replays);
-* reads drain the batch queue first (writes acknowledge before any
-  read observes them) and then go through the resilient read path when
-  present -- recovery-policy reads are inherently scalar, and the batch
-  read path defers to scalar fallbacks whenever a perturb hook is
-  installed, so nothing is lost by routing around it.
+* address indirection sits *above* batching: the stack translates a
+  run's logical addresses before the run starts, so the batch layer and
+  the journal only ever see physical addresses (what recovery replays);
+* ``write_many`` is the only write and its return is the
+  acknowledgement point, so the stack holds no unacknowledged writes
+  and a read observes every acknowledged one.  Reads take the scalar
+  path: the resilient read when present (recovery-policy reads are
+  inherently scalar), else ``engine.read``, which the batch read path
+  equals by its own contract.
 
 Crash recovery composes the same way: :meth:`EngineStack.recover`
 rebuilds the engine from the store via the persist state machine, then
@@ -130,53 +131,40 @@ class EngineStack:
 
     # -- data path ----------------------------------------------------------
 
-    def write(self, address: int, data: bytes) -> None:
-        """Write one block: queued (fast) until :meth:`flush` seals it.
+    def write_many(self, writes: Iterable[tuple[int, bytes]]) -> None:
+        """Write a run of ``(address, data)`` pairs, acknowledged on return.
 
-        Without the fast layer the write goes straight through (and,
+        With the fast layer the run is one batch call on physical
+        addresses (with durability, one group-commit transaction); every
+        address is translated first, so a bad one raises before anything
+        is stored.  Without it each write goes straight through (and,
         with durability, seals its own scalar transaction).
         """
-        self._m_writes.inc()
+        writes = list(writes)
         if self.batch is not None:
-            self.batch.queue_write(self._physical(address), data)
-        elif self.resilient is not None:
-            self.resilient.write(address, data)
-        else:
-            self.engine.write(address, data)
-
-    def write_many(self, writes: Iterable[tuple[int, bytes]]) -> None:
-        """Queue a write run and flush it -- one group-commit txn."""
-        for address, data in writes:
-            self.write(address, data)
-        self.flush()
-
-    def flush(self) -> None:
-        """Drain the batch queue; the acknowledgement point for writes."""
-        if self.batch is not None:
+            self.batch.write_many(
+                [(self._physical(address), data) for address, data in writes]
+            )
             self._m_flushes.inc()
-            self.batch.flush()
+        else:
+            memory = self.engine if self.resilient is None else self.resilient
+            for address, data in writes:
+                memory.write(address, data)
+        self._m_writes.inc(len(writes))
 
     def read(self, address: int) -> RecoveredRead | ReadResult:
-        """Read one block through the top of the stack.
-
-        Pending writes flush first: a read observes every write queued
-        before it, and (with durability) only acknowledged state.
-        """
+        """Read one block through the top of the stack."""
         self._m_reads.inc()
-        self.flush()
         if self.resilient is not None:
             return self.resilient.read(address)
-        if self.batch is not None:
-            return self.batch.read_many([address])[0]
         return self.engine.read(address)
 
     # -- durability ---------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Force an epoch checkpoint (flushing pending writes first)."""
+        """Force an epoch checkpoint."""
         if self.engine.persist is None:
             raise ValueError("no persistence attached to this stack")
-        self.flush()
         self.engine.persist.checkpoint()
 
     @classmethod

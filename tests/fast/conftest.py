@@ -14,14 +14,19 @@ def engine_state(engine):
     )
 
 
-def run_ops(batch, ops):
+def run_ops(memory, ops):
     """Drive ``("write", block, data)`` / ``("read", block)`` ops through
-    a ``BatchSecureMemory``, one ``write_many``/``read_many`` call per
-    maximal same-op run; returns the reads' results in order."""
+    a ``BatchSecureMemory`` or an ``EngineStack``, one ``write_many``
+    call per maximal run of writes; a run of reads is one ``read_many``
+    call, or one ``read`` per address on a stack.  Returns the reads'
+    results in order."""
+    read_many = getattr(memory, "read_many", None) or (
+        lambda addresses: map(memory.read, addresses)
+    )
     reads = []
     for kind, run in groupby(ops, key=lambda op: op[0]):
         if kind == "write":
-            batch.write_many([(op[1] * 64, op[2]) for op in run])
+            memory.write_many([(op[1] * 64, op[2]) for op in run])
         else:
-            reads.extend(batch.read_many([op[1] * 64 for op in run]))
+            reads.extend(read_many([op[1] * 64 for op in run]))
     return reads

@@ -357,7 +357,7 @@ def test_batched_durable_equals_scalar_durable_through_recovery(
     name, scheme_kwargs
 ):
     """Satellite invariant: batched+durable must be bit-for-bit state
-    equivalent to scalar+durable -- after every flush, after a crash,
+    equivalent to scalar+durable -- after every write run, after a crash,
     and after recovery -- for every preset."""
     from repro.obs.metrics import MetricRegistry as Registry
     from repro.persist.config import DurabilityConfig
@@ -376,14 +376,9 @@ def test_batched_durable_equals_scalar_durable_through_recovery(
             config, KEY, fast=fast, durability=durability, store=store,
             registry=Registry(),
         )
-        reads = []
-        for op in ops:
-            if op[0] == "write":
-                stack.write(op[1] * 64, op[2])
-            else:
-                result = stack.read(op[1] * 64)
-                reads.append((result.data, result.outcome))
-        stack.flush()
+        reads = [
+            (result.data, result.outcome) for result in run_ops(stack, ops)
+        ]
         return engine_state(stack.engine), reads, store
 
     scalar_state, scalar_reads, scalar_store = run(fast=False)

@@ -51,8 +51,7 @@ def run_workload(root: pathlib.Path, fs: FaultFS) -> dict[int, bytes]:
         for i in range(N_WRITES):
             address = (i % 4) * 64
             data = bytes([i + 1]) * 64
-            stack.write(address, data)
-            stack.flush()  # group commit: the ack point is the seal
+            stack.write_many([(address, data)])  # acked: the seal
             acked[address] = data
     except StorageFault:
         pass
@@ -124,11 +123,9 @@ def test_store_stays_usable_after_refused_mutation(tmp_path):
         small_config(), derive_key(1, "t"),
         store=FileStore(tmp_path, fs=fs), durability=durability(),
     )
-    stack.write(0, b"A" * 64)
     with pytest.raises(StorageFault):
-        stack.flush()  # the record write tears
-    stack.write(0, b"B" * 64)
-    stack.flush()  # the retry: plan already spent
+        stack.write_many([(0, b"A" * 64)])  # the record write tears
+    stack.write_many([(0, b"B" * 64)])  # the retry: plan already spent
     assert stack.read(0).data == b"B" * 64
     assert any(
         path.suffix == ".sealed"

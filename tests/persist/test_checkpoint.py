@@ -20,7 +20,7 @@ def make_checkpoint(epoch=0, next_lsn=5):
     return Checkpoint(
         epoch=epoch,
         next_lsn=next_lsn,
-        data={2: DataImage(ciphertext=b"\xcc" * 64, mac=77)},
+        data={2: DataImage(ciphertext=b"\xcc" * 64, lane=77)},
         meta={0: b"\x01\x02"},
         root=0xBEEF,
         scheme_epoch=1,
@@ -81,7 +81,7 @@ class TestPersistenceManager:
     def commit_one(self, manager, lsn_block=1):
         manager.begin_txn()
         manager.record_data(
-            lsn_block, DataImage(ciphertext=b"\x11" * 64, mac=5)
+            lsn_block, DataImage(ciphertext=b"\x11" * 64, lane=5)
         )
         manager.record_meta(0, b"\x07")
         return manager.commit_txn(root=0xF00D)
@@ -118,7 +118,7 @@ class TestPersistenceManager:
         manager, registry = self.make_manager(checkpoint_interval=0)
         manager.bootstrap()
         manager.begin_txn()
-        manager.record_data(0, DataImage(ciphertext=b"\x22" * 64, mac=1))
+        manager.record_data(0, DataImage(ciphertext=b"\x22" * 64, lane=1))
         manager.abort_txn()
         assert not manager.in_txn
         assert registry.counter("persist.journal.append").value == 0

@@ -19,8 +19,9 @@ def make_txn(lsn=0, root=0xDEAD):
     return TxnRecord(
         lsn=lsn,
         data={
-            3: DataImage(ciphertext=b"\xaa" * 64, ecc=b"\x01" * 8),
-            7: DataImage(ciphertext=b"\xbb" * 64, mac=0x1234),
+            3: DataImage(ciphertext=b"\xaa" * 64, lane=0x8101010101010101),
+            7: DataImage(ciphertext=b"\xbb" * 64, lane=0x1234),
+            9: DataImage(ciphertext=b"\xcc" * 64),
         },
         meta={0: b"\x10\x20\x30"},
         root=root,
@@ -42,11 +43,12 @@ class TestRecordFraming:
         assert decode_record(encode_record(record)) == record
 
     def test_data_image_lanes_survive(self):
-        """Both MAC lanes (packed ECC field vs separate tag) must carry
-        through the hex JSON framing."""
+        """Every lane word (a full 64-bit ECC word, a bare MAC tag, no
+        lane at all) must carry through the JSON framing."""
         back = decode_record(encode_record(make_txn()))
-        assert back.data[3].ecc == b"\x01" * 8 and back.data[3].mac is None
-        assert back.data[7].mac == 0x1234 and back.data[7].ecc is None
+        assert back.data[3].lane == 0x8101010101010101
+        assert back.data[7].lane == 0x1234
+        assert back.data[9].lane is None
 
     @pytest.mark.parametrize("cut", [1, 4, 20])
     def test_truncated_payload_fails_crc(self, cut):

@@ -8,21 +8,28 @@ claim against its payload.  :func:`claim_failures` -- the verdict of
 payload, the committed ones and hand-tampered ones.
 """
 
+import asyncio
 import copy
 import json
 import pathlib
+import shutil
+import tempfile
 
 import pytest
 
+from repro.harness.oracle import OK
+from repro.obs.metrics import MetricRegistry
 from repro.service.chaos import (
     CHAOS_SCHEMA,
     MAX_AMPLIFICATION,
     ChaosSpec,
+    _Traffic,
     claim_failures,
     run_chaos,
 )
-from repro.service.loadgen import BENCH_SCHEMA
+from repro.service.loadgen import BENCH_SCHEMA, LoadgenSpec
 from repro.service.router import shard_of
+from repro.service.server import ServiceSupervisor
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -126,6 +133,49 @@ class TestCampaign:
 
     def test_schema_stamped(self, payload):
         assert payload["schema"] == CHAOS_SCHEMA
+
+
+class TestLateKill:
+    def test_verify_reconnects_after_a_kill_past_the_traffic(self):
+        """A shard killed and restarted after a tenant's traffic ended
+        leaves that tenant's cached connection dead: the verification
+        sweep must reconnect, not raise ``ShardUnavailable``."""
+        spec = LoadgenSpec(tenants=2, region_kb=8, kill_shard=0)
+        tenant_id = next(
+            t for t in spec.tenant_ids() if shard_of(t, spec.shards) == 0
+        )
+        # A short root: AF_UNIX socket paths cap at ~104 bytes.
+        root = tempfile.mkdtemp(prefix="late-kill-")
+        supervisor = ServiceSupervisor(
+            root,
+            num_shards=spec.shards,
+            secret_seed=spec.secret_seed,
+            options=spec.shard_options(),
+        )
+
+        async def drive():
+            traffic = _Traffic(
+                tenant_id, spec, pathlib.Path(root), MetricRegistry()
+            )
+            try:
+                await traffic.provision()
+                await traffic._one_op(0)  # one acknowledged write
+                assert len(traffic.shadow.acked) == 1
+                await traffic.client.read(tenant_id, 0)  # cache the conn
+                await asyncio.to_thread(supervisor.kill_shard, 0)
+                await asyncio.to_thread(supervisor.restart_shard, 0)
+                return await traffic.verify()
+            finally:
+                await traffic.close()
+
+        supervisor.start()
+        try:
+            supervisor.wait_ready()
+            verdicts = asyncio.run(drive())
+        finally:
+            supervisor.stop()
+            shutil.rmtree(root, ignore_errors=True)
+        assert verdicts[OK] == 1
 
 
 class TestGate:

@@ -89,12 +89,13 @@ class TestKillRecovery:
     def test_acknowledged_writes_survive_abandonment(self, tmp_path):
         stack = build_stack(FileStore(tmp_path))
         expected = {}
+        writes = []
         for i in range(12):
             address = (i % 8) * 64
             data = bytes([i + 1]) * 64
-            stack.write(address, data)
+            writes.append((address, data))
             expected[address] = data
-        stack.flush()
+        stack.write_many(writes)
         del stack  # no drain, no checkpoint call: the "kill"
 
         recovered, report = recover_stack(tmp_path)
@@ -104,8 +105,7 @@ class TestKillRecovery:
 
     def test_unsealed_tail_discarded_not_fatal(self, tmp_path):
         stack = build_stack(FileStore(tmp_path))
-        stack.write(0, b"A" * 64)
-        stack.flush()
+        stack.write_many([(0, b"A" * 64)])
         # Forge a kill between append and seal: payload on disk, no
         # marker.  scan_journal must discard it as an unsealed tail.
         (tmp_path / "journal" / "99999999.rec").unlink(missing_ok=True)
@@ -119,10 +119,8 @@ class TestKillRecovery:
 
     def test_torn_record_payload_discarded(self, tmp_path):
         stack = build_stack(FileStore(tmp_path))
-        stack.write(0, b"B" * 64)
-        stack.flush()
-        stack.write(64, b"C" * 64)
-        stack.flush()
+        stack.write_many([(0, b"B" * 64)])
+        stack.write_many([(64, b"C" * 64)])
         # Truncate the last sealed record's payload: a partially flushed
         # file.  The CRC framing must reject it like a torn write.
         tail = sorted((tmp_path / "journal").glob("*.rec"))[-1]
@@ -163,12 +161,10 @@ class TestBarriers:
         ``.sealed`` marker without its ``.rec`` is harmless)."""
         fs = FaultFS()
         stack = build_stack(FileStore(tmp_path, fs=fs))
-        stack.write(0, b"A" * 64)
-        stack.flush()  # genuinely durable
+        stack.write_many([(0, b"A" * 64)])  # genuinely durable
 
         fs.plan = FaultPlan.single(fs.step, FaultKind.LOST_BEFORE_FSYNC)
-        stack.write(64, b"B" * 64)
-        stack.flush()  # "acks", but the record is stuck in cache
+        stack.write_many([(64, b"B" * 64)])  # "acks", but stuck in cache
         assert stack.read(64).data == b"B" * 64  # in-memory view lies too
         fs.crash()
 

@@ -19,6 +19,7 @@ from repro.persist.config import DurabilityConfig
 from repro.persist.store import DurableStore
 from repro.resilience.recovery import RecoveredRead
 from repro.stack import EngineStack
+from tests.fast.conftest import engine_state
 
 KEY = bytes(range(48))
 REGION = 8 * 1024  # 128 blocks
@@ -72,7 +73,7 @@ class TestComposition:
 
     def test_plain_stack_returns_engine_reads(self):
         stack = EngineStack(_config(), KEY, registry=MetricRegistry())
-        stack.write(0, _payload(0))
+        stack.write_many([(0, _payload(0))])
         assert isinstance(stack.read(0), ReadResult)
 
     def test_write_many_seals_one_group_commit(self):
@@ -83,6 +84,27 @@ class TestComposition:
         assert totals.get("persist.group_commit.writes") == 5
         assert totals.get("stack.writes") == 5
         assert totals.get("stack.flushes") == 1
+
+    def test_bad_logical_address_fails_the_run_before_any_store(self):
+        """Every logical address translates before the batch runs: one
+        out of range fails the whole run with nothing stored, journaled
+        or counted."""
+        store = DurableStore()
+        stack = _full_stack(store)
+        stack.write_many([(0, _payload(0))])
+        state = engine_state(stack.engine)
+        journal = [(slot.payload, slot.sealed) for slot in store.journal]
+        writes = stack.registry.snapshot().totals().get("stack.writes")
+        bad = stack.capacity_blocks * 64
+        with pytest.raises(ValueError):
+            stack.write_many([(64, _payload(1)), (bad, _payload(2))])
+        assert engine_state(stack.engine) == state
+        assert [(slot.payload, slot.sealed) for slot in store.journal] == (
+            journal
+        )
+        assert stack.registry.snapshot().totals().get("stack.writes") == (
+            writes
+        )
 
     def test_checkpoint_requires_persistence(self):
         stack = EngineStack(_config(), KEY, registry=MetricRegistry())
@@ -116,26 +138,6 @@ class TestRecovery:
             assert result.ok and result.data == _payload(block, salt=9)
         totals = recovered.registry.snapshot().totals()
         assert totals.get("stack.recoveries") == 1
-
-    def test_unflushed_writes_are_not_durable(self):
-        """Queued-but-unflushed writes must not be visible after a
-        crash: acknowledgement is the flush, nothing earlier."""
-        store = DurableStore()
-        stack = _full_stack(store)
-        stack.write_many([(0, _payload(0))])
-        stack.write(64, _payload(1))  # queued, never flushed
-        del stack
-        recovered, report = EngineStack.recover(
-            store,
-            _config(),
-            KEY,
-            durability=MANUAL,
-            resilience={"spare_blocks": 2, "ce_threshold": 1},
-            registry=MetricRegistry(),
-        )
-        assert report.root_verified
-        assert recovered.read(0).data == _payload(0)
-        assert recovered.read(64).data != _payload(1)
 
     def test_retirement_survives_two_crashes_without_checkpoint(self):
         """Regression: the resume checkpoint snapshots a bare engine, so
